@@ -252,14 +252,28 @@ class ResultCache:
         """Store ``value`` (must be JSON-serialisable) atomically, then
         prune oldest-mtime-first if the store exceeds ``max_bytes``."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"schema": SCHEMA_VERSION, "kind": kind, "value": value}
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
+        data = json.dumps(
+            {"schema": SCHEMA_VERSION, "kind": kind, "value": value},
+            sort_keys=True,
+        ).encode()
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.name, suffix=".tmp"
+            )
+        except FileNotFoundError:
+            # A shard directory not created yet, or removed underneath
+            # (the cache root was deleted): create it and retry once.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.name, suffix=".tmp"
+            )
+        try:
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
             try:
                 old_size = path.stat().st_size
             except OSError:
@@ -278,7 +292,7 @@ class ResultCache:
                     p.stat().st_size for p in self._object_files()
                 )
             else:
-                self._total_bytes += path.stat().st_size - old_size
+                self._total_bytes += len(data) - old_size
             if self._total_bytes > self.max_bytes:
                 self._evict()
 

@@ -8,7 +8,8 @@ Execution model
    and single writer, so no cross-process cache locking is needed.
 3. Run the misses across a ``multiprocessing`` pool (``chunksize=1``;
    heavy units are listed first so workers drain evenly).  ``jobs=1``
-   executes misses in-process, same code path minus the pool.
+   executes misses in-process, with the sweep points grouped into one
+   vectorized call per mode (:func:`repro.parallel.units.execute_batch`).
 4. Merge by *plan order*, never completion order: platform order is the
    catalog's, frequency order the DVFS table's, Figure 6 order the
    application registry's.  The merged dict is byte-identical (through
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,34 +39,29 @@ from repro.parallel.cache import (
     unit_key,
 )
 from repro.parallel.units import (
+    UnitFailure,
     WorkUnit,
     app_run_result,
     campaign_units,
-    execute_unit,
+    execute_batch,
     pool_entry,
 )
 
 
-@dataclass(frozen=True)
-class UnitFailure:
-    """A unit that raised instead of returning a value.
-
-    ``run_units(safe=True)`` returns one of these in the failed unit's
-    slot instead of propagating the exception and losing the rest of
-    the batch — the job tier needs per-unit failure isolation to retry
-    or quarantine exactly the poison unit.  Never cached.
-    """
-
-    error: str
-
-
-def safe_pool_entry(job: tuple[str, dict[str, Any], int]) -> tuple[str, Any]:
+def safe_pool_entry(job: tuple[str, dict[str, Any], int]) -> Any:
     """Pool target that captures per-unit exceptions as data (a raised
-    exception in ``pool.map`` poisons the whole batch)."""
+    exception in ``pool.map`` poisons the whole batch): the value, or a
+    :class:`UnitFailure` carrying the exception when it survives a
+    pickle round trip (else its text only)."""
     try:
-        return ("ok", pool_entry(job))
+        return pool_entry(job)
     except Exception as exc:  # noqa: BLE001 - the point is containment
-        return ("err", f"{type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - an exception that won't travel
+            return UnitFailure(error)
+        return UnitFailure(error, exc)
 
 
 def _pool_context(start_method: str | None = None):
@@ -127,62 +124,56 @@ def run_units(
     start_method: str | None = None,
     pool=None,
     safe: bool = False,
-    on_result=None,
 ) -> list[Any]:
     """Execute ``units``, returning their values in input order.
 
-    Cache hits are resolved in the parent; only misses reach the pool.
-    ``pool`` reuses a caller-owned worker pool instead of creating one
-    per call — long-lived callers (the serving front end) pre-fork
-    theirs while the process is still single-threaded, because forking
-    from a threaded process can hand workers a lock some other thread
-    held at fork time, deadlocking them before they take a task.
+    Cache hits are resolved in the parent; only misses are computed.
+    A single miss, or any number with ``jobs=1`` and no ``pool``, runs
+    in this process through :func:`~repro.parallel.units.execute_batch`
+    (sweep points grouped into one vectorized call per mode).  Otherwise
+    the misses go to ``pool`` — a caller-owned worker pool, which a
+    long-lived caller must fork while still single-threaded, because
+    forking from a threaded process can hand workers a lock some other
+    thread held at fork time — or to a pool of ``jobs`` workers created
+    for this call.
+
+    Either way each fresh value is written to ``cache`` as soon as it
+    arrives, so an interrupted run keeps every unit already finished.
 
     ``safe=True`` captures each unit's exception as a
     :class:`UnitFailure` in its slot (never cached) instead of raising
-    and discarding the batch.  ``on_result(index, value)`` is invoked
-    for every unit as it resolves — cache hits immediately, fresh
-    values in unit order as the pool yields them — so a caller can
-    checkpoint progress mid-batch instead of only at the end.
+    and discarding the batch.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     values, todo = probe_units(units, cache, seed)
-    if on_result is not None:
-        todo_set = set(todo)
-        for i in range(len(units)):
-            if i not in todo_set:
-                on_result(i, values[i])
-    if todo:
-        entry = safe_pool_entry if safe else pool_entry
+    if not todo:
+        return values
+    own_pool = None
+    if len(todo) == 1 or (pool is None and jobs == 1):
+        fresh = execute_batch([units[i] for i in todo], seed, safe=safe)
+    else:
+        if pool is None:
+            pool = own_pool = _pool_context(start_method).Pool(
+                min(jobs, len(todo))
+            )
         jobs_args = [(units[i].kind, units[i].params, seed) for i in todo]
-        if pool is not None and len(todo) > 1:
-            fresh = pool.imap(entry, jobs_args, chunksize=1)
-        elif jobs == 1 or len(todo) == 1:
-            fresh = map(entry, jobs_args)
-        else:
-            own_pool = _pool_context(start_method).Pool(min(jobs, len(todo)))
-            fresh = own_pool.imap(entry, jobs_args, chunksize=1)
-        try:
-            for i, value in zip(todo, fresh):
-                if safe:
-                    tag, payload = value
-                    value = (
-                        payload if tag == "ok" else UnitFailure(payload)
-                    )
-                values[i] = value
-                if cache is not None and not isinstance(value, UnitFailure):
-                    cache.put(
-                        unit_key(units[i].kind, units[i].params, seed),
-                        value,
-                        kind=units[i].kind,
-                    )
-                if on_result is not None:
-                    on_result(i, value)
-        finally:
-            if pool is None and not (jobs == 1 or len(todo) == 1):
-                own_pool.close()
-                own_pool.join()
+        entry = safe_pool_entry if safe else pool_entry
+        fresh = enumerate(pool.imap(entry, jobs_args, chunksize=1))
+    try:
+        for j, value in fresh:
+            i = todo[j]
+            values[i] = value
+            if cache is not None and not isinstance(value, UnitFailure):
+                cache.put(
+                    unit_key(units[i].kind, units[i].params, seed),
+                    value,
+                    kind=units[i].kind,
+                )
+    finally:
+        if own_pool is not None:
+            own_pool.close()
+            own_pool.join()
     return values
 
 

@@ -27,7 +27,7 @@ happens to execute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.apps import APPLICATIONS
 from repro.apps.base import AppRunResult
@@ -35,6 +35,7 @@ from repro.core.study import (
     FIG6_FULL_COUNTS,
     FIG6_QUICK_COUNTS,
     MobileSoCStudy,
+    _scalar_sweep,
     figure6_counts,
 )
 
@@ -51,6 +52,23 @@ class WorkUnit:
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.kind}({inner})"
+
+
+@dataclass(frozen=True)
+class UnitFailure:
+    """A unit that raised instead of returning a value.
+
+    Safe execution (``run_units(safe=True)``) returns one of these in
+    the failed unit's slot instead of propagating the exception and
+    losing the rest of the batch — the job tier needs per-unit failure
+    isolation to retry or quarantine exactly the poison unit, and a
+    query batch must fail only the bad query.  Never cached.  ``exc``
+    is the exception itself, when there is one to hand back (a pool
+    worker's exception that does not pickle crosses as text only).
+    """
+
+    error: str
+    exc: Exception | None = field(default=None, compare=False, repr=False)
 
 
 def campaign_units(quick: bool, cluster, study=None) -> list[WorkUnit]:
@@ -131,6 +149,51 @@ def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
     if kind == "headline":
         return study.headline_hpl(params["n_nodes"])
     raise ValueError(f"unknown work-unit kind {kind!r}")
+
+
+def execute_batch(
+    batch: list[WorkUnit], seed: int = 0, safe: bool = False
+) -> Iterator[tuple[int, Any]]:
+    """Run ``batch`` in this process, yielding ``(index, value)`` as
+    each value resolves, so a caller can cache every unit the moment it
+    is done (a cached unit is the campaign's checkpoint).
+
+    Every kind but ``sweep_point`` runs through :func:`execute_unit`,
+    one unit at a time in batch order.  The ``sweep_point`` units are
+    then grouped into one :meth:`MobileSoCStudy.sweep_points` call per
+    mode — bit-identical to running them one by one through
+    :func:`execute_unit`, which is what ``REPRO_SCALAR_SWEEP=1`` still
+    does (the scalar oracle).
+
+    ``safe=True`` yields a :class:`UnitFailure` for a failed unit
+    instead of raising; when a grouped sweep call raises, each of its
+    units is re-run alone, so only the bad ones fail.
+    """
+
+    def one(unit: WorkUnit) -> Any:
+        if not safe:
+            return execute_unit(unit.kind, unit.params, seed)
+        try:
+            return execute_unit(unit.kind, unit.params, seed)
+        except Exception as exc:  # noqa: BLE001 - per-unit containment
+            return UnitFailure(f"{type(exc).__name__}: {exc}", exc)
+
+    by_mode: dict[Any, list[int]] = {}
+    for i, unit in enumerate(batch):
+        if unit.kind == "sweep_point" and not _scalar_sweep():
+            by_mode.setdefault(unit.params.get("mode"), []).append(i)
+        else:
+            yield i, one(unit)
+    for mode, idxs in by_mode.items():
+        try:
+            points = [
+                (batch[i].params["platform"], batch[i].params["freq"])
+                for i in idxs
+            ]
+            values = _plan_study(seed).sweep_points(mode, points)
+        except Exception:
+            values = [one(batch[i]) for i in idxs]
+        yield from zip(idxs, values)
 
 
 def pool_entry(job: tuple[str, dict[str, Any], int]) -> Any:

@@ -12,11 +12,12 @@ makes three mechanisms do almost all the work:
   computation (:class:`~repro.serve.frontend.CampaignFrontEnd`);
 * **cache-backed serving** — anything the content-addressed
   :class:`~repro.parallel.cache.ResultCache` already holds is returned
-  without touching a worker;
-* **micro-batched sharding** — the distinct misses that remain are
-  collected for a few milliseconds and executed as one
-  :func:`repro.parallel.runner.run_units` call over a bounded
-  multiprocessing pool.
+  without computing anything;
+* **micro-batching** — the distinct misses that remain are collected
+  for a few milliseconds: sweep points are computed as one vectorized
+  call per mode on the event loop, and Figure 6 and headline
+  simulations as one :func:`repro.parallel.runner.run_units` call over
+  a bounded multiprocessing pool, from an executor thread.
 
 Around them sit admission control (a bounded pending queue; excess
 load is rejected 429-style with a ``retry_after_s`` hint), graceful

@@ -46,7 +46,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         prog="repro serve",
         description="Serve campaign queries over JSON-lines TCP with "
         "single-flight coalescing, cache-backed hits and micro-batched "
-        "sharded execution.",
+        "execution (sweep points in process, simulations sharded over a "
+        "worker pool).",
     )
     parser.add_argument(
         "--host", default="127.0.0.1",
@@ -59,7 +60,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=jobs_count, default=2,
-        help="worker processes per batch execution (default: 2)",
+        help="worker processes for Figure 6 / headline misses and job "
+        "batches; 1 forks no pool (default: 2)",
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.01, metavar="S",

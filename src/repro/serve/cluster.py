@@ -145,7 +145,8 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=jobs_count, default=1,
-        help="worker processes per backend batch execution (default: 1)",
+        help="each backend's --jobs: worker processes for its Figure 6 "
+        "/ headline misses (default: 1)",
     )
     parser.add_argument(
         "--cache-dir", type=Path, default=DEFAULT_CACHE_DIR, metavar="DIR",

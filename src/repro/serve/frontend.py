@@ -13,10 +13,22 @@ funnel, cheapest mechanism first:
    disk read *and* hands the transport the same value object every
    time (which is what makes the binary wire's encode memo hit);
 3. **micro-batch** — the distinct misses that remain are collected for
-   ``batch_window_s`` (up to ``max_batch``) and executed as ONE
-   :func:`repro.parallel.runner.run_units` call sharded over a bounded
-   multiprocessing pool, in a worker thread so the event loop never
-   blocks.
+   ``batch_window_s`` (up to ``max_batch``) and executed with per-unit
+   failure isolation, so a bad query fails only itself.  The sweep
+   kinds run inline on the event-loop thread, grouped into one
+   vectorized ``sweep_points`` call per mode
+   (:func:`repro.parallel.units.execute_batch`): a point costs well
+   under a millisecond, less than handing it to another thread.  Their
+   cache writes go to the executor thread.  The Figure 6 and headline
+   simulations — milliseconds to seconds each — go through
+   :func:`repro.parallel.runner.run_units` on the one executor thread,
+   which shards two or more of them over the worker pool, so the loop
+   keeps answering hits while they run and they use every core.
+
+The pool (``jobs`` workers) is forked in :meth:`CampaignFrontEnd.start`
+when ``jobs > 1``; it also runs the durable job tier's batches
+(:meth:`CampaignFrontEnd.execute_units`).  With ``jobs=1`` the front end
+forks nothing and every simulation runs on the executor thread.
 
 Admission control bounds the miss backlog: once ``queue_limit``
 distinct computations are pending, further misses are rejected with
@@ -48,7 +60,9 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import sys
 import time
+import traceback
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,11 +70,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.recorder import current as _obs_current
+from repro.parallel import runner as _runner
 from repro.parallel.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, unit_key
-from repro.parallel.units import WorkUnit
+from repro.parallel.units import UnitFailure, WorkUnit, execute_batch
 
 #: The queryable work-unit kinds (the campaign decomposition's own).
 UNIT_KINDS = ("sweep_base", "sweep_point", "fig6_point", "headline")
+
+#: Kinds a query batch computes inline on the event-loop thread; the
+#: rest (discrete-event simulations) go to the executor thread and pool.
+INLINE_KINDS = frozenset(("sweep_base", "sweep_point"))
 
 #: How a request was served.
 SERVED_CACHE = "cache"
@@ -100,7 +119,7 @@ class Overloaded(RuntimeError):
 class ServeConfig:
     """Tunables for one front end."""
 
-    jobs: int = 2                  #: pool workers per batch execution
+    jobs: int = 2                  #: pool workers (1 = no pool, in process)
     batch_window_s: float = 0.01   #: micro-batch collection window
     max_batch: int = 32            #: distinct misses per batch
     queue_limit: int = 256        #: pending distinct computations bound
@@ -193,6 +212,15 @@ class _Pending:
     future: asyncio.Future
 
 
+def _report_write_failure(future) -> None:
+    """Done-callback of a write-through nobody awaits: a failed write
+    costs a recomputation later, never an answer, but it is reported."""
+    exc = future.exception()
+    if exc is not None:
+        print("repro serve: cache write-through failed:", file=sys.stderr)
+        traceback.print_exception(type(exc), exc, exc.__traceback__)
+
+
 class CampaignFrontEnd:
     """See the module docstring.  Lifecycle::
 
@@ -202,9 +230,9 @@ class CampaignFrontEnd:
         ...
         await fe.drain()   # graceful: resolves everything accepted
 
-    ``runner`` (tests, benchmarks) replaces the default
-    ``run_units``-over-a-pool execution with any callable
-    ``list[WorkUnit] -> list[value]``; it runs in a worker thread.
+    ``runner`` (tests, benchmarks) replaces the default execution with
+    any callable ``list[WorkUnit] -> list[value]``; it runs on the
+    executor thread for every kind.
     """
 
     def __init__(
@@ -221,7 +249,8 @@ class CampaignFrontEnd:
             cache_kw["max_bytes"] = cfg.cache_max_bytes
         # Two cache handles on the same directory: the probe cache is
         # touched only from the event-loop thread, the batch cache only
-        # from the single executor thread — no shared mutable state.
+        # from the single executor thread — no shared mutable state, and
+        # every write (with its size scan and eviction) off the loop.
         self._probe_cache = (
             ResultCache(cfg.cache_dir, **cache_kw)
             if cfg.cache_dir is not None else None
@@ -245,9 +274,10 @@ class CampaignFrontEnd:
         self._pending_units = 0  # queued + executing distinct units
         self._draining = False
         self._batcher_task: asyncio.Task | None = None
-        # One executor thread: batches execute strictly one at a time —
-        # the bounded worker pool is the multiprocessing pool *inside*
-        # each run_units call, not a fan-out of concurrent batches.
+        # One executor thread: simulation batches, job batches and
+        # cache writes run strictly one at a time — the bounded worker
+        # pool is the multiprocessing pool *inside* each run_units call,
+        # not a fan-out of concurrent batches.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
@@ -263,9 +293,7 @@ class CampaignFrontEnd:
             # and forking a pool from there can hand workers a lock the
             # event-loop thread held at fork time — a worker deadlocked
             # before its first task, and a batch that never returns.
-            from repro.parallel.runner import _pool_context
-
-            self._pool = _pool_context().Pool(self.config.jobs)
+            self._pool = _runner._pool_context().Pool(self.config.jobs)
         if self._batcher_task is None:
             self._batcher_task = asyncio.get_running_loop().create_task(
                 self._batcher()
@@ -547,26 +575,42 @@ class CampaignFrontEnd:
         t0 = self._clock()
         if rec is not None:
             rec.counter("serve.queue_depth", t0, self._pending_units)
-        units = [entry.unit for entry in batch]
-        try:
-            values = await loop.run_in_executor(
-                self._executor, self._run_batch, units
-            )
-            if len(values) != len(units):
-                raise RuntimeError(
-                    f"runner returned {len(values)} values for "
-                    f"{len(units)} units"
-                )
-        except Exception as exc:
-            for entry in batch:
-                self._inflight.pop(entry.key, None)
-                if not entry.future.done():
-                    entry.future.set_exception(exc)
+        if self._runner is None:
+            inline = [e for e in batch if e.unit.kind in INLINE_KINDS]
+            offload = [e for e in batch if e.unit.kind not in INLINE_KINDS]
         else:
-            for entry, value in zip(batch, values):
-                self._inflight.pop(entry.key, None)
-                if not entry.future.done():
-                    entry.future.set_result(value)
+            inline, offload = [], batch
+        try:
+            # The simulations start first, so the executor thread works
+            # through them while this thread computes the sweep points.
+            pending = loop.run_in_executor(
+                self._executor, self._run_batch, [e.unit for e in offload]
+            ) if offload else None
+            if inline:
+                # The funnel has just probed these keys: compute them
+                # without a second cache read.
+                units = [e.unit for e in inline]
+                values = [None] * len(units)
+                try:
+                    for i, value in execute_batch(
+                        units, self.config.seed, safe=True
+                    ):
+                        values[i] = value
+                except Exception as exc:
+                    values = exc
+                self._resolve(inline, values)
+                if not isinstance(values, Exception):
+                    # Written behind the answers, on the executor thread:
+                    # a put can scan or evict the whole store.
+                    self._executor.submit(
+                        self._write_through, units, values, self.config.seed
+                    ).add_done_callback(_report_write_failure)
+            if pending is not None:
+                try:
+                    values = await pending
+                except Exception as exc:
+                    values = exc
+                self._resolve(offload, values)
         finally:
             self._pending_units -= len(batch)
             t1 = self._clock()
@@ -578,30 +622,55 @@ class CampaignFrontEnd:
                 rec.span("serve.batch", "serve", t0, t1, batch=len(batch))
                 rec.bump("serve.batches")
 
-    def _run_batch(self, units: list[WorkUnit]) -> list[Any]:
-        """Executor-thread entry: the injected runner, or the real
-        sharded execution.  Either way results are written through to
-        the cache — the hit-path contract must not depend on which
-        runner computed the value."""
-        if self._runner is not None:
-            values = self._runner(units)
-            if self._batch_cache is not None:
-                for unit, value in zip(units, values):
-                    self._batch_cache.put(
-                        unit_key(unit.kind, unit.params, self.config.seed),
-                        value,
-                        kind=unit.kind,
-                    )
-            return values
-        from repro.parallel.runner import run_units
+    def _resolve(
+        self, entries: list[_Pending], values: list[Any] | Exception
+    ) -> None:
+        """Settle each entry's future with its own value or failure;
+        ``values`` as an exception fails them all."""
+        if not isinstance(values, Exception) and len(values) != len(entries):
+            values = RuntimeError(
+                f"runner returned {len(values)} values for "
+                f"{len(entries)} units"
+            )
+        for i, entry in enumerate(entries):
+            self._inflight.pop(entry.key, None)
+            if entry.future.done():
+                continue
+            value = values if isinstance(values, Exception) else values[i]
+            if isinstance(value, UnitFailure):
+                value = value.exc or RuntimeError(value.error)
+            if isinstance(value, Exception):
+                entry.future.set_exception(value)
+            else:
+                entry.future.set_result(value)
 
-        return run_units(
-            units,
-            jobs=self.config.jobs,
-            cache=self._batch_cache,
-            seed=self.config.seed,
-            pool=self._pool,
-        )
+    def _run_batch(self, units: list[WorkUnit]) -> list[Any]:
+        """Executor-thread entry for a query batch: the injected runner,
+        or ``run_units`` over the pool.  Either way results are written
+        through to the cache — the hit-path contract must not depend on
+        which runner computed the value."""
+        if self._runner is None:
+            return _runner.run_units(
+                units, cache=self._batch_cache, seed=self.config.seed,
+                pool=self._pool, safe=True,
+            )
+        values = self._runner(units)
+        self._write_through(units, values, self.config.seed)
+        return values
+
+    def _write_through(
+        self, units: list[WorkUnit], values: list[Any], seed: int
+    ) -> None:
+        """Executor thread only: store each computed value (failures
+        are never cached)."""
+        if self._batch_cache is None:
+            return
+        for unit, value in zip(units, values):
+            if not isinstance(value, UnitFailure):
+                self._batch_cache.put(
+                    unit_key(unit.kind, unit.params, seed), value,
+                    kind=unit.kind,
+                )
 
     # -- job-tier execution ------------------------------------------------
     async def execute_units(
@@ -609,10 +678,10 @@ class CampaignFrontEnd:
     ) -> list[Any]:
         """Run a job-tier unit batch on the serve executor thread.
 
-        Job batches and query micro-batches share the ONE executor
-        thread (and its pre-forked pool), so they serialise instead of
-        fighting over workers, and the fork-safety invariant from
-        :meth:`start` keeps holding.  Failures come back as
+        Job batches and the query path's simulation batches share the
+        ONE executor thread (and its pre-forked pool), so they serialise
+        instead of fighting over workers, and the fork-safety invariant
+        from :meth:`start` keeps holding.  Failures come back as
         :class:`~repro.parallel.runner.UnitFailure` slots (``safe``
         execution) — the job tier retries or quarantines per unit;
         completed values are written through to the cache, which is
@@ -625,8 +694,6 @@ class CampaignFrontEnd:
         )
 
     def _run_job_units(self, units: list[WorkUnit], seed: int) -> list[Any]:
-        from repro.parallel.runner import UnitFailure, run_units
-
         if self._runner is not None:
             try:
                 values = self._runner(units)
@@ -635,20 +702,9 @@ class CampaignFrontEnd:
                     UnitFailure(f"{type(exc).__name__}: {exc}")
                     for _ in units
                 ]
-            if self._batch_cache is not None:
-                for unit, value in zip(units, values):
-                    if not isinstance(value, UnitFailure):
-                        self._batch_cache.put(
-                            unit_key(unit.kind, unit.params, seed),
-                            value,
-                            kind=unit.kind,
-                        )
+            self._write_through(units, values, seed)
             return values
-        return run_units(
-            units,
-            jobs=self.config.jobs,
-            cache=self._batch_cache,
-            seed=seed,
-            pool=self._pool,
+        return _runner.run_units(
+            units, cache=self._batch_cache, seed=seed, pool=self._pool,
             safe=True,
         )

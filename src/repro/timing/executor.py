@@ -19,6 +19,8 @@ kernel iteration it computes
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +30,12 @@ from repro.arch.soc import Platform
 from repro.kernels.base import Kernel, OperationProfile
 from repro.timing import calibration
 from repro.timing.roofline import Roofline, RooflineBatch
+
+#: Per-executor bound on memoized runs (LRU).  The full campaign keeps
+#: at most ~130 runs per platform (frequencies x kernels x 2 core
+#: counts); a long-lived server timing off-grid points would otherwise
+#: grow the memo without limit (~460 bytes a run).
+MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,50 @@ class SimulatedRun:
         return min(1.0, self.memory_time_s / self.time_s) if self.time_s else 0.0
 
 
+@dataclass(frozen=True, slots=True)
+class _BandwidthTerms:
+    """The frequency-independent terms of a kernel's memory roof at one
+    core count: resident kernels scale on-chip bandwidth with the clock,
+    streaming ones see a fixed, derated DRAM bandwidth."""
+
+    resident: bool
+    l2_bytes_per_cycle: float  #: resident: the SoC's L2 bytes per cycle
+    l2_scale: float            #: resident: core-contention L2 scale
+    l2_factor: float           #: resident: L2 pattern derate
+    dram_bw: float             #: streaming: derated DRAM bandwidth (GB/s)
+
+    def at(self, f: np.ndarray) -> np.ndarray:
+        """The roof's bandwidth (GB/s) at each frequency of ``f``
+        (mirrors ``SoC.l2_bandwidth_gbs`` inline so the resident roof
+        stays one scalar-by-array multiply chain)."""
+        if self.resident:
+            bw = self.l2_bytes_per_cycle * f * self.l2_scale
+            return bw * self.l2_factor
+        return np.full(f.shape, self.dram_bw)
+
+
+@dataclass(frozen=True, slots=True)
+class _KernelPlan:
+    """The frequency-independent terms of one kernel at one core count
+    (and size/passes): everything :meth:`SimulatedExecutor.
+    time_kernel_batch` would otherwise recompute per call.  Each field
+    is the value the scalar model computes before it first touches the
+    frequency, so the batch arithmetic that consumes them performs the
+    scalar path's IEEE operations in the scalar path's order."""
+
+    flops: float            #: FP work of one pass
+    total_flops: float      #: ``flops * reps``
+    eff: float              #: achieved fraction of peak
+    issue_cycles: float
+    abi_penalty: float
+    par_scale: float | None  #: Amdahl + imbalance factor; None = 1 core
+    bandwidth: _BandwidthTerms
+    traffic: float          #: bytes per pass from the roof's memory level
+    barrier_cores: float    #: ``BARRIER_US_PER_THREAD_AT_1GHZ * cores``
+    barriers: float         #: barriers per iteration
+    reps: int
+
+
 class SimulatedExecutor:
     """Times kernel iterations on one platform model.
 
@@ -69,11 +121,17 @@ class SimulatedExecutor:
             raise ValueError("abi must be 'hardfp' or 'softfp'")
         self.platform = platform
         self.abi = abi
-        # (kernel, freq, cores, size, passes) -> SimulatedRun.  The run
-        # is a frozen dataclass, so sharing one instance across callers
-        # is safe; kernels hash by identity (registry singletons), so
-        # two distinct kernel objects can never alias a cache entry.
-        self._memo: dict[tuple, SimulatedRun] = {}
+        # (kernel, freq, cores, size, passes) -> SimulatedRun, LRU-capped
+        # at MEMO_LIMIT.  The run is a frozen dataclass, so sharing one
+        # instance across callers is safe; kernels hash by identity
+        # (registry singletons), so two distinct kernel objects can
+        # never alias a cache entry.  The lock makes the LRU bookkeeping
+        # safe when a serving process times sweeps from two threads.
+        self._memo: OrderedDict[tuple, SimulatedRun] = OrderedDict()
+        self._memo_lock = threading.Lock()
+        # (kernel, cores, size, passes) -> _KernelPlan: the frequency-
+        # independent terms of time_kernel_batch, built once.
+        self._plans: dict[tuple, _KernelPlan] = {}
         # Per-µarch efficiency tables: kernel-tag tuple -> fp-efficiency
         # array, built once per executor (see :meth:`efficiency_table`).
         self._eff_tables: dict[tuple[str, ...], np.ndarray] = {}
@@ -154,34 +212,43 @@ class SimulatedExecutor:
             )
         return cached
 
+    def _bandwidth_terms(
+        self, cores: int, profile: OperationProfile
+    ) -> _BandwidthTerms:
+        """The frequency-independent half of
+        :meth:`effective_bandwidth_gbs`, for the batched twins."""
+        soc = self.platform.soc
+        if not self.is_resident(profile):
+            bw = soc.memory.effective_bandwidth_gbs(cores, soc.core.mlp)
+            return _BandwidthTerms(
+                False, 0.0, 0.0, 0.0,
+                bw * calibration.pattern_bandwidth_factor(profile.pattern),
+            )
+        if cores == 1:
+            scale = 1.0
+        elif soc.l2_shared:
+            scale = min(
+                1.0 + calibration.SHARED_L2_CORE_SCALING * (cores - 1),
+                calibration.SHARED_L2_SCALING_CAP,
+            )
+        else:
+            scale = float(cores)
+        return _BandwidthTerms(
+            True, soc.l2_bw_bytes_per_cycle, scale,
+            calibration.PATTERN_L2_FACTOR[profile.pattern], 0.0,
+        )
+
     def effective_bandwidth_gbs_batch(
         self, freqs: Sequence[float], cores: int, profile: OperationProfile
     ) -> np.ndarray:
         """Elementwise twin of :meth:`effective_bandwidth_gbs` over a
-        frequency array (mirrors ``SoC.l2_bandwidth_gbs`` inline so the
-        resident roof stays one scalar-by-array multiply chain)."""
-        soc = self.platform.soc
+        frequency array."""
         f = np.asarray(freqs, dtype=float)
         if np.any(f <= 0):
             raise ValueError("frequency must be positive")
-        if not (1 <= cores <= soc.n_cores):
+        if not (1 <= cores <= self.platform.soc.n_cores):
             raise ValueError("cores out of range")
-        if self.is_resident(profile):
-            if cores == 1:
-                scale = 1.0
-            elif soc.l2_shared:
-                scale = min(
-                    1.0 + calibration.SHARED_L2_CORE_SCALING * (cores - 1),
-                    calibration.SHARED_L2_SCALING_CAP,
-                )
-            else:
-                scale = float(cores)
-            bw = soc.l2_bw_bytes_per_cycle * f * scale
-            return bw * calibration.PATTERN_L2_FACTOR[profile.pattern]
-        bw = soc.memory.effective_bandwidth_gbs(cores, soc.core.mlp)
-        return np.full(
-            f.shape, bw * calibration.pattern_bandwidth_factor(profile.pattern)
-        )
+        return self._bandwidth_terms(cores, profile).at(f)
 
     def roofline_batch(
         self, freqs: Sequence[float], cores: int, profile: OperationProfile
@@ -215,7 +282,7 @@ class SimulatedExecutor:
         of those arguments and the platform model.
         """
         key = (kernel, freq_ghz, cores, size, passes)
-        cached = self._memo.get(key)
+        cached = self._memo_get(key)
         if cached is not None:
             return cached
         soc = self.platform.soc
@@ -264,7 +331,7 @@ class SimulatedExecutor:
 
         t_pass = max(t_comp, t_mem) + t_over
         bound = "memory" if t_mem > t_comp else "compute"
-        run = self._memo[key] = SimulatedRun(
+        run = SimulatedRun(
             kernel=kernel.tag,
             platform=self.platform.name,
             freq_ghz=freq_ghz,
@@ -276,6 +343,7 @@ class SimulatedExecutor:
             flops=profile.flops * reps,
             bound=bound,
         )
+        self._memo_put(key, run)
         return run
 
     def time_kernel_batch(
@@ -299,7 +367,7 @@ class SimulatedExecutor:
         """
         freqs = [float(f) for f in freqs]
         out: list[SimulatedRun | None] = [
-            self._memo.get((kernel, f, cores, size, passes)) for f in freqs
+            self._memo_get((kernel, f, cores, size, passes)) for f in freqs
         ]
         missing = [i for i, run in enumerate(out) if run is None]
         if not missing:
@@ -308,57 +376,38 @@ class SimulatedExecutor:
         f = np.array([freqs[i] for i in missing], dtype=float)
         if np.any(f <= 0):
             raise ValueError("frequency must be positive")
-        if not (1 <= cores <= soc.n_cores):
-            raise ValueError(
-                f"cores must be in [1, {soc.n_cores}] for {self.platform.name}"
-            )
-        n = kernel.default_size() if size is None else size
-        reps = calibration.passes_for(kernel.tag) if passes is None else passes
-        profile = kernel.profile(n)
-        ch = profile.characteristics
+        plan = self._plan(kernel, cores, size, passes)
 
         # --- single-core compute time (cf. time_kernel) ----------------
-        eff = calibration.fp_efficiency(soc.core.name, ch)
-        achieved_gflops_1 = soc.core.fp64_flops_per_cycle * f * eff
-        t_fp = profile.flops / (achieved_gflops_1 * 1e9)
-        issue_cycles = soc.core.issue_cycles(profile.mix)
-        t_issue = issue_cycles / (f * 1e9)
-        t_comp1 = np.maximum(t_fp, t_issue) * self._abi_penalty()
+        achieved_gflops_1 = soc.core.fp64_flops_per_cycle * f * plan.eff
+        t_fp = plan.flops / (achieved_gflops_1 * 1e9)
+        t_issue = plan.issue_cycles / (f * 1e9)
+        t_comp = np.maximum(t_fp, t_issue) * plan.abi_penalty
 
         # --- parallel compute time -------------------------------------
-        pf = ch.parallel_fraction
-        if cores == 1:
-            t_comp = t_comp1
-        else:
-            t_comp = t_comp1 * ((1.0 - pf) + pf * ch.load_imbalance / cores)
+        if plan.par_scale is not None:
+            t_comp = t_comp * plan.par_scale
 
         # --- memory time -----------------------------------------------
-        bw = self.effective_bandwidth_gbs_batch(f, cores, profile)
-        traffic = (
-            profile.cache_traffic
-            if self.is_resident(profile)
-            else profile.bytes_from_dram
-        )
-        t_mem = traffic / (bw * 1e9)
+        t_mem = plan.traffic / (plan.bandwidth.at(f) * 1e9)
 
         # --- synchronisation overhead ----------------------------------
         if cores > 1:
-            per_barrier = (
-                calibration.BARRIER_US_PER_THREAD_AT_1GHZ * cores / f
-            ) * 1e-6
+            per_barrier = (plan.barrier_cores / f) * 1e-6
             t_over = (
-                ch.barriers_per_iteration * per_barrier
+                plan.barriers * per_barrier
                 + calibration.FORK_JOIN_US_AT_1GHZ / f * 1e-6
             )
         else:
             t_over = np.zeros_like(f)
 
         t_pass = np.maximum(t_comp, t_mem) + t_over
-        for j, i in enumerate(missing):
-            tp, tc = float(t_pass[j]), float(t_comp[j])
-            tm, to = float(t_mem[j]), float(t_over[j])
-            key = (kernel, freqs[i], cores, size, passes)
-            out[i] = self._memo[key] = SimulatedRun(
+        reps = plan.reps
+        for i, tp, tc, tm, to in zip(
+            missing, t_pass.tolist(), t_comp.tolist(), t_mem.tolist(),
+            t_over.tolist(),
+        ):
+            out[i] = run = SimulatedRun(
                 kernel=kernel.tag,
                 platform=self.platform.name,
                 freq_ghz=freqs[i],
@@ -367,27 +416,89 @@ class SimulatedExecutor:
                 compute_time_s=tc * reps,
                 memory_time_s=tm * reps,
                 overhead_time_s=to * reps,
-                flops=profile.flops * reps,
+                flops=plan.total_flops,
                 bound="memory" if tm > tc else "compute",
             )
+            self._memo_put((kernel, freqs[i], cores, size, passes), run)
         return out
 
+    def _plan(
+        self, kernel: Kernel, cores: int, size: int | None, passes: int | None
+    ) -> _KernelPlan:
+        """The cached :class:`_KernelPlan` of ``kernel`` at ``cores``;
+        validates ``cores`` on first build."""
+        key = (kernel, cores, size, passes)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        soc = self.platform.soc
+        if not (1 <= cores <= soc.n_cores):
+            raise ValueError(
+                f"cores must be in [1, {soc.n_cores}] for {self.platform.name}"
+            )
+        n = kernel.default_size() if size is None else size
+        reps = calibration.passes_for(kernel.tag) if passes is None else passes
+        profile = kernel.profile(n)
+        ch = profile.characteristics
+        pf = ch.parallel_fraction
+        bandwidth = self._bandwidth_terms(cores, profile)
+        plan = self._plans[key] = _KernelPlan(
+            flops=profile.flops,
+            total_flops=profile.flops * reps,
+            eff=calibration.fp_efficiency(soc.core.name, ch),
+            issue_cycles=soc.core.issue_cycles(profile.mix),
+            abi_penalty=self._abi_penalty(),
+            par_scale=(
+                None if cores == 1
+                else (1.0 - pf) + pf * ch.load_imbalance / cores
+            ),
+            bandwidth=bandwidth,
+            traffic=(
+                profile.cache_traffic
+                if bandwidth.resident
+                else profile.bytes_from_dram
+            ),
+            barrier_cores=calibration.BARRIER_US_PER_THREAD_AT_1GHZ * cores,
+            barriers=ch.barriers_per_iteration,
+            reps=reps,
+        )
+        return plan
+
+    def _memo_get(self, key: tuple) -> SimulatedRun | None:
+        with self._memo_lock:
+            run = self._memo.get(key)
+            if run is not None:
+                self._memo.move_to_end(key)
+            return run
+
+    def _memo_put(self, key: tuple, run: SimulatedRun) -> None:
+        with self._memo_lock:
+            self._memo[key] = run
+            self._memo.move_to_end(key)
+            if len(self._memo) > MEMO_LIMIT:
+                self._memo.popitem(last=False)
+
     def evict_kernel(self, kernel_or_tag: Kernel | str) -> int:
-        """Drop every memoized run of one kernel, by object or by tag.
+        """Drop every memoized run (and kernel plan) of one kernel, by
+        object or by tag.
 
         The memo keys kernels by identity, so re-registering a kernel
         implementation under an existing tag would otherwise keep this
         executor serving runs of the replaced object forever.  Returns
         the number of entries dropped."""
         if isinstance(kernel_or_tag, str):
-            doomed = [
-                key for key in self._memo if key[0].tag == kernel_or_tag
-            ]
+            def doomed(key: tuple) -> bool:
+                return key[0].tag == kernel_or_tag
         else:
-            doomed = [key for key in self._memo if key[0] is kernel_or_tag]
-        for key in doomed:
-            del self._memo[key]
-        return len(doomed)
+            def doomed(key: tuple) -> bool:
+                return key[0] is kernel_or_tag
+        for key in [key for key in self._plans if doomed(key)]:
+            del self._plans[key]
+        with self._memo_lock:
+            keys = [key for key in self._memo if doomed(key)]
+            for key in keys:
+                del self._memo[key]
+        return len(keys)
 
     def time_suite(
         self,

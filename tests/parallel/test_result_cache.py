@@ -73,6 +73,39 @@ class TestResultCache:
         cache._path(key).write_text(json.dumps({"schema": 99, "value": 1}))
         assert cache.get(key) is MISS
 
+    def test_stored_bytes_are_the_sorted_json_document(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = unit_key("k", {}, fingerprint="f")
+        value = {"speedup": 1.2345678901234567, "freq_ghz": 0.5, "n": [1, None]}
+        cache.put(key, value, kind="sweep_point")
+        assert cache._path(key).read_bytes() == json.dumps(
+            {"schema": 1, "kind": "sweep_point", "value": value},
+            sort_keys=True,
+        ).encode()
+        assert not list(tmp_path.rglob("*.tmp"))  # no temp file left
+
+    def test_put_after_the_root_is_removed(self, tmp_path):
+        import shutil
+
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        key = unit_key("k", {"x": 1}, fingerprint="f")
+        cache.put(key, 1)
+        shutil.rmtree(root)  # e.g. an operator clearing the cache
+        cache.put(key, 2)
+        assert cache.get(key) == 2
+        other = unit_key("k", {"x": 2}, fingerprint="f")
+        cache.put(other, 3)  # a shard directory never seen before
+        assert cache.get(other) == 3
+
+    def test_size_accounting_tracks_rewrites(self, tmp_path):
+        cache = ResultCache(tmp_path, max_bytes=10**6)
+        key = unit_key("k", {}, fingerprint="f")
+        cache.put(key, 1)
+        cache.put(key, "x" * 100)  # overwrite: old size is subtracted
+        on_disk = sum(p.stat().st_size for p in cache._object_files())
+        assert cache._total_bytes == on_disk
+
     def test_stats_count_hits_and_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = unit_key("k", {}, fingerprint="f")

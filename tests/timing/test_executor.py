@@ -242,3 +242,57 @@ class TestMemoEviction:
         after = ex.time_kernel_batch(k, [0.456, 1.0])
         assert after == before
         assert after[0] is not before[0]
+
+    def test_evict_drops_the_kernel_plan(self, t2):
+        ex = SimulatedExecutor(t2)
+        vecop = get_kernel("vecop")
+        dmmm = get_kernel("dmmm")
+        ex.time_kernel_batch(vecop, [0.5, 1.0], cores=2)
+        ex.time_kernel_batch(dmmm, [0.5], cores=2)
+        ex.evict_kernel("vecop")
+        assert not any(key[0] is vecop for key in ex._plans)
+        assert any(key[0] is dmmm for key in ex._plans)
+
+
+class TestMemoBound:
+    """The memo is an LRU capped at MEMO_LIMIT runs: a long-lived
+    server timing off-grid points must not grow it without limit."""
+
+    def test_memo_stays_under_cap_and_values_unchanged(self, t2, monkeypatch):
+        from repro.timing import executor as executor_mod
+
+        monkeypatch.setattr(executor_mod, "MEMO_LIMIT", 40)
+        ex = SimulatedExecutor(t2)
+        k = get_kernel("vecop")
+        freqs = list(np.linspace(0.25, 1.0, 90))
+        batch = ex.time_kernel_batch(k, freqs, cores=2)
+        assert len(ex._memo) <= 40
+        scalar = [ex.time_kernel(k, f, cores=2) for f in freqs]
+        assert len(ex._memo) <= 40
+        reference = SimulatedExecutor(t2)
+        assert batch == scalar == [
+            reference.time_kernel(k, f, cores=2) for f in freqs
+        ]
+
+    def test_lru_keeps_recently_used_runs(self, t2, monkeypatch):
+        from repro.timing import executor as executor_mod
+
+        monkeypatch.setattr(executor_mod, "MEMO_LIMIT", 3)
+        ex = SimulatedExecutor(t2)
+        k = get_kernel("vecop")
+        first = ex.time_kernel(k, 0.5)
+        ex.time_kernel(k, 0.6)
+        ex.time_kernel(k, 0.7)
+        assert ex.time_kernel(k, 0.5) is first  # hit refreshes recency
+        ex.time_kernel(k, 0.8)  # evicts 0.6, the least recently used
+        assert ex.time_kernel(k, 0.5) is first
+        assert (k, 0.6, 1, None, None) not in ex._memo
+
+    def test_cap_exceeds_the_full_campaign(self):
+        from repro.core.study import MobileSoCStudy
+        from repro.timing.executor import MEMO_LIMIT
+
+        study = MobileSoCStudy()
+        study.figure3()
+        study.figure4()
+        assert max(len(ex._memo) for ex in study._executors.values()) < MEMO_LIMIT
