@@ -11,10 +11,13 @@ needs 24 nodes, so its 24-node point is *defined* as 24.
 from __future__ import annotations
 
 import abc
+import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster.cluster import Cluster
+from repro.mpi.schedule import Clocks
+from repro.obs.recorder import current as _obs_current
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,11 @@ class Application(abc.ABC):
     #: ``"strong"`` or ``"weak"`` — the scaling mode the paper used.
     scaling: str = "strong"
 
-    @abc.abstractmethod
     def min_nodes(self, cluster: Cluster) -> int:
         """Smallest node count whose aggregate memory fits the reference
-        input set."""
+        input set (``self.config.memory_bytes``)."""
+        per_node = cluster.nodes[0].usable_memory_bytes()
+        return max(1, -(-int(self.config.memory_bytes) // per_node))
 
     @abc.abstractmethod
     def simulate(
@@ -60,6 +64,53 @@ class Application(abc.ABC):
 
     def runnable(self, cluster: Cluster, n_nodes: int) -> bool:
         return n_nodes >= self.min_nodes(cluster)
+
+    def run_model(
+        self,
+        cluster: Cluster,
+        n_nodes: int,
+        workload: str,
+        rank_program: Callable[..., Any],
+        args: tuple,
+        schedule: Callable[..., None] | None,
+        flops: float,
+        steps: int,
+    ) -> AppRunResult:
+        """Run ``rank_program(ctx, *args)`` on the first ``n_nodes``.
+
+        With a ``schedule`` — the event-free mirror of the rank program,
+        called as ``schedule(*args, clocks)`` over
+        :class:`~repro.mpi.schedule.Clocks` — the discrete-event engine
+        is skipped: same floats, no events.  A live recorder (the engine
+        carries the trace instrumentation) or ``REPRO_SCALAR_SWEEP=1``
+        (the oracle) forces the engine.  Either way the per-rank stats
+        become one :class:`AppRunResult` carrying ``flops`` and ``steps``.
+        """
+        sub = cluster.subcluster(n_nodes)
+        if (
+            schedule is not None
+            and _obs_current() is None
+            and not os.environ.get("REPRO_SCALAR_SWEEP")
+        ):
+            clocks = Clocks(
+                sub.network(),
+                [float(node.achieved_gflops(workload)) for node in sub.nodes],
+            )
+            schedule(*args, clocks)
+            time_s, stats = clocks.makespan_s, clocks.stats
+        else:
+            run = sub.make_world(workload=workload).run(rank_program, *args)
+            time_s, stats = run.makespan_s, run.stats
+        wait = sum(s.comm_wait_s for s in stats)
+        busy = sum(s.compute_s for s in stats)
+        return AppRunResult(
+            app=self.name,
+            n_nodes=n_nodes,
+            time_s=time_s,
+            flops=flops,
+            steps=steps,
+            comm_fraction=wait / (wait + busy) if wait + busy else 0.0,
+        )
 
 
 @dataclass
@@ -71,16 +122,8 @@ class ScalingStudy:
     node_counts: tuple[int, ...] = (4, 8, 16, 32, 64, 96)
     results: dict[int, AppRunResult] = field(default_factory=dict)
 
-    def run(self, jobs: int = 1, **overrides: Any) -> "ScalingStudy":
-        """Simulate every runnable node count.
-
-        ``jobs > 1`` fans the independent (app, node-count) work units
-        across a multiprocessing pool (see :mod:`repro.parallel`); each
-        point is a pure function of its inputs, so the merged results
-        are identical to the serial walk.
-        """
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
+    def run(self, **overrides: Any) -> "ScalingStudy":
+        """Simulate every runnable node count."""
         runnable: list[int] = []
         for n in self.node_counts:
             if n > self.cluster.n_nodes:
@@ -90,19 +133,8 @@ class ScalingStudy:
                 )
             if self.app.runnable(self.cluster, n):
                 runnable.append(n)
-        if jobs > 1 and len(runnable) > 1:
-            from repro.parallel.runner import simulate_across_pool
-
-            self.results.update(
-                simulate_across_pool(
-                    self.app, self.cluster, runnable, jobs, overrides
-                )
-            )
-        else:
-            for n in runnable:
-                self.results[n] = self.app.simulate(
-                    self.cluster, n, **overrides
-                )
+        for n in runnable:
+            self.results[n] = self.app.simulate(self.cluster, n, **overrides)
         if not self.results:
             raise RuntimeError(
                 f"{self.app.name} cannot run at any of {self.node_counts}"

@@ -15,14 +15,15 @@ over a velocity-Verlet step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Generator
 
 import numpy as np
 
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
-from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi import schedule
+from repro.mpi.api import RankContext, SyntheticPayload, payload_nbytes
 from repro.mpi.collectives import allreduce
 
 
@@ -88,6 +89,21 @@ def _gromacs_rank(ctx: RankContext, cfg: GromacsConfig) -> Generator:
     return ctx.now
 
 
+def _gromacs_schedule(cfg: GromacsConfig, clocks: schedule.Clocks) -> None:
+    """Event-free mirror of :func:`_gromacs_rank`."""
+    p = clocks.size
+    halo = SyntheticPayload(cfg.halo_bytes(p)).nbytes
+    for _ in range(cfg.steps):
+        for _phase in ("positions", "forces"):
+            for d in _NEIGHBOR_OFFSETS:
+                if p == 1:
+                    break
+                schedule.sendrecv_shift(clocks, halo, d)
+        clocks.compute_flops_all(cfg.flops_per_step / p)
+        schedule.allreduce(clocks, payload_nbytes(1.0))
+        schedule.allreduce(clocks, payload_nbytes(1.0))
+
+
 def lennard_jones(
     pos: np.ndarray, epsilon: float = 1.0, sigma: float = 1.0
 ) -> tuple[float, np.ndarray]:
@@ -131,27 +147,12 @@ class Gromacs(Application):
     def __init__(self, config: GromacsConfig | None = None) -> None:
         self.config = config or GromacsConfig()
 
-    def min_nodes(self, cluster: Cluster) -> int:
-        per_node = cluster.nodes[0].usable_memory_bytes()
-        return max(1, -(-int(self.config.memory_bytes) // per_node))
-
     def simulate(
         self, cluster: Cluster, n_nodes: int, **overrides: Any
     ) -> AppRunResult:
-        cfg = (
-            GromacsConfig(**{**self.config.__dict__, **overrides})
-            if overrides
-            else self.config
-        )
-        world = cluster.subcluster(n_nodes).make_world(workload="particle")
-        result = world.run(_gromacs_rank, cfg)
-        wait = sum(s.comm_wait_s for s in result.stats)
-        busy = sum(s.compute_s for s in result.stats)
-        return AppRunResult(
-            app=self.name,
-            n_nodes=n_nodes,
-            time_s=result.makespan_s,
-            flops=cfg.flops_per_step * cfg.steps,
+        cfg = replace(self.config, **overrides)
+        return self.run_model(
+            cluster, n_nodes, "particle", _gromacs_rank, (cfg,),
+            _gromacs_schedule, flops=cfg.flops_per_step * cfg.steps,
             steps=cfg.steps,
-            comm_fraction=wait / (wait + busy) if wait + busy else 0.0,
         )

@@ -19,7 +19,6 @@ exactly how HPL is run in practice.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Generator
 
@@ -27,14 +26,9 @@ import numpy as np
 
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
-from repro.mpi.api import (
-    MPIWorld,
-    RankContext,
-    RankStats,
-    SyntheticPayload,
-)
+from repro.mpi import schedule
+from repro.mpi.api import RankContext, SyntheticPayload
 from repro.mpi.collectives import bcast, gather
-from repro.obs.recorder import current as _obs_current
 
 
 @dataclass(frozen=True)
@@ -157,84 +151,23 @@ def _model_rank_lookahead(ctx: RankContext, cfg: HPLConfig) -> Generator:
     return ctx.now
 
 
-def _model_schedule(
-    cfg: HPLConfig,
-    size: int,
-    network: Any,
-    gflops: list[float],
-) -> tuple[float, list[RankStats]]:
-    """Event-free evaluation of the :func:`_model_rank` schedule.
-
-    The 1D model's event graph is a pure forward recurrence: each rank's
-    clock advances through compute spans and binomial-broadcast hops
-    whose delays are fixed functions of (stack, hops, size), so the
-    discrete-event engine's heap, generators and Event objects buy
-    nothing — walking the panels in order and the broadcast tree in
-    virtual-rank order (parents before children) visits every event in
-    dependency order.
-
-    **Bit-identity contract** (enforced by
-    ``tests/timing/test_sweep_equivalence.py``): every float here is
-    produced by the same operations, in the same order, on the same
-    operands as the engine path — compute spans as ``flops / (g * 1e9)``
-    added to the rank clock, message arrival as ``send_time + transfer``,
-    a receive resuming at the arrival time iff it is later than the
-    posting time (equal floats either way at a tie, exactly like the
-    mailbox race), and per-rank stats accumulated in program order.
-    The makespan is the max over final rank clocks, which is the last
-    event the engine would have dispatched.
-    """
-    nb, n = cfg.nb, cfg.n
-    now = [0.0] * size
-    stats = [RankStats() for _ in range(size)]
+def _model_schedule(cfg: HPLConfig, clocks: schedule.Clocks) -> None:
+    """Event-free mirror of :func:`_model_rank` (see
+    :mod:`repro.mpi.schedule` for the bit-identity contract).  A rank's
+    trailing update touches no other rank, so it can run after the whole
+    broadcast instead of interleaved with it."""
+    nb, n, size = cfg.nb, cfg.n, clocks.size
     trailing = [_trailing_table(r, size, cfg) for r in range(size)]
-    transfer = network.transfer_time_s
-    occupancy = network.sender_occupancy_s
-    arrival = [0.0] * size
     for k in range(cfg.n_panels):
         rows = n - k * nb
         cur_nb = min(nb, rows)
         owner = _owner(k, size)
-        nbytes = rows * cur_nb * 8 + cur_nb * 4
-        # Panel factorisation on the owner.
-        g = gflops[owner]
-        d = (rows * cur_nb * cur_nb) / (g * 1e9)
-        stats[owner].compute_s += d
-        now[owner] += d
-        # Binomial broadcast, parents before children (vrank order).
-        for vr in range(size):
-            r = (vr + owner) % size
-            if vr == 0:
-                mask = 1
-            else:
-                recv_mask = 1
-                while recv_mask * 2 <= vr:
-                    recv_mask <<= 1
-                t0 = now[r]
-                arr = arrival[r]
-                resume = arr if arr > t0 else t0
-                stats[r].comm_wait_s += resume - t0
-                now[r] = resume
-                mask = recv_mask << 1
-            while mask < size:
-                if vr < mask and vr + mask < size:
-                    dst = (vr + mask + owner) % size
-                    occ = occupancy(r, dst, nbytes)
-                    xfer = transfer(r, dst, nbytes)
-                    st = stats[r]
-                    st.messages_sent += 1
-                    st.bytes_sent += nbytes
-                    arrival[dst] = now[r] + xfer
-                    now[r] = now[r] + occ
-                mask <<= 1
-            # Trailing update on this rank's local panels right of k.
+        clocks.compute_flops(owner, rows * cur_nb * cur_nb)
+        schedule.bcast(clocks, rows * cur_nb * 8 + cur_nb * 4, root=owner)
+        for r in range(size):
             my_trailing = trailing[r][k + 1]
             if my_trailing:
-                g = gflops[r]
-                d = (2.0 * rows * cur_nb * my_trailing) / (g * 1e9)
-                stats[r].compute_s += d
-                now[r] += d
-    return max(now), stats
+                clocks.compute_flops(r, 2.0 * rows * cur_nb * my_trailing)
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +320,13 @@ class HPL(Application):
         cfg = HPLConfig(
             n=self.weak_n(cluster, n_nodes) if n is None else n, nb=nb
         )
-        sub = cluster.subcluster(n_nodes)
-        if (
-            not (functional or grid_2d or lookahead)
-            and _obs_current() is None
-            and not os.environ.get("REPRO_SCALAR_SWEEP")
-        ):
-            # Event-free fast path for the plain 1D model: same floats,
-            # same schedule, no engine (see _model_schedule).  A live
-            # recorder or REPRO_SCALAR_SWEEP=1 forces the engine-backed
-            # oracle, which also carries the trace instrumentation.
-            gflops = [
-                float(node.achieved_gflops("dgemm")) for node in sub.nodes
-            ]
-            makespan, stats = _model_schedule(
-                cfg, n_nodes, sub.network(), gflops
-            )
-        else:
-            world = sub.make_world(workload="dgemm")
-            if functional:
-                result = world.run(_functional_rank, cfg, seed)
-            elif grid_2d:
-                result = world.run(_model_rank_2d, cfg)
-            elif lookahead:
-                result = world.run(_model_rank_lookahead, cfg)
-            else:
-                result = world.run(_model_rank, cfg)
-            makespan = result.makespan_s
-            stats = result.stats
-        wait = sum(s.comm_wait_s for s in stats)
-        busy = sum(s.compute_s for s in stats)
-        return AppRunResult(
-            app=self.name,
-            n_nodes=n_nodes,
-            time_s=makespan,
-            flops=cfg.total_flops,
-            steps=cfg.n_panels,
-            comm_fraction=wait / (wait + busy) if wait + busy else 0.0,
+        program = rank_program(functional, lookahead, grid_2d)
+        # Only the plain 1D model has an event-free schedule.
+        return self.run_model(
+            cluster, n_nodes, "dgemm", program,
+            (cfg, seed) if functional else (cfg,),
+            _model_schedule if program is _model_rank else None,
+            flops=cfg.total_flops, steps=cfg.n_panels,
         )
 
     def factorise(

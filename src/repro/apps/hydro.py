@@ -14,14 +14,15 @@ first-order Godunov update used by the correctness tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Generator
 
 import numpy as np
 
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
-from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi import schedule
+from repro.mpi.api import RankContext, SyntheticPayload, payload_nbytes
 from repro.mpi.collectives import allreduce
 
 
@@ -77,6 +78,16 @@ def _hydro_rank(ctx: RankContext, cfg: HydroConfig) -> Generator:
     return ctx.now
 
 
+def _hydro_schedule(cfg: HydroConfig, clocks: schedule.Clocks) -> None:
+    """Event-free mirror of :func:`_hydro_rank`."""
+    p = clocks.size
+    halo = SyntheticPayload(cfg.grid * 2 * 8).nbytes
+    for _ in range(cfg.steps):
+        schedule.slab_exchange(clocks, halo)
+        clocks.compute_flops_all(cfg.flops_per_step / p)
+        schedule.allreduce(clocks, payload_nbytes(1e-3))
+
+
 def hydro_step(
     density: np.ndarray, velocity: np.ndarray, dt: float, dx: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,27 +117,11 @@ class Hydro(Application):
     def __init__(self, config: HydroConfig | None = None) -> None:
         self.config = config or HydroConfig()
 
-    def min_nodes(self, cluster: Cluster) -> int:
-        per_node = cluster.nodes[0].usable_memory_bytes()
-        return max(1, -(-int(self.config.memory_bytes) // per_node))
-
     def simulate(
         self, cluster: Cluster, n_nodes: int, **overrides: Any
     ) -> AppRunResult:
-        cfg = (
-            HydroConfig(**{**self.config.__dict__, **overrides})
-            if overrides
-            else self.config
-        )
-        world = cluster.subcluster(n_nodes).make_world(workload="stencil")
-        result = world.run(_hydro_rank, cfg)
-        wait = sum(s.comm_wait_s for s in result.stats)
-        busy = sum(s.compute_s for s in result.stats)
-        return AppRunResult(
-            app=self.name,
-            n_nodes=n_nodes,
-            time_s=result.makespan_s,
-            flops=cfg.flops_per_step * cfg.steps,
-            steps=cfg.steps,
-            comm_fraction=wait / (wait + busy) if wait + busy else 0.0,
+        cfg = replace(self.config, **overrides)
+        return self.run_model(
+            cluster, n_nodes, "stencil", _hydro_rank, (cfg,), _hydro_schedule,
+            flops=cfg.flops_per_step * cfg.steps, steps=cfg.steps,
         )

@@ -14,12 +14,13 @@ PEPC assuming linear scaling at 24).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Generator
 
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
-from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi import schedule
+from repro.mpi.api import RankContext, SyntheticPayload, payload_nbytes
 from repro.mpi.collectives import allgather, allreduce
 
 
@@ -71,6 +72,17 @@ def _pepc_rank(ctx: RankContext, cfg: PEPCConfig) -> Generator:
     return ctx.now
 
 
+def _pepc_schedule(cfg: PEPCConfig, clocks: schedule.Clocks) -> None:
+    """Event-free mirror of :func:`_pepc_rank`."""
+    p = clocks.size
+    ring_bytes = payload_nbytes((0, SyntheticPayload(cfg.branch_bytes)))
+    for _ in range(cfg.steps):
+        clocks.compute_flops_all(0.06 * cfg.flops_per_step / p)
+        schedule.allgather(clocks, ring_bytes)
+        clocks.compute_flops_all(cfg.flops_per_step / p)
+        schedule.allreduce(clocks, payload_nbytes(1.0))
+
+
 class PEPC(Application):
     name = "PEPC"
     description = "Tree code for N-body problem"
@@ -79,27 +91,11 @@ class PEPC(Application):
     def __init__(self, config: PEPCConfig | None = None) -> None:
         self.config = config or PEPCConfig()
 
-    def min_nodes(self, cluster: Cluster) -> int:
-        per_node = cluster.nodes[0].usable_memory_bytes()
-        return max(1, -(-int(self.config.memory_bytes) // per_node))
-
     def simulate(
         self, cluster: Cluster, n_nodes: int, **overrides: Any
     ) -> AppRunResult:
-        cfg = (
-            PEPCConfig(**{**self.config.__dict__, **overrides})
-            if overrides
-            else self.config
-        )
-        world = cluster.subcluster(n_nodes).make_world(workload="particle")
-        result = world.run(_pepc_rank, cfg)
-        wait = sum(s.comm_wait_s for s in result.stats)
-        busy = sum(s.compute_s for s in result.stats)
-        return AppRunResult(
-            app=self.name,
-            n_nodes=n_nodes,
-            time_s=result.makespan_s,
-            flops=cfg.flops_per_step * cfg.steps * 1.06,
-            steps=cfg.steps,
-            comm_fraction=wait / (wait + busy) if wait + busy else 0.0,
+        cfg = replace(self.config, **overrides)
+        return self.run_model(
+            cluster, n_nodes, "particle", _pepc_rank, (cfg,), _pepc_schedule,
+            flops=cfg.flops_per_step * cfg.steps * 1.06, steps=cfg.steps,
         )

@@ -11,11 +11,12 @@ in Figure 6, and the paper's earlier PDE study [13] found it linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Generator
 
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
+from repro.mpi import schedule
 from repro.mpi.api import RankContext, SyntheticPayload
 
 
@@ -74,6 +75,15 @@ def _specfem_rank(ctx: RankContext, cfg: SpecfemConfig) -> Generator:
     return ctx.now
 
 
+def _specfem_schedule(cfg: SpecfemConfig, clocks: schedule.Clocks) -> None:
+    """Event-free mirror of :func:`_specfem_rank`."""
+    p = clocks.size
+    face = SyntheticPayload(cfg.face_bytes(p)).nbytes
+    for _ in range(cfg.steps):
+        schedule.slab_exchange(clocks, face)
+        clocks.compute_flops_all(cfg.flops_per_step / p)
+
+
 class Specfem3D(Application):
     name = "SPECFEM3D"
     description = "3D seismic wave propagation (spectral element method)"
@@ -82,27 +92,12 @@ class Specfem3D(Application):
     def __init__(self, config: SpecfemConfig | None = None) -> None:
         self.config = config or SpecfemConfig()
 
-    def min_nodes(self, cluster: Cluster) -> int:
-        per_node = cluster.nodes[0].usable_memory_bytes()
-        return max(1, -(-int(self.config.memory_bytes) // per_node))
-
     def simulate(
         self, cluster: Cluster, n_nodes: int, **overrides: Any
     ) -> AppRunResult:
-        cfg = (
-            SpecfemConfig(**{**self.config.__dict__, **overrides})
-            if overrides
-            else self.config
-        )
-        world = cluster.subcluster(n_nodes).make_world(workload="spectral")
-        result = world.run(_specfem_rank, cfg)
-        wait = sum(s.comm_wait_s for s in result.stats)
-        busy = sum(s.compute_s for s in result.stats)
-        return AppRunResult(
-            app=self.name,
-            n_nodes=n_nodes,
-            time_s=result.makespan_s,
-            flops=cfg.flops_per_step * cfg.steps,
+        cfg = replace(self.config, **overrides)
+        return self.run_model(
+            cluster, n_nodes, "spectral", _specfem_rank, (cfg,),
+            _specfem_schedule, flops=cfg.flops_per_step * cfg.steps,
             steps=cfg.steps,
-            comm_fraction=wait / (wait + busy) if wait + busy else 0.0,
         )

@@ -8,7 +8,8 @@ pluggable network model (usually a
 from point-to-point operations with the classical algorithms (binomial
 broadcast, recursive-doubling allreduce, dissemination barrier), so
 their cost structure emerges from the same per-message model the paper
-measures in Figure 7.
+measures in Figure 7.  :mod:`repro.mpi.schedule` evaluates the
+deterministic application programs without the engine, bit-identically.
 """
 
 from repro.mpi.api import (

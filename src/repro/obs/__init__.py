@@ -16,9 +16,7 @@ gives every layer of the simulator one way to say it:
   two runs from the same seed must produce byte-identical canonical
   traces.
 * :mod:`repro.obs.messages` — per-message capture and Paraver-style
-  post-mortem analysis (communication matrix, stall detection).  This
-  absorbs the former ``repro.mpi.tracing`` module, which now re-exports
-  from here.
+  post-mortem analysis (communication matrix, stall detection).
 * :mod:`repro.obs.replay` — named scenarios (reliability, IMB, HPL …)
   run under a fresh recorder, and the deterministic-replay harness that
   asserts same-seed runs hash identically.

@@ -3,8 +3,7 @@
 Section 5 lists Paraver among the deployed tools, and Section 4 credits
 *post-mortem application trace analysis* with discovering the NFS/
 interconnect timeouts behind the poor strong-scaling runs.  This module
-(formerly ``repro.mpi.tracing``, absorbed into the unified
-observability layer) provides that workflow for the simulated MPI:
+provides that workflow for the simulated MPI:
 
 * :class:`Tracer` wraps an :class:`~repro.mpi.api.MPIWorld` network so
   every message is recorded (src, dst, tag, bytes, send/receive time),

@@ -324,33 +324,3 @@ def _merge_campaign(
         "latency_penalties": study.latency_penalties(),
         "armv8_outlook": study.armv8_outlook(),
     }
-
-
-# ---------------------------------------------------------------------------
-# Generic scaling-study sharding (no cache: an arbitrary cluster has no
-# stable content address; the campaign's Figure 6 path, which pins the
-# Tibidabo spec, is the cached one).
-# ---------------------------------------------------------------------------
-
-def _scaling_entry(job: tuple[Any, Any, int, dict[str, Any]]):
-    app, cluster, n, overrides = job
-    return n, app.simulate(cluster, n, **overrides)
-
-
-def simulate_across_pool(
-    app, cluster, node_counts: list[int], jobs: int, overrides: dict[str, Any]
-) -> dict[int, Any]:
-    """Run ``app`` at each node count across a pool; deterministic
-    (node-count-ordered) result dict."""
-    if jobs < 2 or len(node_counts) < 2:
-        return {
-            n: app.simulate(cluster, n, **overrides)
-            for n in node_counts
-        }
-    jobs_args = [
-        (app, cluster, n, overrides)
-        for n in sorted(node_counts, reverse=True)  # heavy first
-    ]
-    with _pool_context().Pool(min(jobs, len(jobs_args))) as pool:
-        done = dict(pool.map(_scaling_entry, jobs_args, chunksize=1))
-    return {n: done[n] for n in node_counts}

@@ -232,10 +232,39 @@ def _fig3_sweep() -> int:
     return 1
 
 
+def _fig6_grid() -> int:
+    """The full Figure 6 grid through a fresh study (no memo); returns
+    the number of (app, node count) points simulated."""
+    from repro.core.study import FIG6_FULL_COUNTS, MobileSoCStudy
+
+    figure6 = MobileSoCStudy().figure6(FIG6_FULL_COUNTS)
+    return sum(len(curve) for curve in figure6.values())
+
+
+def _fig6_grid_vs_des(repeats: int) -> BenchResult:
+    """The Figure 6 grid on the default (event-free) path, then under
+    the discrete-event oracle (``REPRO_SCALAR_SWEEP=1``) in the same
+    process: ``speedup_vs_des`` is a same-run ratio, not a comparison
+    with a stored baseline.  The oracle pass is ~10x slower, so it gets
+    a single timed run."""
+    import os
+    from unittest import mock
+
+    fast = run_bench("apps.fig6_grid", _fig6_grid, repeats)
+    with mock.patch.dict(os.environ, REPRO_SCALAR_SWEEP="1"):
+        des = run_bench("apps.fig6_grid_des", _fig6_grid, 1, warmup=False)
+    fast.extras.update(
+        des_wall_s=des.wall_s,
+        speedup_vs_des=des.wall_s / fast.wall_s,
+        host_cpus=float(os.cpu_count() or 1),
+    )
+    return fast
+
+
 def _apps_bodies(
     repeats: int, quick: bool
-) -> list[tuple[str, Callable[[], int], int, bool]]:
-    """(name, body, repeats, warmup) rows for the apps suite.
+) -> list[tuple[str, Callable[[], BenchResult]]]:
+    """(name, run) rows for the apps suite.
 
     The HPL run dominates; a fresh study per call keeps the executor
     memo cold across repeats (what a user's first run experiences).
@@ -244,16 +273,16 @@ def _apps_bodies(
     """
     hpl_reps = 1 if quick else max(1, repeats - 1)
     return [
-        ("apps.hpl96_headline", _hpl96, hpl_reps, False),
-        ("apps.fig3_sweep", _fig3_sweep, max(repeats, 3), True),
+        ("apps.hpl96_headline",
+         lambda: run_bench("apps.hpl96_headline", _hpl96, hpl_reps, False)),
+        ("apps.fig3_sweep",
+         lambda: run_bench("apps.fig3_sweep", _fig3_sweep, max(repeats, 3))),
+        ("apps.fig6_grid", lambda: _fig6_grid_vs_des(max(repeats, 2))),
     ]
 
 
 def apps_suite(repeats: int = 3, quick: bool = False) -> list[BenchResult]:
-    return [
-        run_bench(name, body, reps, warmup)
-        for name, body, reps, warmup in _apps_bodies(repeats, quick)
-    ]
+    return [run() for _, run in _apps_bodies(repeats, quick)]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +671,7 @@ def suite_unit_names(suite: str, repeats: int = 3, quick: bool = False) -> list[
     if suite == "mpi":
         return [name for name, _ in _mpi_bodies(quick)]
     if suite == "apps":
-        return [name for name, _, _, _ in _apps_bodies(repeats, quick)]
+        return [name for name, _ in _apps_bodies(repeats, quick)]
     raise ValueError(f"suite {suite!r} has no work units")
 
 
@@ -671,9 +700,9 @@ def run_suite_unit(
             if bench_name == name:
                 return run_bench(name, body, repeats), None
     elif suite == "apps":
-        for bench_name, body, reps, warmup in _apps_bodies(repeats, quick):
+        for bench_name, run in _apps_bodies(repeats, quick):
             if bench_name == name:
-                return run_bench(name, body, reps, warmup), None
+                return run(), None
     else:
         raise ValueError(f"suite {suite!r} has no work units")
     raise ValueError(f"suite {suite!r} has no benchmark {name!r}")

@@ -23,8 +23,11 @@ trace — is byte-identical to the previous implementation (pinned by the
 golden traces under ``tests/data/``).
 
 A 192-rank MPI program with tens of thousands of messages simulates in
-well under a second, which is what the Figure 6 scalability sweeps need;
-``python -m repro bench`` tracks the scheduler's throughput over time.
+well under a second; ``python -m repro bench`` tracks the scheduler's
+throughput over time.  The Figure 6 sweeps do not need the engine: their
+application models run as event-free clock recurrences
+(:mod:`repro.mpi.schedule`), and the engine is their reference oracle
+and the path every traced, faulty or irregular program takes.
 """
 
 from __future__ import annotations

@@ -321,15 +321,3 @@ class TestTraceCLI:
 
         assert main(["trace", "imb"]) == 0
         assert "trace hash" in capsys.readouterr().out
-
-    def test_legacy_tracing_shim_warns_and_reexports(self):
-        import importlib
-
-        with pytest.warns(DeprecationWarning, match="repro.obs.messages"):
-            from repro.mpi import tracing
-
-            tracing = importlib.reload(tracing)
-        from repro.obs import messages
-
-        assert tracing.Tracer is messages.Tracer
-        assert tracing.traced_world is messages.traced_world

@@ -188,25 +188,3 @@ class TestCliCampaign:
             main(["all", "--jobs", "0"])
         assert e.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
-
-
-class TestScalingStudyJobs:
-    def test_pool_run_matches_serial(self, small_cluster):
-        from repro.apps import APPLICATIONS
-        from repro.apps.base import ScalingStudy
-
-        app = APPLICATIONS["HPL"]
-        counts = (2, 4, 8)
-        serial = ScalingStudy(app, small_cluster, node_counts=counts).run()
-        pooled = ScalingStudy(app, small_cluster, node_counts=counts).run(
-            jobs=2
-        )
-        assert serial.results == pooled.results
-        assert serial.speedups() == pooled.speedups()
-
-    def test_rejects_bad_jobs(self, small_cluster):
-        from repro.apps import APPLICATIONS
-        from repro.apps.base import ScalingStudy
-
-        with pytest.raises(ValueError, match="jobs"):
-            ScalingStudy(APPLICATIONS["HPL"], small_cluster).run(jobs=0)

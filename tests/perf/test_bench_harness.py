@@ -282,6 +282,35 @@ class TestSuitesAndCli:
         assert set(seed_ref) == {r.name for r in results}
         assert all(v > 0 for v in seed_ref.values())
 
+    def test_fig6_grid_times_the_oracle_in_the_same_run(self, monkeypatch):
+        """``apps.fig6_grid`` times the default path, then the DES oracle
+        once under ``REPRO_SCALAR_SWEEP=1``, restores the environment,
+        and records the same-run ratio and the host's core count."""
+        import os
+
+        from repro.perf import suites
+
+        seen = []
+
+        def grid():
+            seen.append(os.environ.get("REPRO_SCALAR_SWEEP"))
+            return 44
+
+        monkeypatch.setattr(suites, "_fig6_grid", grid)
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
+        assert "apps.fig6_grid" in suites.suite_unit_names("apps")
+        result, ref = suites.run_suite_unit(
+            "apps", "apps.fig6_grid", repeats=2, quick=True
+        )
+        assert ref is None and result.ops == 44
+        assert seen == [None, None, None, "1"]  # warm-up, 2 timed, oracle
+        assert "REPRO_SCALAR_SWEEP" not in os.environ
+        assert result.extras["host_cpus"] == float(os.cpu_count() or 1)
+        assert result.extras["speedup_vs_des"] == pytest.approx(
+            result.extras["des_wall_s"] / result.wall_s
+        )
+        validate_bench_doc(suite_doc("apps", [result]))
+
     def test_bench_cli_writes_valid_json(self, tmp_path, capsys):
         from repro.perf.cli import bench_main
 

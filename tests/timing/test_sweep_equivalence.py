@@ -10,7 +10,9 @@ over randomized platform/frequency/seed grids plus the full golden
 figure set and asserts **float-for-float identical** results — ``==``,
 never ``approx`` — and unchanged ``.repro-cache`` keys and object
 bytes.  Any drift between the two paths fails here before it can
-perturb a golden figure.
+perturb a golden figure.  The same discipline covers the Figure 6
+applications: their event-free schedules (``repro.mpi.schedule``)
+against the discrete-event engine, per point and per rank.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ import numpy as np
 import pytest
 
 from repro.apps import APPLICATIONS
+from repro.apps import base as app_base
 from repro.arch.catalog import PLATFORMS
 from repro.cluster.cluster import tibidabo
-from repro.core.study import FIG6_QUICK_COUNTS, MobileSoCStudy
+from repro.core.energy_study import energy_to_solution
+from repro.core.study import FIG6_FULL_COUNTS, FIG6_QUICK_COUNTS, MobileSoCStudy
+from repro.mpi.api import MPIWorld
 from repro.net.nic import PCIE, USB3
 from repro.net.protocol import OPEN_MX, TCP_IP, ProtocolStack
 from repro.parallel import units as punits
@@ -245,20 +250,95 @@ class TestSweepEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Figure 6 app points: analytic fast paths == the discrete-event oracle.
+# Figure 6 app points: event-free schedules == the discrete-event oracle.
 # ---------------------------------------------------------------------------
+@pytest.fixture
+def both_paths(monkeypatch):
+    """Run ``fn()`` on the event-free path, then under
+    ``REPRO_SCALAR_SWEEP=1`` (the engine oracle), returning both results
+    and the per-rank :class:`RankStats` lists each path produced."""
+    captured: list[list] = []
+    real_clocks, real_run = app_base.Clocks, MPIWorld.run
+
+    class SpyClocks(real_clocks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            captured.append(self.stats)
+
+    def spy_run(world, *args, **kwargs):
+        result = real_run(world, *args, **kwargs)
+        captured.append(result.stats)
+        return result
+
+    monkeypatch.setattr(app_base, "Clocks", SpyClocks)
+    monkeypatch.setattr(MPIWorld, "run", spy_run)
+
+    def run(fn):
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
+        captured.clear()
+        fast = fn()
+        fast_stats = list(captured)
+        monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
+        captured.clear()
+        oracle = fn()
+        oracle_stats = list(captured)
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP")
+        return fast, oracle, fast_stats, oracle_stats
+
+    return run
+
+
 class TestFigure6Equivalence:
     @pytest.mark.parametrize("app_name", sorted(APPLICATIONS))
-    def test_app_points_match_des_oracle(self, app_name, monkeypatch):
+    def test_app_points_match_des_oracle(self, app_name, both_paths, cluster96):
+        """Every app at every full-grid point on the 96-node Tibidabo:
+        equal ``AppRunResult`` and equal per-rank stats, exactly."""
         app = APPLICATIONS[app_name]
-        cluster = tibidabo(16)
-        counts = [n for n in (4, 16) if n >= app.min_nodes(cluster)]
-        if not counts:
-            pytest.skip(f"{app_name} needs more than 16 nodes")
-        fast = [app.simulate(cluster, n) for n in counts]
-        monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
-        slow = [app.simulate(tibidabo(16), n) for n in counts]
-        assert fast == slow  # AppRunResult dataclasses, exact
+        counts = [n for n in FIG6_FULL_COUNTS if app.runnable(cluster96, n)]
+        assert counts  # PEPC starts at 24 nodes, the rest lower
+        fast, oracle, fast_stats, oracle_stats = both_paths(
+            lambda: [app.simulate(cluster96, n) for n in counts]
+        )
+        assert fast == oracle  # AppRunResult dataclasses, exact
+        assert len(fast_stats) == len(oracle_stats) == len(counts)
+        assert fast_stats == oracle_stats  # RankStats lists, exact
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gromacs_self_sends(self, n, both_paths, cluster96):
+        """At n = 2 and 3 the +-2/+-3 neighbour offsets wrap onto the
+        sending rank itself (shared-memory self-sends)."""
+        app = APPLICATIONS["GROMACS"]
+        fast, oracle, fast_stats, oracle_stats = both_paths(
+            lambda: app.simulate(cluster96, n)
+        )
+        assert fast == oracle
+        assert fast_stats == oracle_stats
+
+    @pytest.mark.parametrize("app_name", ["SPECFEM3D", "HYDRO", "GROMACS"])
+    def test_energy_to_solution_matches_oracle(self, app_name, both_paths):
+        """The energy artefact's runs: 96 open-MX Tibidabo nodes and a
+        16-node Nehalem cluster."""
+        fast, oracle, fast_stats, oracle_stats = both_paths(
+            lambda: energy_to_solution(app_name)
+        )
+        assert fast == oracle
+        assert len(fast_stats) == 2
+        assert fast_stats == oracle_stats
+
+    def test_live_recorder_takes_the_engine_path(self, monkeypatch):
+        """Under a live recorder the apps run on the engine, which
+        carries the trace instrumentation, even without
+        ``REPRO_SCALAR_SWEEP``."""
+        from repro.obs import recording
+
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
+        app = APPLICATIONS["HYDRO"]
+        cluster = tibidabo(4)
+        with recording() as rec:
+            traced = app.simulate(cluster, 4)
+        assert traced == app.simulate(cluster, 4)
+        assert {"compute", "comm", "wait", "net"} <= {s.cat for s in rec.spans}
+        assert any(i.name.startswith("step:rank") for i in rec.instants)
 
 
 # ---------------------------------------------------------------------------
