@@ -12,9 +12,8 @@ Usage::
     python -m repro stack             # Figure 8 software stack
     python -m repro energy            # the [13] energy-to-solution study
     python -m repro compare           # all paper-vs-measured claims
-    python -m repro all               # everything above
-    python -m repro all --jobs 4      # ... sharded over 4 workers with
-                                      #     the .repro-cache result cache
+    python -m repro all               # everything above, in one process
+    python -m repro all --cache-dir .repro-cache  # ... through the result cache
 
 Observability (see :mod:`repro.obs`)::
 
@@ -62,7 +61,7 @@ _RESULT_KEYS = {
 }
 
 #: Campaign-results keys written as JSON files by ``repro all --json-dir``
-#: (the byte-identity oracle between serial and sharded runs).
+#: (the byte-identity oracle against ``MobileSoCStudy.run_all``).
 _JSON_ARTEFACTS = {
     "figure3": "figure3.json",
     "figure4": "figure4.json",
@@ -73,8 +72,8 @@ _JSON_ARTEFACTS = {
 
 def jobs_count(value: str) -> int:
     """Shared argparse type for every ``--jobs`` option (``repro all``,
-    ``repro bench``, ``repro serve``, ``repro loadtest``): an integer
-    worker count of at least 1.  One validator, one error message —
+    ``repro serve``, ``repro loadtest``): an integer worker count of at
+    least 1.  One validator, one error message —
     pre-fix each subcommand rolled its own check (or forgot to)."""
     try:
         jobs = int(value)
@@ -94,9 +93,9 @@ def run_artefact(name: str, study=None, results=None) -> None:
     """Render one artefact to stdout.
 
     ``results`` (a ``run_all``-shaped dict) supplies precomputed data —
-    the sharded campaign path renders from its merged results instead of
-    recomputing serially; artefacts without an entry fall back to the
-    study methods.
+    ``repro all`` renders from the campaign's merged results instead of
+    recomputing them; artefacts without an entry fall back to the study
+    methods.
     """
     from repro.analysis import (
         render_figure,
@@ -214,7 +213,7 @@ def run_artefact(name: str, study=None, results=None) -> None:
 
 def write_campaign_json(json_dir: Path, results: dict) -> list[Path]:
     """Write the campaign's JSON oracle files (figures 3/4/6 and the
-    headline) — byte-identical between serial and sharded runs."""
+    headline) — byte-identical to ``MobileSoCStudy.run_all``'s."""
     json_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for key, fname in _JSON_ARTEFACTS.items():
@@ -243,32 +242,22 @@ def _artefacts_cmd(args: argparse.Namespace) -> int:
 
 
 def _all_cmd(args: argparse.Namespace) -> int:
-    """Handler for ``repro all``: the full campaign, optionally sharded
-    over ``--jobs`` workers with the persistent result cache."""
+    """Handler for ``repro all``: the full campaign in this process,
+    through the result cache when ``--cache-dir`` names one."""
     from repro.core.study import MobileSoCStudy
+    from repro.parallel.runner import run_campaign
 
     study = MobileSoCStudy()
-    if args.jobs > 1:
-        from repro.parallel.runner import run_campaign
-
-        report = run_campaign(
-            quick=args.quick,
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            study=study,
-        )
-        results = report.results
-    else:
-        report = None
-        results = study.run_all(quick=args.quick)
+    report = run_campaign(
+        quick=args.quick, cache_dir=args.cache_dir, study=study
+    )
     for name in ARTEFACTS:
-        run_artefact(name, study, results)
+        run_artefact(name, study, report.results)
     if args.json_dir is not None:
-        for path in write_campaign_json(args.json_dir, results):
+        for path in write_campaign_json(args.json_dir, report.results):
             print(f"wrote {path}")
-    if report is not None:
-        print()
-        print(report.describe())
+    print()
+    print(report.describe())
     return 0
 
 
@@ -331,13 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     all_p = sub.add_parser(
         "all",
         help="regenerate every artefact (the full campaign)",
-        description="Run the whole campaign; --jobs shards it across a "
-        "multiprocessing pool backed by the persistent result cache, "
-        "with output byte-identical to the serial path.",
+        description="Run the whole campaign in one process; with "
+        "--cache-dir, unit results are read from and written to the "
+        "persistent result cache.  Output is byte-identical either way.",
     )
     all_p.add_argument(
         "--jobs", type=jobs_count, default=1, metavar="N",
-        help="worker processes (1 = today's serial path; default: 1)",
+        help="accepted for compatibility and ignored: the campaign "
+        "always runs in one process (must still be at least 1)",
     )
     all_p.add_argument(
         "--quick", action="store_true",
@@ -348,12 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write figure3/figure4/figure6/headline JSON files here",
     )
     all_p.add_argument(
-        "--cache-dir", type=Path, default=Path(".repro-cache"), metavar="DIR",
-        help="result-cache location for --jobs > 1 (default: .repro-cache)",
-    )
-    all_p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache for this run",
+        "--cache-dir", type=Path, default=None, metavar="DIR",
+        help="result-cache location (default: no cache)",
     )
     all_p.set_defaults(handler=_all_cmd)
 

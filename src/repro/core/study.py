@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -496,28 +495,13 @@ class MobileSoCStudy:
             ),
         }
 
-    def run_all(
-        self,
-        quick: bool = False,
-        jobs: int = 1,
-        cache_dir: str | Path | None = None,
-    ) -> dict[str, Any]:
-        """Execute the whole campaign; ``quick`` trims Figure 6.
+    def run_all(self, quick: bool = False) -> dict[str, Any]:
+        """Execute the whole campaign serially; ``quick`` trims Figure 6.
 
-        ``jobs > 1`` shards the campaign across a multiprocessing pool
-        with an optional persistent result cache (see
-        :mod:`repro.parallel`); the merged output is byte-identical to
-        the serial path.  ``jobs == 1`` is exactly the serial path.
+        This is the oracle the campaign runner
+        (:func:`repro.parallel.runner.run_campaign`, what ``repro all``
+        calls) must match byte for byte.
         """
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if jobs > 1:
-            from repro.parallel.runner import run_campaign
-
-            report = run_campaign(
-                quick=quick, jobs=jobs, cache_dir=cache_dir, study=self
-            )
-            return report.results
         counts = FIG6_QUICK_COUNTS if quick else FIG6_FULL_COUNTS
         return {
             "figure1": self.figure1(),

@@ -26,6 +26,7 @@ happens to execute.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -196,10 +197,19 @@ def execute_batch(
         yield from zip(idxs, values)
 
 
-def pool_entry(job: tuple[str, dict[str, Any], int]) -> Any:
-    """Top-level pool target (picklable under any start method)."""
-    kind, params, seed = job
-    return execute_unit(kind, params, seed)
+def pool_entry(job: tuple[str, dict[str, Any], int, bool]) -> Any:
+    """Top-level pool target (picklable under any start method): unit
+    ``(kind, params, seed)`` through :func:`execute_batch`.  A ``safe``
+    failure's exception travels back only if it survives a pickle round
+    trip (else its text does)."""
+    kind, params, seed, safe = job
+    [(_, value)] = execute_batch([WorkUnit(kind, params)], seed, safe=safe)
+    if isinstance(value, UnitFailure) and value.exc is not None:
+        try:
+            pickle.loads(pickle.dumps(value.exc))
+        except Exception:  # noqa: BLE001 - an exception that won't travel
+            return UnitFailure(value.error)
+    return value
 
 
 def app_run_result(value: dict[str, Any]) -> AppRunResult:

@@ -15,7 +15,6 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.cli import jobs_count
 from repro.perf.bench import suite_doc, validate_bench_doc
 from repro.perf.compare import (
     BASELINE_PATH,
@@ -23,36 +22,7 @@ from repro.perf.compare import (
     load_baseline,
     results_by_name,
 )
-from repro.perf.suites import (
-    SEED_OPS_PER_S,
-    SHARDABLE_SUITES,
-    SUITES,
-    bench_pool_entry,
-    campaign_suite_with_ref,
-    engine_suite_with_seed,
-    serve_suite_with_ref,
-    suite_unit_names,
-)
-
-
-def _run_suite_sharded(
-    name: str, repeats: int, quick: bool, jobs: int
-) -> tuple[list, dict[str, float] | None]:
-    """Fan one suite's (suite, benchmark) work units across a pool;
-    results merge in the suite's canonical benchmark order."""
-    import multiprocessing
-
-    unit_names = suite_unit_names(name, repeats, quick)
-    jobs_args = [(name, bench, repeats, quick) for bench in unit_names]
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ctx.Pool(min(jobs, len(jobs_args))) as pool:
-        pairs = pool.map(bench_pool_entry, jobs_args, chunksize=1)
-    results = [result for result, _ in pairs]
-    live_ref = {
-        r.name: seed_ops for (r, seed_ops) in pairs if seed_ops is not None
-    }
-    return results, (live_ref or SEED_OPS_PER_S.get(name))
+from repro.perf.suites import SUITES
 
 
 def bench_main(argv: list[str] | None = None) -> int:
@@ -96,11 +66,6 @@ def bench_main(argv: list[str] | None = None) -> int:
         "--update-baseline", action="store_true",
         help="rewrite the baseline's ops/s entries from this run",
     )
-    parser.add_argument(
-        "--jobs", type=jobs_count, default=1,
-        help="shard each suite's benchmarks across N worker processes "
-        "(default: 1, the serial path)",
-    )
     args = parser.parse_args(argv)
     selected = list(dict.fromkeys(args.suites)) or list(SUITES)
     repeats = 1 if args.quick else args.repeats
@@ -108,25 +73,7 @@ def bench_main(argv: list[str] | None = None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     docs = []
     for name in selected:
-        if name == "campaign":
-            # Whole-campaign runs that drive their own worker pools;
-            # never sharded from here.
-            results, seed_ref = campaign_suite_with_ref(repeats, args.quick)
-        elif name == "serve":
-            # End-to-end service runs; same own-pool rule as campaign.
-            results, seed_ref = serve_suite_with_ref(repeats, args.quick)
-        elif args.jobs > 1 and name in SHARDABLE_SUITES:
-            results, seed_ref = _run_suite_sharded(
-                name, repeats, args.quick, args.jobs
-            )
-        elif name == "engine":
-            # The engine suite times the frozen seed scheduler live,
-            # back-to-back with the current one, so its speedups are a
-            # controlled same-machine comparison.
-            results, seed_ref = engine_suite_with_seed(repeats, args.quick)
-        else:
-            results = SUITES[name](repeats, args.quick)
-            seed_ref = SEED_OPS_PER_S.get(name)
+        results, seed_ref = SUITES[name](repeats, args.quick)
         doc = suite_doc(name, results, seed_ref)
         validate_bench_doc(doc)
         out = args.out_dir / f"BENCH_{name}.json"

@@ -15,7 +15,7 @@ scheduler) and are tracked purely by the baseline regression gate.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.perf.bench import BenchResult, run_bench
 
@@ -292,25 +292,23 @@ def apps_suite(repeats: int = 3, quick: bool = False) -> list[BenchResult]:
 def campaign_suite_with_ref(
     repeats: int = 1, quick: bool = False
 ) -> tuple[list[BenchResult], dict[str, float]]:
-    """Serial vs sharded vs warm-cache quick campaign, back-to-back.
+    """Serial oracle vs cold-cache vs warm-cache quick campaign.
 
     Three end-to-end runs of the Figures 3/4/6 + headline campaign at
-    quick scale: today's serial path, the sharded runner on a *cold*
-    cache (pool parallelism only), and the same runner again on the
-    cache the cold run just filled.  The serial entry carries
-    ``speedup_vs_seed`` against the recorded seed serial run
+    quick scale, back to back in this process: the serial oracle
+    (:meth:`MobileSoCStudy.run_all`), the campaign runner on a *cold*
+    result cache (every unit computed and written), and the same runner
+    again on the cache the cold run just filled.  The serial entry
+    carries ``speedup_vs_seed`` against the recorded seed serial run
     (:data:`SEED_OPS_PER_S`, the pre-vectorization wall clock — the
-    >=5x acceptance gate's numerator); each sharded entry carries it
-    against *this* run's serial wall clock (the sharding gain).
-    ``repeats`` is ignored: these are whole-campaign runs, best-of-1 by
-    construction.
+    >=5x acceptance gate's numerator); each cached entry carries it
+    against *this* run's serial wall clock.  ``repeats`` is ignored:
+    these are whole-campaign runs, best-of-1 by construction.
     """
     import tempfile
 
     from repro.core.study import MobileSoCStudy
     from repro.parallel.runner import run_campaign
-
-    jobs = 4
 
     def _serial() -> int:
         MobileSoCStudy().run_all(quick=True)
@@ -319,26 +317,24 @@ def campaign_suite_with_ref(
     serial = run_bench("campaign.quick_serial", _serial, 1, warmup=False)
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as td:
 
-        def _sharded() -> int:
-            run_campaign(quick=True, jobs=jobs, cache_dir=td)
+        def _cached() -> int:
+            run_campaign(quick=True, cache_dir=td)
             return 1
 
-        cold = run_bench("campaign.quick_jobs4", _sharded, 1, warmup=False)
+        cold = run_bench(
+            "campaign.quick_cold_cache", _cached, 1, warmup=False
+        )
         warm = run_bench(
-            "campaign.quick_warm_cache", _sharded, 1, warmup=False
+            "campaign.quick_warm_cache", _cached, 1, warmup=False
         )
     ref = serial.ops_per_s
     return [serial, cold, warm], {
         "campaign.quick_serial": SEED_OPS_PER_S["campaign"][
             "campaign.quick_serial"
         ],
-        "campaign.quick_jobs4": ref,
+        "campaign.quick_cold_cache": ref,
         "campaign.quick_warm_cache": ref,
     }
-
-
-def campaign_suite(repeats: int = 1, quick: bool = False) -> list[BenchResult]:
-    return campaign_suite_with_ref(repeats, quick)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +349,14 @@ def serve_suite_with_ref(
     Boots the JSON-lines TCP server in-process (real work units, real
     result cache, real pre-forked pool) and drives it with the seeded
     open-loop generator twice back-to-back: once against a *cold* cache
-    (misses dominate: micro-batching + sharded execution) and once
+    (misses dominate: micro-batching + pooled execution) and once
     against the cache the cold pass just filled (coalesce + cache hits
     dominate).  Each record's ops are completed requests, ops/s is
     delivered throughput, and the extras carry the tail latencies and
     hit ratio — the numbers the acceptance gate reads off
     BENCH_serve.json.  The warm entry's ``speedup_vs_seed`` is measured
     against the cold pass, mirroring the campaign suite's serial-vs-
-    sharded idiom.
+    cached idiom.
 
     The open-loop entries *cannot* measure capacity — whenever the
     server keeps up they report ~offered rate, cold and warm alike
@@ -384,6 +380,10 @@ def serve_suite_with_ref(
     the 1.5x floor baked into benchmarks/perf/baseline.json.
     ``repeats`` is ignored throughout: whole-service runs, best-of-1
     by construction.
+
+    ``serve.hot_during_sims`` boots ``repro serve`` with and without
+    its worker pool and records the hot-hit tail while a burst of large
+    simulations computes (:func:`_hot_during_sims_result`).
     """
     import asyncio
     import tempfile
@@ -495,32 +495,156 @@ def serve_suite_with_ref(
             ),
         },
     ))
-    cluster_base: float | None = None
-    for n_backends in (1, 2, 4):
+    cluster_base = 0.0
+    for n_backends, direct, wire in (
+        (1, False, "json"), (2, False, "json"), (4, False, "json"),
+        (4, True, "json"), (4, True, "binary"),
+    ):
         entry = _cluster_saturation_result(
-            n_backends, quick, sat_kw, peak_rss_bytes
+            n_backends, quick, sat_kw, peak_rss_bytes, direct=direct, wire=wire
         )
-        if cluster_base is None:
-            cluster_base = entry.ops_per_s or 1.0
-        entry.extras["scaling_vs_1"] = (
-            entry.ops_per_s / cluster_base if cluster_base else 0.0
-        )
+        cluster_base = cluster_base or entry.ops_per_s or 1.0
+        entry.extras["scaling_vs_1"] = entry.ops_per_s / cluster_base
         results.append(entry)
-    direct_entry = _cluster_saturation_result(
-        4, quick, sat_kw, peak_rss_bytes, direct=True
-    )
-    direct_entry.extras["scaling_vs_1"] = (
-        direct_entry.ops_per_s / cluster_base if cluster_base else 0.0
-    )
-    results.append(direct_entry)
-    direct_bin_entry = _cluster_saturation_result(
-        4, quick, sat_kw, peak_rss_bytes, direct=True, wire="binary"
-    )
-    direct_bin_entry.extras["scaling_vs_1"] = (
-        direct_bin_entry.ops_per_s / cluster_base if cluster_base else 0.0
-    )
-    results.append(direct_bin_entry)
+    results.append(_hot_during_sims_result(peak_rss_bytes))
     return results, {"serve.loadtest_warm": cold["throughput_rps"]}
+
+
+def _hot_during_sims_result(peak_rss_bytes) -> BenchResult:
+    """``serve.hot_during_sims``: what the serve front end's worker pool
+    buys.  Boots ``repro serve`` with ``--jobs 2`` and then ``--jobs 1``
+    (no pool) on fresh caches, warms one hot key, fires a burst of the
+    largest Figure 6 points (every application at 48/64/96 nodes) plus
+    two headlines, and probes the hot key back to back until the burst
+    has answered.  Records, per setting, the hot-hit p50/p99 while the
+    burst computes and the burst's wall time; ``p99_ratio`` is the
+    no-pool p99 over the pool p99, a same-run ratio.  The entry's
+    ``ops_per_s`` is burst units per second with the pool.  Not gated:
+    on a host with fewer cores than workers the pool cannot pay."""
+    import asyncio
+    import json
+    import os
+    import tempfile
+    import time
+
+    from repro.apps import APPLICATIONS
+    from repro.serve.frontend import percentile
+
+    hot = {"kind": "sweep_point",
+           "params": {"mode": "single", "platform": "Tegra2", "freq": 1.0}}
+    burst = [
+        {"kind": "fig6_point", "params": {"app": app, "n": n, "max_nodes": 96}}
+        for app in APPLICATIONS for n in (48, 64, 96)
+    ] + [{"kind": "headline", "params": {"n_nodes": n}} for n in (64, 96)]
+
+    def line(doc: dict, rid: int = 1) -> bytes:
+        return (json.dumps({"op": "query", "id": rid, **doc}) + "\n").encode()
+
+    async def answer(reader, n: int = 1) -> None:
+        for _ in range(n):
+            if not json.loads(await reader.readline()).get("ok"):
+                raise RuntimeError("serve.hot_during_sims: a query failed")
+
+    async def _drive(port: int) -> tuple[list[float], float]:
+        hot_r, hot_w = await asyncio.open_connection("127.0.0.1", port)
+        hot_w.write(line(hot))  # computed once; a hot hit from here on
+        await answer(hot_r)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        t0 = time.perf_counter()
+        writer.write(b"".join(line(q, i) for i, q in enumerate(burst)))
+        answered = asyncio.ensure_future(answer(reader, len(burst)))
+        latencies = []
+        while not answered.done():
+            t = time.perf_counter()
+            hot_w.write(line(hot))
+            await answer(hot_r)
+            latencies.append(time.perf_counter() - t)
+        await answered
+        wall = time.perf_counter() - t0
+        hot_w.close()
+        writer.close()
+        return latencies, wall
+
+    extras: dict[str, Any] = {"host_cpus": float(os.cpu_count() or 1)}
+    units = {"host_cpus": "count", "p99_ratio": "ratio"}
+    walls = {}
+    for jobs, label in ((2, "pool"), (1, "no_pool")):
+        with tempfile.TemporaryDirectory(prefix="repro-bench-hot-") as td:
+            proc, port = _spawn_listening(
+                ["serve", "--port", "0", "--jobs", str(jobs), "--no-jobs",
+                 "--cache-dir", td],
+                "repro serve",
+            )
+            try:
+                latencies, walls[label] = asyncio.run(_drive(port))
+            finally:
+                _stop(proc)  # SIGTERM: the same graceful drain as shutdown
+        for key, value, unit in (
+            ("hot_p50_ms", percentile(latencies, 0.50) * 1e3, "ms"),
+            ("hot_p99_ms", percentile(latencies, 0.99) * 1e3, "ms"),
+            ("burst_wall_s", walls[label], "s"),
+            ("probes", float(len(latencies)), "count"),
+        ):
+            extras[f"{key}_{label}"] = value
+            units[f"{key}_{label}"] = unit
+    extras["p99_ratio"] = extras["hot_p99_ms_no_pool"] / extras["hot_p99_ms_pool"]
+    extras["units"] = units
+    return BenchResult(
+        name="serve.hot_during_sims",
+        ops=len(burst),
+        wall_s=walls["pool"],
+        ops_per_s=len(burst) / walls["pool"],
+        repeats=1,
+        peak_rss_bytes=peak_rss_bytes(),
+        extras=extras,
+    )
+
+
+def _spawn_listening(argv: list[str], tag: str):
+    """Start ``python -m repro <argv>`` and wait for its ``<tag>:
+    listening on HOST:PORT`` readiness line: ``(process, port)``."""
+    import re
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    ready = re.compile(re.escape(tag) + r": listening on [^:]+:(\d+)")
+    for line in iter(proc.stdout.readline, ""):
+        m = ready.search(line)
+        if m:
+            return proc, int(m.group(1))
+    _stop(proc)
+    raise RuntimeError(f"{' '.join(argv[:3])} died before readiness")
+
+
+def _stop(proc) -> None:
+    """Terminate ``proc`` if it is still running (kill after 10 s)."""
+    import subprocess
+
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+async def _one_op(host: str, port: int, doc: dict) -> dict:
+    """One JSON-lines request on a fresh connection; its response."""
+    import asyncio
+    import json
+
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write((json.dumps({"id": 1, **doc}) + "\n").encode())
+    await writer.drain()
+    response = json.loads(await reader.readline())
+    writer.close()
+    await writer.wait_closed()
+    return response
 
 
 def _cluster_saturation_result(
@@ -543,48 +667,18 @@ def _cluster_saturation_result(
     (the ``_binary`` entry names), probing the same path minus the
     JSON codec."""
     import asyncio
-    import json as _json
-    import re
-    import subprocess
-    import sys
     import tempfile
 
     from repro.serve.loadtest import run_loadtest_fleet, run_saturation
 
-    async def _one_op(host: str, port: int, op: str) -> dict:
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write((_json.dumps({"op": op, "id": 1}) + "\n").encode())
-        await writer.drain()
-        doc = _json.loads(await reader.readline())
-        writer.close()
-        await writer.wait_closed()
-        return doc
-
     warm_requests = 400 if quick else 1200
     with tempfile.TemporaryDirectory(prefix="repro-bench-cluster-") as td:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "cluster-serve",
-             "--backends", str(n_backends), "--port", "0", "--jobs", "1",
-             "--cache-dir", td],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        proc, port = _spawn_listening(
+            ["cluster-serve", "--backends", str(n_backends), "--port", "0",
+             "--jobs", "1", "--cache-dir", td],
+            "cluster-serve",
         )
         try:
-            port = None
-            assert proc.stdout is not None
-            while True:
-                line = proc.stdout.readline()
-                if not line:
-                    raise RuntimeError(
-                        f"cluster-serve ({n_backends} backends) died "
-                        "before readiness"
-                    )
-                m = re.search(
-                    r"cluster-serve: listening on [^:]+:(\d+)", line
-                )
-                if m:
-                    port = int(m.group(1))
-                    break
-
             async def _drive() -> tuple[dict, dict, dict]:
                 # Warm every shard's cache via the router, then probe
                 # the ceiling on the warm path.
@@ -599,20 +693,14 @@ def _cluster_saturation_result(
                 saturation = await run_saturation(
                     "127.0.0.1", port, direct=direct, wire=wire, **sat_kw
                 )
-                stats = await _one_op("127.0.0.1", port, "stats")
-                await _one_op("127.0.0.1", port, "shutdown")
+                stats = await _one_op("127.0.0.1", port, {"op": "stats"})
+                await _one_op("127.0.0.1", port, {"op": "shutdown"})
                 return warm, saturation, stats
 
             warm, saturation, stats = asyncio.run(_drive())
             proc.wait(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
+            _stop(proc)
 
     agg = stats.get("stats", {})
     completed = sum(s["completed"] for s in saturation["steps"])
@@ -649,77 +737,16 @@ def _cluster_saturation_result(
     )
 
 
-def serve_suite(repeats: int = 1, quick: bool = False) -> list[BenchResult]:
-    return serve_suite_with_ref(repeats, quick)[0]
-
-
-# ---------------------------------------------------------------------------
-# Suite work units (``repro bench --jobs N``)
-# ---------------------------------------------------------------------------
-# Each (suite, benchmark) pair is an independent work unit so the bench
-# CLI can fan a suite across a multiprocessing pool with deterministic
-# merge order.  The campaign and serve suites are excluded: they own
-# worker pools themselves.
-
-SHARDABLE_SUITES = ("engine", "mpi", "apps")
-
-
-def suite_unit_names(suite: str, repeats: int = 3, quick: bool = False) -> list[str]:
-    """The benchmark names of one suite, in its canonical order."""
-    if suite == "engine":
-        return [name for name, _ in _engine_bodies(quick)]
-    if suite == "mpi":
-        return [name for name, _ in _mpi_bodies(quick)]
-    if suite == "apps":
-        return [name for name, _ in _apps_bodies(repeats, quick)]
-    raise ValueError(f"suite {suite!r} has no work units")
-
-
-def run_suite_unit(
-    suite: str, name: str, repeats: int = 3, quick: bool = False
-) -> tuple[BenchResult, float | None]:
-    """Run one (suite, benchmark) work unit.
-
-    Returns the result plus the live seed-scheduler reference ops/s for
-    engine units (timed back-to-back in the same process, preserving
-    the controlled comparison), ``None`` elsewhere.
-    """
-    if suite == "engine":
-        from repro.sim.engine import Engine
-
-        for bench_name, body in _engine_bodies(quick):
-            if bench_name == name:
-                result = run_bench(name, lambda: body(Engine), repeats)
-                seed_cls = load_seed_engine_cls()
-                if seed_cls is None:
-                    return result, None
-                old = run_bench(name, lambda: body(seed_cls), repeats)
-                return result, old.ops_per_s
-    elif suite == "mpi":
-        for bench_name, body in _mpi_bodies(quick):
-            if bench_name == name:
-                return run_bench(name, body, repeats), None
-    elif suite == "apps":
-        for bench_name, run in _apps_bodies(repeats, quick):
-            if bench_name == name:
-                return run(), None
-    else:
-        raise ValueError(f"suite {suite!r} has no work units")
-    raise ValueError(f"suite {suite!r} has no benchmark {name!r}")
-
-
-def bench_pool_entry(
-    job: tuple[str, str, int, bool]
-) -> tuple[BenchResult, float | None]:
-    """Top-level pool target for ``repro bench --jobs N``."""
-    suite, name, repeats, quick = job
-    return run_suite_unit(suite, name, repeats, quick)
-
-
-SUITES: dict[str, Callable[[int, bool], list[BenchResult]]] = {
-    "engine": engine_suite,
-    "mpi": mpi_suite,
-    "apps": apps_suite,
-    "campaign": campaign_suite,
-    "serve": serve_suite,
+#: Suite name -> ``(repeats, quick) -> (results, seed reference)``; the
+#: reference maps benchmark names to the ops/s ``speedup_vs_seed`` is
+#: measured against (``None``: the suite makes no speedup claim).
+SUITES: dict[
+    str,
+    Callable[[int, bool], tuple[list[BenchResult], dict[str, float] | None]],
+] = {
+    "engine": engine_suite_with_seed,
+    "mpi": lambda repeats, quick: (mpi_suite(repeats, quick), None),
+    "apps": lambda repeats, quick: (apps_suite(repeats, quick), None),
+    "campaign": campaign_suite_with_ref,
+    "serve": serve_suite_with_ref,
 }

@@ -16,8 +16,11 @@ makes three mechanisms do almost all the work:
 * **micro-batching** — the distinct misses that remain are collected
   for a few milliseconds: sweep points are computed as one vectorized
   call per mode on the event loop, and Figure 6 and headline
-  simulations as one :func:`repro.parallel.runner.run_units` call over
-  a bounded multiprocessing pool, from an executor thread.
+  simulations as one :func:`repro.parallel.runner.run_units` call from
+  an executor thread, spread over the front end's pre-forked worker
+  pool — the package's only multiprocessing pool, kept because the
+  ``serve.hot_during_sims`` bench entry shows it holds the hot-hit tail
+  down while large simulations compute.
 
 Around them sit admission control (a bounded pending queue; excess
 load is rejected 429-style with a ``retry_after_s`` hint), graceful
@@ -25,8 +28,8 @@ shutdown (drain every accepted request, then exit), and observability
 (queue depth / batch size / hit ratio / latency through
 :mod:`repro.obs`).  ``repro loadtest`` (:mod:`repro.serve.loadtest`)
 is the matching open-loop load generator, and the ``serve`` perf suite
-records throughput and tail latency cold vs warm in
-``BENCH_serve.json``.
+records throughput and tail latency cold vs warm, and the hot-hit
+tail with and without the pool, in ``BENCH_serve.json``.
 
 For work that outlives a request — whole figure campaigns, batch
 sweeps — the **durable job tier** (:mod:`~repro.serve.jobs`) accepts

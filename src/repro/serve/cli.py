@@ -46,7 +46,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         prog="repro serve",
         description="Serve campaign queries over JSON-lines TCP with "
         "single-flight coalescing, cache-backed hits and micro-batched "
-        "execution (sweep points in process, simulations sharded over a "
+        "execution (sweep points in process, simulations spread over a "
         "worker pool).",
     )
     parser.add_argument(

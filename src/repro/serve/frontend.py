@@ -22,13 +22,16 @@ funnel, cheapest mechanism first:
    cache writes go to the executor thread.  The Figure 6 and headline
    simulations — milliseconds to seconds each — go through
    :func:`repro.parallel.runner.run_units` on the one executor thread,
-   which shards two or more of them over the worker pool, so the loop
+   which spreads two or more of them over the worker pool, so the loop
    keeps answering hits while they run and they use every core.
 
-The pool (``jobs`` workers) is forked in :meth:`CampaignFrontEnd.start`
-when ``jobs > 1``; it also runs the durable job tier's batches
+The pool (``jobs`` workers, forked where the platform allows) is
+created in :meth:`CampaignFrontEnd.start` when ``jobs > 1``; it also
+runs the durable job tier's batches
 (:meth:`CampaignFrontEnd.execute_units`).  With ``jobs=1`` the front end
-forks nothing and every simulation runs on the executor thread.
+forks nothing and every simulation runs on the executor thread, holding
+the GIL against the event loop — the ``serve.hot_during_sims`` bench
+entry measures what that costs the hot-hit tail.
 
 Admission control bounds the miss backlog: once ``queue_limit``
 distinct computations are pending, further misses are rejected with
@@ -60,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import multiprocessing
 import sys
 import time
 import traceback
@@ -293,7 +297,13 @@ class CampaignFrontEnd:
             # and forking a pool from there can hand workers a lock the
             # event-loop thread held at fork time — a worker deadlocked
             # before its first task, and a batch that never returns.
-            self._pool = _runner._pool_context().Pool(self.config.jobs)
+            # Fork where the platform has it (workers inherit warm
+            # imports), else the platform default.
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else None
+            )
+            self._pool = context.Pool(self.config.jobs)
         if self._batcher_task is None:
             self._batcher_task = asyncio.get_running_loop().create_task(
                 self._batcher()

@@ -168,8 +168,8 @@ class Job:
 
 def campaign_job_units(quick: bool = True) -> list[dict[str, Any]]:
     """The unit specs for a whole figure campaign (``submit`` payload
-    for a ``campaign`` job) — the same decomposition ``repro all
-    --jobs N`` shards, expressed as wire-shaped dicts."""
+    for a ``campaign`` job) — the same decomposition ``repro all``
+    runs, expressed as wire-shaped dicts."""
     from repro.cluster.cluster import tibidabo
     from repro.core.study import FIG6_FULL_COUNTS, FIG6_QUICK_COUNTS
     from repro.parallel.units import campaign_units

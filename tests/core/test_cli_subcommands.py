@@ -92,14 +92,21 @@ class TestAllGrammar:
     def test_all_flags_parse(self):
         parser = build_parser()
         args, extra = parser.parse_known_args(
-            ["all", "--quick", "--jobs", "4", "--no-cache"]
+            ["all", "--quick", "--jobs", "4", "--cache-dir", "c"]
         )
         assert not extra
         assert args.command == "all"
-        assert args.jobs == 4 and args.quick and args.no_cache
+        assert args.jobs == 4 and args.quick and str(args.cache_dir) == "c"
 
     def test_all_default_cache_dir(self):
+        """No ``--cache-dir``, no result cache."""
         parser = build_parser()
         args = parser.parse_args(["all"])
-        assert str(args.cache_dir) == ".repro-cache"
+        assert args.cache_dir is None
         assert args.jobs == 1
+
+    def test_no_cache_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["all", "--no-cache"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --no-cache" in capsys.readouterr().err

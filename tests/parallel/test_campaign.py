@@ -1,12 +1,14 @@
-"""The sharded campaign runner: plan, equivalence, byte-identity.
+"""The campaign runner: plan, equivalence, byte-identity.
 
-The oracle throughout: the sharded/cached path must produce output
-*byte-identical* (through ``json.dumps``) to the serial ``run_all``.
-The serial campaign and one cold sharded campaign are module-scoped
-fixtures — every test after them rides the warm cache.
+The oracle throughout: the runner, with or without the result cache,
+must produce output *byte-identical* (through ``json.dumps``) to the
+serial ``run_all``.  The serial campaign and one cold cached campaign
+are module-scoped fixtures — every test after them rides the warm
+cache.
 """
 
 import json
+import multiprocessing.pool
 
 import pytest
 
@@ -27,6 +29,17 @@ def canon(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def assert_oracle_json(json_dir, serial_results) -> None:
+    """The ``--json-dir`` files equal the serial oracle's, byte for byte."""
+    from repro.cli import _JSON_ARTEFACTS
+
+    for key, fname in _JSON_ARTEFACTS.items():
+        expected = (
+            json.dumps(serial_results[key], indent=2, sort_keys=True) + "\n"
+        )
+        assert (json_dir / fname).read_text() == expected, fname
+
+
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("repro-cache")
@@ -39,7 +52,7 @@ def serial_results():
 
 @pytest.fixture(scope="module")
 def cold_report(cache_dir):
-    return run_campaign(quick=True, jobs=2, cache_dir=cache_dir)
+    return run_campaign(quick=True, cache_dir=cache_dir)
 
 
 class TestPlan:
@@ -79,22 +92,13 @@ class TestRunUnits:
         WorkUnit("sweep_base", {}),
     ]
 
-    def test_serial_and_pool_agree(self):
-        serial = run_units(self.UNITS, jobs=1)
-        pooled = run_units(self.UNITS, jobs=2)
-        assert canon(serial) == canon(pooled)
-
     def test_cache_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_units(self.UNITS, jobs=1, cache=cache)
+        first = run_units(self.UNITS, cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (0, 2)
-        again = run_units(self.UNITS, jobs=1, cache=cache)
+        again = run_units(self.UNITS, cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (2, 2)
         assert canon(first) == canon(again)
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_units([], jobs=0)
 
 
 class TestCampaignByteIdentity:
@@ -111,39 +115,15 @@ class TestCampaignByteIdentity:
     def test_warm_rerun_hits_everything(
         self, serial_results, cold_report, cache_dir
     ):
-        warm = run_campaign(quick=True, jobs=2, cache_dir=cache_dir)
+        warm = run_campaign(quick=True, cache_dir=cache_dir)
         assert warm.cache_stats.misses == 0
         assert warm.cache_stats.hit_rate > 0.9  # the acceptance bar
         for key in ORACLE_KEYS:
             assert canon(warm.results[key]) == canon(serial_results[key]), key
 
-    def test_run_all_jobs_delegates(
-        self, serial_results, cold_report, cache_dir
-    ):
-        sharded = MobileSoCStudy().run_all(
-            quick=True, jobs=2, cache_dir=cache_dir
-        )
-        assert sorted(sharded) == sorted(serial_results)
-        for key in ORACLE_KEYS:
-            assert canon(sharded[key]) == canon(serial_results[key]), key
-
     def test_report_describe_mentions_cache(self, cold_report):
         text = cold_report.describe()
         assert "work units" in text and "hit rate" in text
-
-    def test_spawn_matches_serial(self, serial_results, tmp_path):
-        """Force the ``spawn`` start method (the macOS/Windows default):
-        freshly spawned interpreters must compute the same bits forked
-        workers inherit — the campaign's correctness must not ride on
-        fork-only state inheritance."""
-        report = run_campaign(
-            quick=True, jobs=2, cache_dir=tmp_path / "spawn-cache",
-            start_method="spawn",
-        )
-        for key in ORACLE_KEYS:
-            assert canon(report.results[key]) == canon(
-                serial_results[key]
-            ), key
 
     def test_code_change_invalidates_cache(self, cold_report, cache_dir):
         """A different fingerprint must never alias an existing entry."""
@@ -160,9 +140,9 @@ class TestCliCampaign:
     def test_all_jobs_writes_identical_json(
         self, serial_results, cold_report, cache_dir, tmp_path, capsys
     ):
-        """``repro all --jobs 2`` (warm cache) must write the same JSON
-        oracle files as the serial results, byte for byte."""
-        from repro.cli import _JSON_ARTEFACTS, main
+        """``repro all --cache-dir`` (warm cache) must write the same
+        JSON oracle files as the serial results, byte for byte."""
+        from repro.cli import main
 
         json_dir = tmp_path / "json"
         assert main(
@@ -174,12 +154,27 @@ class TestCliCampaign:
         ) == 0
         out = capsys.readouterr().out
         assert "hit rate" in out  # the campaign report is printed
-        for key, fname in _JSON_ARTEFACTS.items():
-            expected = (
-                json.dumps(serial_results[key], indent=2, sort_keys=True)
-                + "\n"
-            )
-            assert (json_dir / fname).read_text() == expected, fname
+        assert_oracle_json(json_dir, serial_results)
+
+    def test_all_runs_in_process_without_a_cache(
+        self, serial_results, tmp_path, monkeypatch, capsys
+    ):
+        """``repro all --jobs 2`` forks no worker and, without
+        ``--cache-dir``, writes no result cache; its JSON still equals
+        the serial oracle's byte for byte."""
+        from repro.cli import main
+
+        def no_pool(self, *args, **kwargs):
+            raise AssertionError("repro all created a worker pool")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["all", "--quick", "--jobs", "2", "--json-dir", "json"]
+        ) == 0
+        assert not (tmp_path / ".repro-cache").exists()
+        assert "cache" not in capsys.readouterr().out.splitlines()[-1]
+        assert_oracle_json(tmp_path / "json", serial_results)
 
     def test_all_rejects_bad_jobs(self, capsys):
         from repro.cli import main

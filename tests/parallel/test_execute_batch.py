@@ -130,7 +130,7 @@ class TestCheckpointing:
         self, monkeypatch, tmp_path
     ):
         """A cached unit is the checkpoint: when the third unit of a
-        ``jobs=1`` batch dies, the first two must already be stored."""
+        batch dies, the first two must already be stored."""
         calls = []
 
         def dies_third(kind, params, seed=0):
@@ -142,9 +142,9 @@ class TestCheckpointing:
         monkeypatch.setattr(units_mod, "execute_unit", dies_third)
         cache = ResultCache(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            run_units(self.SIMS, jobs=1, cache=cache)
+            run_units(self.SIMS, cache=cache)
         assert len(cache._object_files()) == 2
         monkeypatch.undo()
-        values = run_units(self.SIMS, jobs=1, cache=cache)
+        values = run_units(self.SIMS, cache=cache)
         assert cache.stats.hits == 2
         assert values == [execute_unit(u.kind, u.params) for u in self.SIMS]

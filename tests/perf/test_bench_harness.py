@@ -298,11 +298,8 @@ class TestSuitesAndCli:
 
         monkeypatch.setattr(suites, "_fig6_grid", grid)
         monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
-        assert "apps.fig6_grid" in suites.suite_unit_names("apps")
-        result, ref = suites.run_suite_unit(
-            "apps", "apps.fig6_grid", repeats=2, quick=True
-        )
-        assert ref is None and result.ops == 44
+        result = dict(suites._apps_bodies(2, True))["apps.fig6_grid"]()
+        assert result.ops == 44
         assert seen == [None, None, None, "1"]  # warm-up, 2 timed, oracle
         assert "REPRO_SCALAR_SWEEP" not in os.environ
         assert result.extras["host_cpus"] == float(os.cpu_count() or 1)
@@ -310,6 +307,45 @@ class TestSuitesAndCli:
             result.extras["des_wall_s"] / result.wall_s
         )
         validate_bench_doc(suite_doc("apps", [result]))
+
+    def test_campaign_suite_runs_serial_cold_and_warm(self):
+        from repro.perf.suites import campaign_suite_with_ref
+
+        results, ref = campaign_suite_with_ref(quick=True)
+        names = [r.name for r in results]
+        assert names == [
+            "campaign.quick_serial", "campaign.quick_cold_cache",
+            "campaign.quick_warm_cache",
+        ]
+        assert set(ref) == set(names)
+        validate_bench_doc(suite_doc("campaign", results, ref))
+
+    def test_hot_during_sims_records_both_pool_settings(self):
+        """Both ``repro serve`` boots happen in the same run, and every
+        extra carries its unit."""
+        from repro.perf.bench import peak_rss_bytes
+        from repro.perf.suites import _hot_during_sims_result
+
+        result = _hot_during_sims_result(peak_rss_bytes)
+        assert result.name == "serve.hot_during_sims" and result.ops == 17
+        extras = result.extras
+        for label in ("pool", "no_pool"):
+            assert extras[f"probes_{label}"] >= 1
+            assert 0 < extras[f"hot_p50_ms_{label}"] <= extras[f"hot_p99_ms_{label}"]
+            assert extras[f"burst_wall_s_{label}"] > 0
+        assert extras["p99_ratio"] == pytest.approx(
+            extras["hot_p99_ms_no_pool"] / extras["hot_p99_ms_pool"]
+        )
+        assert set(extras["units"]) == set(extras) - {"units"}
+        validate_bench_doc(suite_doc("serve", [result]))
+
+    def test_bench_has_no_jobs_flag(self, capsys):
+        from repro.perf.cli import bench_main
+
+        with pytest.raises(SystemExit) as e:
+            bench_main(["engine", "--jobs", "2"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_bench_cli_writes_valid_json(self, tmp_path, capsys):
         from repro.perf.cli import bench_main

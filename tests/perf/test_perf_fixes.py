@@ -1,5 +1,4 @@
-"""Regression tests for the perf-harness latent bugs and the sharded
-``repro bench --jobs N`` path."""
+"""Regression tests for the perf-harness latent bugs."""
 
 import json
 
@@ -45,68 +44,3 @@ class TestCorruptBaseline:
     def test_missing_file_error_unchanged(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="update-baseline"):
             load_baseline(tmp_path / "nope.json")
-
-
-class TestSuiteUnits:
-    def test_unit_names_cover_every_suite_benchmark(self):
-        from repro.perf.suites import SHARDABLE_SUITES, SUITES, suite_unit_names
-
-        for suite in SHARDABLE_SUITES:
-            assert suite in SUITES
-            names = suite_unit_names(suite, repeats=1, quick=True)
-            assert names and len(set(names)) == len(names)
-            assert all(n.startswith(f"{suite}.") for n in names)
-
-    def test_unknown_suite_rejected(self):
-        from repro.perf.suites import run_suite_unit, suite_unit_names
-
-        with pytest.raises(ValueError, match="work units"):
-            suite_unit_names("campaign")
-        with pytest.raises(ValueError, match="work units"):
-            run_suite_unit("campaign", "x")
-        with pytest.raises(ValueError, match="no benchmark"):
-            run_suite_unit("mpi", "mpi.nope")
-
-    def test_engine_unit_carries_live_seed_ref(self):
-        from repro.perf.suites import run_suite_unit
-
-        result, seed_ops = run_suite_unit(
-            "engine", "engine.timeouts", repeats=1, quick=True
-        )
-        assert result.name == "engine.timeouts"
-        assert seed_ops is not None and seed_ops > 0
-
-    def test_mpi_unit_has_no_seed_ref(self):
-        from repro.perf.suites import run_suite_unit
-
-        result, seed_ops = run_suite_unit(
-            "mpi", "mpi.pingpong_small", repeats=1, quick=True
-        )
-        assert result.ops > 0 and seed_ops is None
-
-
-class TestBenchJobsCli:
-    def test_sharded_run_writes_valid_docs(self, tmp_path):
-        from repro.perf.cli import bench_main
-
-        assert bench_main(
-            ["engine", "mpi", "--quick", "--jobs", "2",
-             "--out-dir", str(tmp_path), "--repeats", "1"]
-        ) == 0
-        for suite in ("engine", "mpi"):
-            doc = json.loads((tmp_path / f"BENCH_{suite}.json").read_text())
-            validate_bench_doc(doc)
-        engine = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        # the live seed comparison survives sharding
-        assert "speedup_vs_seed" in engine["benchmarks"][0]
-        names = [r["name"] for r in engine["benchmarks"]]
-        assert names == [  # deterministic merge order, not completion order
-            "engine.timer_cascade", "engine.event_chain", "engine.timeouts",
-        ]
-
-    def test_bad_jobs_rejected(self, capsys):
-        from repro.perf.cli import bench_main
-
-        with pytest.raises(SystemExit) as e:
-            bench_main(["engine", "--jobs", "0"])
-        assert e.value.code == 2

@@ -23,11 +23,10 @@ class TestSharedJobsValidation:
         "argv",
         [
             ["all", "--jobs", "0"],
-            ["bench", "engine", "--jobs", "0"],
             ["serve", "--jobs", "0"],
             ["loadtest", "--port", "1", "--jobs", "0"],
         ],
-        ids=["all", "bench", "serve", "loadtest"],
+        ids=["all", "serve", "loadtest"],
     )
     def test_rejects_zero_jobs(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
