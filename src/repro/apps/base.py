@@ -11,13 +11,11 @@ needs 24 nodes, so its 24-node point is *defined* as 24.
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.cluster import Cluster
-from repro.mpi.schedule import Clocks
-from repro.obs.recorder import current as _obs_current
+from repro.mpi.schedule import Clocks, engine_forced
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,7 @@ class Application(abc.ABC):
         become one :class:`AppRunResult` carrying ``flops`` and ``steps``.
         """
         sub = cluster.subcluster(n_nodes)
-        if (
-            schedule is not None
-            and _obs_current() is None
-            and not os.environ.get("REPRO_SCALAR_SWEEP")
-        ):
+        if schedule is not None and not engine_forced():
             clocks = Clocks(
                 sub.network(),
                 [float(node.achieved_gflops(workload)) for node in sub.nodes],

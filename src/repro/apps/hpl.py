@@ -153,21 +153,69 @@ def _model_rank_lookahead(ctx: RankContext, cfg: HPLConfig) -> Generator:
 
 def _model_schedule(cfg: HPLConfig, clocks: schedule.Clocks) -> None:
     """Event-free mirror of :func:`_model_rank` (see
-    :mod:`repro.mpi.schedule` for the bit-identity contract).  A rank's
-    trailing update touches no other rank, so it can run after the whole
-    broadcast instead of interleaved with it."""
+    :mod:`repro.mpi.schedule` for the bit-identity contract), one fused
+    pass per panel.
+
+    Panel ``k``'s broadcast visits every rank once, parents before
+    children; at its visit a rank applies the trailing update it still
+    owes for panel ``k - 1``, factorises the panel (owner only),
+    receives, and sends to its children.  That is each rank's own
+    program order, and ranks share nothing but arrivals, so only the
+    interleaving across ranks differs from the engine's.  The last
+    panel leaves no update owed: no panel lies right of it.
+    """
     nb, n, size = cfg.nb, cfg.n, clocks.size
-    trailing = [_trailing_table(r, size, cfg) for r in range(size)]
+    now, stats = clocks.now, clocks.stats
+    rate = [g * 1e9 for g in clocks.gflops]
+    trees = schedule.BcastTrees(clocks)
+    # Per-rank float totals, written back to the stats once at the end.
+    comp = [st.compute_s for st in stats]
+    wait = [st.comm_wait_s for st in stats]
+    # root -> [panels broadcast from it, their total bytes]
+    sent_from: dict[int, list[int]] = {}
+    # remaining[r]: the width of rank r's local panels right of the
+    # last panel factorised (what _trailing_table tabulates).
+    remaining = [0] * size
+    for j in range(cfg.n_panels):
+        remaining[_owner(j, size)] += min(nb, n - j * nb)
+    arrival = [0.0] * size
+    update = 0.0  # 2 * rows * nb of the previous panel; 0.0 before panel 0
     for k in range(cfg.n_panels):
         rows = n - k * nb
         cur_nb = min(nb, rows)
         owner = _owner(k, size)
-        clocks.compute_flops(owner, rows * cur_nb * cur_nb)
-        schedule.bcast(clocks, rows * cur_nb * 8 + cur_nb * 4, root=owner)
-        for r in range(size):
-            my_trailing = trailing[r][k + 1]
-            if my_trailing:
-                clocks.compute_flops(r, 2.0 * rows * cur_nb * my_trailing)
+        nbytes = rows * cur_nb * 8 + cur_nb * 4
+        occ, xfer = trees.prices(nbytes)
+        totals = sent_from.setdefault(owner, [0, 0])
+        totals[0] += 1
+        totals[1] += nbytes
+        for r, children in trees.tree(owner):
+            t = now[r]
+            if update and remaining[r]:
+                d = update * remaining[r] / rate[r]
+                comp[r] += d
+                t += d
+            if r == owner:
+                remaining[r] -= cur_nb
+                d = rows * cur_nb * cur_nb / rate[r]
+                comp[r] += d
+                t += d
+            elif arrival[r] > t:
+                wait[r] += arrival[r] - t
+                t = arrival[r]
+            for dst, c in children:
+                arrival[dst] = t + xfer[c]
+                t += occ[c]
+            now[r] = t
+        update = 2.0 * rows * cur_nb
+    for r, st in enumerate(stats):
+        st.compute_s = comp[r]
+        st.comm_wait_s = wait[r]
+    # Every panel sends one message down each edge of its root's tree.
+    for root, (panels, nbytes) in sent_from.items():
+        for r, children in trees.tree(root):
+            stats[r].messages_sent += panels * len(children)
+            stats[r].bytes_sent += nbytes * len(children)
 
 
 # ---------------------------------------------------------------------------

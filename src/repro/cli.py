@@ -66,6 +66,7 @@ _JSON_ARTEFACTS = {
     "figure3": "figure3.json",
     "figure4": "figure4.json",
     "figure6": "figure6.json",
+    "figure7": "figure7.json",
     "headline_hpl": "headline.json",
 }
 
@@ -212,7 +213,7 @@ def run_artefact(name: str, study=None, results=None) -> None:
 
 
 def write_campaign_json(json_dir: Path, results: dict) -> list[Path]:
-    """Write the campaign's JSON oracle files (figures 3/4/6 and the
+    """Write the campaign's JSON oracle files (figures 3/4/6/7 and the
     headline) — byte-identical to ``MobileSoCStudy.run_all``'s."""
     json_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     all_p.add_argument(
         "--json-dir", type=Path, default=None, metavar="DIR",
-        help="write figure3/figure4/figure6/headline JSON files here",
+        help="write figure3/4/6/7 and headline JSON files here",
     )
     all_p.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",

@@ -113,6 +113,16 @@ class ClusterNetwork:
             return 0.0
         return self._stacks[src].cpu_occupancy_s(nbytes)
 
+    def link_class(self, src: int, dst: int) -> tuple[int, int]:
+        """``(sender's stack, hop count)``: untraced
+        :meth:`transfer_time_s` and :meth:`sender_occupancy_s` are
+        functions of this class and the message size only (hop count 0
+        is a self-send)."""
+        if src == dst:
+            return self._stack_id[src], 0
+        leaf = self._leaf
+        return self._stack_id[src], 1 if leaf[src] == leaf[dst] else 3
+
 
 @dataclass
 class Cluster:

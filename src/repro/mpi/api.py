@@ -164,6 +164,11 @@ class UniformNetwork:
             return 0.0
         return self.stack.cpu_occupancy_s(nbytes)
 
+    def link_class(self, src: int, dst: int) -> bool:
+        """Whether the pair is a self-send: the only thing besides the
+        size that the times above depend on."""
+        return src == dst
+
 
 class _Delivery:
     """Deferred arrival of one in-flight message.

@@ -1,10 +1,13 @@
 """Intel MPI Benchmarks-style ping-pong (Section 4.1 / Figure 7).
 
 "The ping-pong test measures the time and bandwidth to exchange one
-message between two MPI processes."  We run it on the discrete-event
-MPI, so what is measured is the full simulated path (sender occupancy,
-stack latency, per-byte cost, rendezvous) — the same path application
-messages take.
+message between two MPI processes."  What is measured is the full
+simulated message path (sender occupancy, stack latency, per-byte cost,
+rendezvous) — the same path application messages take.  The ping-pong
+runs event-free on :class:`~repro.mpi.schedule.Clocks`, with the same
+floats as the discrete-event MPI, which still runs it under a live
+recorder or ``REPRO_SCALAR_SWEEP=1`` (the oracle).  The other IMB
+benchmarks below always run on the discrete-event MPI.
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mpi.api import MPIWorld, RankContext, UniformNetwork
+from repro.mpi.api import (
+    MPIWorld,
+    RankContext,
+    SyntheticPayload,
+    UniformNetwork,
+)
+from repro.mpi.schedule import Clocks, engine_forced
 from repro.net.protocol import ProtocolStack
 
 #: Message sizes of the latency panel of Figure 7 (bytes).
@@ -43,9 +52,7 @@ class PingPongResult:
         return self.nbytes / self.half_round_trip_us
 
 
-def _pingpong_rank(
-    ctx: RankContext, nbytes: int, reps: int, payload: np.ndarray
-):
+def _pingpong_rank(ctx: RankContext, reps: int, payload: SyntheticPayload):
     peer = 1 - ctx.rank
     for _ in range(reps):
         if ctx.rank == 0:
@@ -57,6 +64,18 @@ def _pingpong_rank(
     return ctx.now
 
 
+def _pingpong_schedule(clocks: Clocks, nbytes: int, reps: int) -> None:
+    """Event-free :func:`_pingpong_rank`: each message is one send on
+    its sender's clock and one blocking receive on its peer's."""
+    now = clocks.now
+    for _ in range(reps):
+        for src in (0, 1):
+            occ, xfer = clocks._send(src, 1 - src, nbytes)
+            arrival = now[src] + xfer
+            now[src] = now[src] + occ
+            clocks._recv(1 - src, arrival)
+
+
 def ping_pong(
     stack: ProtocolStack, nbytes: int, repetitions: int = 10
 ) -> PingPongResult:
@@ -66,14 +85,16 @@ def ping_pong(
         raise ValueError("repetitions must be positive")
     if nbytes < 0:
         raise ValueError("nbytes must be non-negative")
-    world = MPIWorld(2, UniformNetwork(stack))
-    payload = np.zeros(max(1, nbytes // 8), dtype=np.float64)[
-        : max(0, nbytes // 8)
-    ]
-    # Use a raw bytes buffer so odd sizes are exact.
-    buf = bytes(nbytes)
-    result = world.run(_pingpong_rank, nbytes, repetitions, buf)
-    total = result.makespan_s * 1e6  # µs
+    network = UniformNetwork(stack)
+    if engine_forced():
+        world = MPIWorld(2, network)
+        payload = SyntheticPayload(nbytes)
+        makespan_s = world.run(_pingpong_rank, repetitions, payload).makespan_s
+    else:
+        clocks = Clocks(network, [1.0, 1.0])  # no compute: speeds unused
+        _pingpong_schedule(clocks, nbytes, repetitions)
+        makespan_s = clocks.makespan_s
+    total = makespan_s * 1e6  # µs
     return PingPongResult(
         nbytes=nbytes,
         repetitions=repetitions,

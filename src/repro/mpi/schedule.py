@@ -1,34 +1,50 @@
 """Event-free evaluation of deterministic SPMD rank programs.
 
 The Figure 6 application models (HPL's 1D model, PEPC, GROMACS, HYDRO,
-SPECFEM3D) post no wildcard receives, no timeouts and no faults, and
-every ``(src, dst, tag)`` channel carries same-size messages, so each
-channel is FIFO and the k-th receive on it matches the k-th send.  The
-discrete-event run then reduces to a max-plus recurrence over per-rank
-clocks: a compute span is ``now + seconds``, a send occupies its sender
-until ``now + occupancy`` and lands at ``now + transfer``, and a receive
-resumes at ``max(posted, arrival)``.  :class:`Clocks` holds those clocks
+SPECFEM3D) and the Figure 7 ping-pong post no wildcard receives, no
+timeouts and no faults, and every ``(src, dst, tag)`` channel carries
+same-size messages, so each channel is FIFO and the k-th receive on it
+matches the k-th send.  The discrete-event run then reduces to a
+max-plus recurrence over per-rank clocks: a compute span is
+``now + seconds``, a send occupies its sender until ``now + occupancy``
+and lands at ``now + transfer``, and a receive resumes at
+``max(posted, arrival)``.  :class:`Clocks` holds those clocks
 and the per-rank :class:`~repro.mpi.api.RankStats`; the functions below
 are the collective shapes the models use, each applied to every rank at
 once (every rank runs the same program, so a collective is one phase).
+HPL walks its panel broadcasts itself, over :class:`BcastTrees`, fused
+with the compute around them (:func:`repro.apps.hpl._model_schedule`).
 
 **Bit-identity contract** (enforced against the engine by
 ``tests/mpi/test_schedule.py`` and
 ``tests/timing/test_sweep_equivalence.py``): every float is produced by
 the same operations, in the same order, on the same operands as
 :mod:`repro.mpi.api` and :mod:`repro.mpi.collectives` — times come from
-the same ``network.transfer_time_s``/``sender_occupancy_s`` calls, a
-receive that ties its arrival resumes at the same float either way (the
-mailbox race), and per-rank stats accumulate in program order.  The
-makespan is the latest final clock, which is the last event the engine
-would have dispatched.
+the same ``network.transfer_time_s``/``sender_occupancy_s`` functions
+(called on the same pair, or on another pair of the same
+``network.link_class``), a receive that ties its arrival resumes at the
+same float either way (the mailbox race), and per-rank stats accumulate
+in program order.  The makespan is the latest final clock, which is the
+last event the engine would have dispatched.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any
 
 from repro.mpi.api import RankStats
+from repro.obs.recorder import current as _obs_current
+
+
+def engine_forced() -> bool:
+    """Whether a run must go through the discrete-event engine instead
+    of its event-free schedule: a live recorder (the engine carries the
+    trace instrumentation) or ``REPRO_SCALAR_SWEEP=1`` (the oracle).
+    Checked at call time so a test can flip it per case."""
+    return _obs_current() is not None or bool(
+        os.environ.get("REPRO_SCALAR_SWEEP")
+    )
 
 
 class Clocks:
@@ -44,6 +60,7 @@ class Clocks:
         self.gflops = gflops
         self.now = [0.0] * self.size
         self.stats = [RankStats() for _ in range(self.size)]
+        self.network = network
         self.transfer = network.transfer_time_s
         self.occupancy = network.sender_occupancy_s
 
@@ -81,34 +98,73 @@ class Clocks:
         self.now[rank] = resume
 
 
-def bcast(clocks: Clocks, nbytes: int, root: int = 0) -> None:
-    """:func:`repro.mpi.collectives.bcast`: binomial tree, walked in
-    virtual-rank order so every parent sends before its children
-    receive.  Inlined: this is HPL's per-panel hot loop."""
-    size, now, stats = clocks.size, clocks.now, clocks.stats
-    transfer, occupancy = clocks.transfer, clocks.occupancy
-    arrival = [0.0] * size
-    for vr in range(size):
-        r = (vr + root) % size
-        if vr:
-            t0 = now[r]
-            arr = arrival[r]
-            resume = arr if arr > t0 else t0
-            stats[r].comm_wait_s += resume - t0
-            now[r] = resume
+class BcastTrees:
+    """The binomial trees of :func:`repro.mpi.collectives.bcast` over
+    one run's ranks, each edge tagged with its link class.
+
+    In a binomial tree every send goes from a rank ``r`` to
+    ``(r + 2**j) % size``, so the edges of all roots' trees are the
+    ``size * ceil(log2 size)`` pairs tabulated once here; a root's tree
+    picks, for each virtual rank, the run of rounds it forwards in.
+    Untraced ``transfer_time_s``/``sender_occupancy_s`` are functions of
+    ``(network.link_class(src, dst), nbytes)`` only, so :meth:`prices`
+    calls them once per class, on the class's first edge, instead of
+    once per message (Tibidabo has two classes: within a leaf switch
+    and across the core).
+    """
+
+    def __init__(self, clocks: Clocks) -> None:
+        self._clocks = clocks
+        size = clocks.size
+        link_class = clocks.network.link_class
+        masks = []
+        while (1 << len(masks)) < size:
+            masks.append(1 << len(masks))
+        index: dict[Any, int] = {}
+        self._pairs: list[tuple[int, int]] = []  # one edge per class
+        # _edges[r][j]: r's round-j send, (dst, class index).
+        self._edges: list[tuple[tuple[int, int], ...]] = []
+        for r in range(size):
+            row = []
+            for mask in masks:
+                dst = (r + mask) % size
+                cls = link_class(r, dst)
+                if cls not in index:
+                    index[cls] = len(self._pairs)
+                    self._pairs.append((r, dst))
+                row.append((dst, index[cls]))
+            self._edges.append(tuple(row))
         # A non-root receives in the round of its highest set bit and
-        # forwards in every later round.
-        mask = 1 << vr.bit_length()
-        st = stats[r]
-        while vr + mask < size:
-            dst = (vr + mask + root) % size
-            occ = occupancy(r, dst, nbytes)
-            xfer = transfer(r, dst, nbytes)
-            st.messages_sent += 1
-            st.bytes_sent += nbytes
-            arrival[dst] = now[r] + xfer
-            now[r] = now[r] + occ
-            mask <<= 1
+        # forwards in every later round that reaches a rank.
+        self._rounds: list[tuple[int, int]] = []
+        for vr in range(size):
+            lo = hi = vr.bit_length()
+            while hi < len(masks) and vr + masks[hi] < size:
+                hi += 1
+            self._rounds.append((lo, hi))
+        self._trees: dict[int, list[tuple[int, tuple]]] = {}
+
+    def tree(self, root: int) -> list[tuple[int, tuple]]:
+        """``(rank, children)`` in virtual-rank order, so every parent
+        comes before its children; ``children`` are ``(dst, class
+        index)`` pairs in send order.  Built once per root."""
+        tree = self._trees.get(root)
+        if tree is None:
+            size, edges = self._clocks.size, self._edges
+            tree = self._trees[root] = []
+            for vr, (lo, hi) in enumerate(self._rounds):
+                r = (vr + root) % size
+                tree.append((r, edges[r][lo:hi]))
+        return tree
+
+    def prices(self, nbytes: int) -> tuple[list[float], list[float]]:
+        """``(occupancy, transfer)`` of one ``nbytes`` message, indexed
+        by class."""
+        occupancy, transfer = self._clocks.occupancy, self._clocks.transfer
+        return (
+            [occupancy(s, d, nbytes) for s, d in self._pairs],
+            [transfer(s, d, nbytes) for s, d in self._pairs],
+        )
 
 
 def _links(

@@ -241,18 +241,30 @@ def _fig6_grid() -> int:
     return sum(len(curve) for curve in figure6.values())
 
 
-def _fig6_grid_vs_des(repeats: int) -> BenchResult:
-    """The Figure 6 grid on the default (event-free) path, then under
-    the discrete-event oracle (``REPRO_SCALAR_SWEEP=1``) in the same
+def _figure7() -> int:
+    """Figure 7 through a fresh study (cold protocol-stack memos);
+    returns the number of ping-pongs run."""
+    from repro.core.study import MobileSoCStudy
+
+    figure7 = MobileSoCStudy().figure7()
+    return sum(
+        len(curves["latency_us"]) + len(curves["bandwidth_mbs"])
+        for curves in figure7.values()
+    )
+
+
+def _vs_des(name: str, body: Callable[[], int], repeats: int) -> BenchResult:
+    """``body`` on the default (event-free) path, then under the
+    discrete-event oracle (``REPRO_SCALAR_SWEEP=1``) in the same
     process: ``speedup_vs_des`` is a same-run ratio, not a comparison
-    with a stored baseline.  The oracle pass is ~10x slower, so it gets
-    a single timed run."""
+    with a stored baseline.  The oracle pass is several times slower,
+    so it gets a single timed run."""
     import os
     from unittest import mock
 
-    fast = run_bench("apps.fig6_grid", _fig6_grid, repeats)
+    fast = run_bench(name, body, repeats)
     with mock.patch.dict(os.environ, REPRO_SCALAR_SWEEP="1"):
-        des = run_bench("apps.fig6_grid_des", _fig6_grid, 1, warmup=False)
+        des = run_bench(f"{name}_des", body, 1, warmup=False)
     fast.extras.update(
         des_wall_s=des.wall_s,
         speedup_vs_des=des.wall_s / fast.wall_s,
@@ -277,7 +289,10 @@ def _apps_bodies(
          lambda: run_bench("apps.hpl96_headline", _hpl96, hpl_reps, False)),
         ("apps.fig3_sweep",
          lambda: run_bench("apps.fig3_sweep", _fig3_sweep, max(repeats, 3))),
-        ("apps.fig6_grid", lambda: _fig6_grid_vs_des(max(repeats, 2))),
+        ("apps.fig6_grid",
+         lambda: _vs_des("apps.fig6_grid", _fig6_grid, max(repeats, 2))),
+        ("apps.figure7",
+         lambda: _vs_des("apps.figure7", _figure7, max(repeats, 3))),
     ]
 
 

@@ -1,9 +1,10 @@
-"""Event-free collective schedules == the discrete-event engine.
+"""Event-free schedules == the discrete-event engine.
 
-Each :mod:`repro.mpi.schedule` shape runs against the same program on a
-real :class:`~repro.mpi.api.MPIWorld`, on worlds that straddle a leaf
-switch (1- and 3-hop paths) with per-rank speeds skewed so ranks reach
-every collective at different times.  Makespan and every per-rank
+Each :mod:`repro.mpi.schedule` shape, HPL's fused panel schedule and the
+Figure 7 ping-pong run against the same program on a real
+:class:`~repro.mpi.api.MPIWorld`, on worlds that straddle a leaf switch
+(1- and 3-hop paths) with per-rank speeds skewed so ranks reach every
+collective at different times.  Makespan and every per-rank
 :class:`~repro.mpi.api.RankStats` must match with ``==``.
 """
 
@@ -11,10 +12,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.hpl import HPLConfig, _model_rank, _model_schedule
 from repro.cluster.cluster import tibidabo
+from repro.core.study import FIG7_CONFIGS
 from repro.mpi import schedule
-from repro.mpi.api import MPIWorld, SyntheticPayload
+from repro.mpi.api import MPIWorld, SyntheticPayload, UniformNetwork
+from repro.mpi.benchmarks import (
+    BANDWIDTH_SIZES,
+    LATENCY_SIZES,
+    _pingpong_rank,
+    _pingpong_schedule,
+    ping_pong,
+)
 from repro.mpi.collectives import allgather, allreduce, bcast
+from repro.net.protocol import ProtocolStack
 
 SIZES = (1, 2, 3, 4, 5, 7, 8, 13, 50)
 
@@ -47,11 +58,30 @@ def _des_slab(ctx, nbytes):
         yield from ctx.exchange(sends, recvs)
 
 
+def _tree_bcast(clocks, nbytes, root):
+    """A broadcast walked over :class:`schedule.BcastTrees` with one
+    price per link class — HPL's per-panel broadcast, without the
+    compute fused around it."""
+    trees = schedule.BcastTrees(clocks)
+    tree = trees.tree(root)
+    occ, xfer = trees.prices(nbytes)
+    arrival = [0.0] * clocks.size
+    for r, children in tree:
+        if r != root:
+            clocks._recv(r, arrival[r])
+        for dst, c in children:
+            st = clocks.stats[r]
+            st.messages_sent += 1
+            st.bytes_sent += nbytes
+            arrival[dst] = clocks.now[r] + xfer[c]
+            clocks.now[r] = clocks.now[r] + occ[c]
+
+
 #: name -> (DES collective(ctx, nbytes), schedule(clocks, nbytes))
 SHAPES = {
     "bcast": (
         lambda ctx, nb: bcast(ctx, SyntheticPayload(nb), root=ctx.size // 2),
-        lambda clocks, nb: schedule.bcast(clocks, nb, root=clocks.size // 2),
+        lambda clocks, nb: _tree_bcast(clocks, nb, root=clocks.size // 2),
     ),
     "allgather": (
         lambda ctx, nb: allgather(ctx, SyntheticPayload(nb)),
@@ -115,3 +145,77 @@ def test_compute_flops_all_matches_per_rank():
     for r in range(4):
         b.compute_flops(r, 3e6)
     assert a.now == b.now and a.stats == b.stats
+
+
+#: Straddles the 48-port leaf switch at 47..50.
+HPL_SIZES = (1, 2, 3, 5, 8, 13, 47, 48, 49, 50)
+
+#: (n, nb): one panel, a ragged last panel, more panels than ranks.
+HPL_CONFIGS = ((128, 128), (300, 64), (1000, 128))
+
+
+@pytest.mark.parametrize("n,nb", HPL_CONFIGS)
+@pytest.mark.parametrize("open_mx", [False, True], ids=["tcp", "omx"])
+@pytest.mark.parametrize("size", HPL_SIZES)
+def test_hpl_schedule_matches_engine(size, open_mx, n, nb):
+    """HPL's fused panel pass == its rank program on the engine."""
+    network = tibidabo(max(size, 2), open_mx=open_mx).network()
+    gflops = _gflops(size)
+    cfg = HPLConfig(n=n, nb=nb)
+    world = MPIWorld(size, network, rank_gflops=lambda r: gflops[r])
+    want = world.run(_model_rank, cfg)
+
+    clocks = schedule.Clocks(network, gflops)
+    _model_schedule(cfg, clocks)
+
+    assert clocks.makespan_s == want.makespan_s
+    assert clocks.now == want.results
+    assert clocks.stats == want.stats
+
+
+def test_link_classes_partition_tibidabo_pairs():
+    """Two classes across the leaf boundary, plus self-sends, and the
+    untraced times are the same on every pair of a class."""
+    network = tibidabo(96).network()
+    pairs = [(0, 1), (47, 0), (0, 48), (95, 3), (50, 60), (5, 5)]
+    by_class: dict = {}
+    for src, dst in pairs:
+        by_class.setdefault(network.link_class(src, dst), []).append(
+            (src, dst)
+        )
+    assert len(by_class) == 3
+    for members in by_class.values():
+        prices = {
+            (network.transfer_time_s(s, d, 4096),
+             network.sender_occupancy_s(s, d, 4096))
+            for s, d in members
+        }
+        assert len(prices) == 1
+
+
+@pytest.mark.parametrize("repetitions", [1, 3, 10])
+@pytest.mark.parametrize("config", [c[0] for c in FIG7_CONFIGS])
+def test_ping_pong_matches_engine(config, repetitions, monkeypatch):
+    """The event-free ping-pong == the engine (``REPRO_SCALAR_SWEEP=1``)
+    at every Figure 7 stack and message size: the reported half round
+    trip, and both ranks' final clocks and stats."""
+    _, proto, attach, core, freq = next(
+        c for c in FIG7_CONFIGS if c[0] == config
+    )
+    stack = ProtocolStack(proto, attach, core_name=core, freq_ghz=freq)
+    for nbytes in sorted(set(LATENCY_SIZES) | set(BANDWIDTH_SIZES)):
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
+        fast = ping_pong(stack, nbytes, repetitions)
+        monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
+        oracle = ping_pong(stack, nbytes, repetitions)
+        assert fast.half_round_trip_us == oracle.half_round_trip_us, nbytes
+        assert fast == oracle
+
+        network = UniformNetwork(stack)
+        want = MPIWorld(2, network).run(
+            _pingpong_rank, repetitions, SyntheticPayload(nbytes)
+        )
+        clocks = schedule.Clocks(network, [1.0, 1.0])
+        _pingpong_schedule(clocks, nbytes, repetitions)
+        assert clocks.now == want.results, nbytes
+        assert clocks.stats == want.stats, nbytes

@@ -308,6 +308,27 @@ class TestSuitesAndCli:
         )
         validate_bench_doc(suite_doc("apps", [result]))
 
+    def test_figure7_times_the_oracle_in_the_same_run(self, monkeypatch):
+        """``apps.figure7`` runs every Figure 7 ping-pong event-free,
+        then once on the engine under ``REPRO_SCALAR_SWEEP=1``, in the
+        same process, and records the same-run ratio."""
+        import os
+
+        from repro.core.study import FIG7_CONFIGS
+        from repro.mpi.benchmarks import BANDWIDTH_SIZES, LATENCY_SIZES
+        from repro.perf import suites
+
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
+        result = dict(suites._apps_bodies(1, True))["apps.figure7"]()
+        per_stack = len(LATENCY_SIZES) + len(BANDWIDTH_SIZES)
+        assert result.ops == len(FIG7_CONFIGS) * per_stack
+        assert "REPRO_SCALAR_SWEEP" not in os.environ
+        assert result.extras["host_cpus"] == float(os.cpu_count() or 1)
+        assert result.extras["speedup_vs_des"] == pytest.approx(
+            result.extras["des_wall_s"] / result.wall_s
+        )
+        validate_bench_doc(suite_doc("apps", [result]))
+
     def test_campaign_suite_runs_serial_cold_and_warm(self):
         from repro.perf.suites import campaign_suite_with_ref
 

@@ -452,6 +452,7 @@ class TestGoldenFigures:
             "figure3.json": study.figure3(),
             "figure4.json": study.figure4(),
             "figure6.json": study.figure6(FIG6_QUICK_COUNTS),
+            "figure7.json": study.figure7(),
             "headline.json": study.headline_hpl(),
         }
 
@@ -481,7 +482,8 @@ class TestGoldenFigures:
 
     def test_goldens_are_nontrivial(self):
         for fname in (
-            "figure3.json", "figure4.json", "figure6.json", "headline.json"
+            "figure3.json", "figure4.json", "figure6.json", "figure7.json",
+            "headline.json",
         ):
             doc = json.loads((GOLDENS / fname).read_text())
             assert doc  # non-empty
