@@ -33,7 +33,7 @@ Performance benchmarks (see :mod:`repro.perf`)::
 
 Serving (see :mod:`repro.serve`)::
 
-    python -m repro serve --port 7653 --jobs 4   # campaign query server
+    python -m repro serve --port 7653            # campaign query server
     python -m repro loadtest --port 7653 --quick # open-loop load generator
     python -m repro jobs --port 7653 submit --campaign quick  # durable job
     python -m repro cluster-serve --backends 2 --port 7660    # sharded tier

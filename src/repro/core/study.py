@@ -171,9 +171,9 @@ class MobileSoCStudy:
     # Figures 3/4 decompose into independent (mode, platform, freq)
     # operating points plus one baseline-energy point.  Every point owns
     # a PowerMeter seeded from a content hash of its coordinates, so a
-    # point computes the same bits whether it runs in this process, a
-    # pool worker, or straight out of the on-disk result cache — the
-    # property the sharded campaign runner (repro.parallel) relies on.
+    # point computes the same bits in any process and batch order, or
+    # straight out of the on-disk result cache — the property the
+    # campaign runner (repro.parallel) and repro.serve rely on.
 
     def _meter_seed(self, label: str) -> int:
         """Deterministic, process-independent meter seed for one

@@ -7,8 +7,7 @@ function of the model code and its coordinates.  This package
 
 * decomposes the campaign into those :class:`~repro.parallel.units.WorkUnit`\\ s,
 * executes them in one process (:mod:`repro.parallel.runner`) with a
-  deterministic merge, or over a caller-owned worker pool (the serve
-  front end's), and
+  deterministic merge, and
 * memoises unit results in a content-addressed on-disk cache
   (:mod:`repro.parallel.cache`) keyed by the unit coordinates *and* a
   fingerprint of the package source, so a code change invalidates

@@ -20,9 +20,9 @@ computed directly by the study — they cost microseconds and some carry
 non-JSON-serialisable points, so caching them would buy nothing and
 complicate the cache contract.
 
-:func:`run_units` also takes a caller-owned worker pool: the serve
-front end pre-forks one and hands it every simulation batch
-(DESIGN.md section 11).  No campaign run forks a worker.
+:func:`run_units` is also the serve front end's execution path for
+its simulation and job batches (DESIGN.md section 11).  Nothing in
+this package forks a worker.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.parallel.units import (
     app_run_result,
     campaign_units,
     execute_batch,
-    pool_entry,
 )
 
 
@@ -73,21 +72,15 @@ def run_units(
     units: list[WorkUnit],
     cache: ResultCache | None = None,
     seed: int = 0,
-    pool=None,
     safe: bool = False,
 ) -> list[Any]:
     """Execute ``units``, returning their values in input order.
 
     Cache hits are resolved first; only misses are computed.  They run
     in this process through :func:`~repro.parallel.units.execute_batch`
-    (sweep points grouped into one vectorized call per mode), unless
-    ``pool`` is given and two or more miss: then they go to that
-    caller-owned worker pool, which a long-lived caller must fork while
-    still single-threaded, because forking from a threaded process can
-    hand workers a lock some other thread held at fork time.
-
-    Either way each fresh value is written to ``cache`` as soon as it
-    arrives, so an interrupted run keeps every unit already finished.
+    (sweep points grouped into one vectorized call per mode), and each
+    fresh value is written to ``cache`` as soon as it arrives, so an
+    interrupted run keeps every unit already finished.
 
     ``safe=True`` captures each unit's exception as a
     :class:`UnitFailure` in its slot (never cached) instead of raising
@@ -96,14 +89,7 @@ def run_units(
     values, todo = probe_units(units, cache, seed)
     if not todo:
         return values
-    if pool is None or len(todo) == 1:
-        fresh = execute_batch([units[i] for i in todo], seed, safe=safe)
-    else:
-        pool_args = [
-            (units[i].kind, units[i].params, seed, safe) for i in todo
-        ]
-        fresh = enumerate(pool.imap(pool_entry, pool_args, chunksize=1))
-    for j, value in fresh:
+    for j, value in execute_batch([units[i] for i in todo], seed, safe=safe):
         i = todo[j]
         values[i] = value
         if cache is not None and not isinstance(value, UnitFailure):

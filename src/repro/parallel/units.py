@@ -1,4 +1,4 @@
-"""Campaign work units: decomposition and worker-side execution.
+"""Campaign work units: decomposition and execution.
 
 A :class:`WorkUnit` is one independent piece of the paper's campaign:
 
@@ -16,17 +16,17 @@ A :class:`WorkUnit` is one independent piece of the paper's campaign:
 Every unit returns plain JSON-serialisable data (the cache contract),
 and its value is a pure function of ``(kind, params, seed)`` plus the
 package source — the runner exploits exactly that for content-addressed
-caching.  Heavy units are listed first so a pool drains well; merge
-order never depends on list order, only on the deterministic plans.
+caching.  Merge order never depends on list order, only on the
+deterministic plans.
 
-Workers keep one study/cluster per process (module-level memos below),
-so kernel-timing memoisation still amortises across the units a worker
-happens to execute.
+Execution keeps a bounded memo of studies (per seed) and clusters (per
+``max_nodes``) below, so kernel-timing memoisation amortises across the
+units a process executes.
 """
 
 from __future__ import annotations
 
-import pickle
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -64,8 +64,7 @@ class UnitFailure:
     losing the rest of the batch — the job tier needs per-unit failure
     isolation to retry or quarantine exactly the poison unit, and a
     query batch must fail only the bad query.  Never cached.  ``exc``
-    is the exception itself, when there is one to hand back (a pool
-    worker's exception that does not pickle crosses as text only).
+    is the exception itself, when there is one to hand back.
     """
 
     error: str
@@ -73,7 +72,7 @@ class UnitFailure:
 
 
 def campaign_units(quick: bool, cluster, study=None) -> list[WorkUnit]:
-    """The full campaign's unit list (heaviest first, for pool packing).
+    """The full campaign's unit list (simulations first, then sweeps).
 
     ``cluster`` is the Figure 6 Tibidabo build — needed to resolve each
     application's minimum node count exactly the way the serial path
@@ -91,7 +90,7 @@ def campaign_units(quick: bool, cluster, study=None) -> list[WorkUnit]:
                 WorkUnit("fig6_point", {"app": name, "n": n, "max_nodes": max_nodes})
             )
     units.append(WorkUnit("sweep_base", {}))
-    plan = (study if study is not None else _plan_study()).sweep_plan()
+    plan = (study if study is not None else _plan_study(0)).sweep_plan()
     for mode in SWEEP_MODES:
         for platform, freq in plan:
             units.append(
@@ -104,29 +103,22 @@ def campaign_units(quick: bool, cluster, study=None) -> list[WorkUnit]:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side execution.  One memoized study per (process, seed) and one
-# cluster per (max_nodes) keep executor/timing memos warm across the
-# units a worker runs; results stay deterministic either way.
+# Execution.  One memoized study per seed and one cluster per max_nodes
+# keep executor/timing memos warm across units; results stay
+# deterministic either way.  Both keys come from queries and job specs,
+# so a long-lived server bounds them.
 # ---------------------------------------------------------------------------
 
-_studies: dict[int, MobileSoCStudy] = {}
-_clusters: dict[int, Any] = {}
+@functools.lru_cache(maxsize=4)
+def _plan_study(seed: int) -> MobileSoCStudy:
+    return MobileSoCStudy(seed=seed)
 
 
-def _plan_study(seed: int = 0) -> MobileSoCStudy:
-    study = _studies.get(seed)
-    if study is None:
-        study = _studies[seed] = MobileSoCStudy(seed=seed)
-    return study
-
-
+@functools.lru_cache(maxsize=8)
 def _cluster_for(max_nodes: int):
     from repro.cluster.cluster import tibidabo
 
-    cluster = _clusters.get(max_nodes)
-    if cluster is None:
-        cluster = _clusters[max_nodes] = tibidabo(max_nodes)
-    return cluster
+    return tibidabo(max_nodes)
 
 
 def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
@@ -195,21 +187,6 @@ def execute_batch(
         except Exception:
             values = [one(batch[i]) for i in idxs]
         yield from zip(idxs, values)
-
-
-def pool_entry(job: tuple[str, dict[str, Any], int, bool]) -> Any:
-    """Top-level pool target (picklable under any start method): unit
-    ``(kind, params, seed)`` through :func:`execute_batch`.  A ``safe``
-    failure's exception travels back only if it survives a pickle round
-    trip (else its text does)."""
-    kind, params, seed, safe = job
-    [(_, value)] = execute_batch([WorkUnit(kind, params)], seed, safe=safe)
-    if isinstance(value, UnitFailure) and value.exc is not None:
-        try:
-            pickle.loads(pickle.dumps(value.exc))
-        except Exception:  # noqa: BLE001 - an exception that won't travel
-            return UnitFailure(value.error)
-    return value
 
 
 def app_run_result(value: dict[str, Any]) -> AppRunResult:

@@ -362,9 +362,9 @@ def serve_suite_with_ref(
     """Serving end to end: open-loop cold/warm, saturation, scaling.
 
     Boots the JSON-lines TCP server in-process (real work units, real
-    result cache, real pre-forked pool) and drives it with the seeded
-    open-loop generator twice back-to-back: once against a *cold* cache
-    (misses dominate: micro-batching + pooled execution) and once
+    result cache) and drives it with the seeded open-loop generator
+    twice back-to-back: once against a *cold* cache (misses dominate:
+    micro-batching + in-process execution) and once
     against the cache the cold pass just filled (coalesce + cache hits
     dominate).  Each record's ops are completed requests, ops/s is
     delivered throughput, and the extras carry the tail latencies and
@@ -396,9 +396,9 @@ def serve_suite_with_ref(
     ``repeats`` is ignored throughout: whole-service runs, best-of-1
     by construction.
 
-    ``serve.hot_during_sims`` boots ``repro serve`` with and without
-    its worker pool and records the hot-hit tail while a burst of large
-    simulations computes (:func:`_hot_during_sims_result`).
+    ``serve.hot_during_sims`` boots ``repro serve`` and records the
+    hot-hit tail while a burst of large simulations computes
+    (:func:`_hot_during_sims_result`).
     """
     import asyncio
     import tempfile
@@ -424,7 +424,7 @@ def serve_suite_with_ref(
 
     async def _drive(cache_dir) -> tuple[dict, dict, dict, dict]:
         server = ServeServer(
-            CampaignFrontEnd(ServeConfig(jobs=2, cache_dir=cache_dir))
+            CampaignFrontEnd(ServeConfig(cache_dir=cache_dir))
         )
         await server.start()
         run_task = asyncio.ensure_future(server.serve_until_shutdown())
@@ -526,16 +526,14 @@ def serve_suite_with_ref(
 
 
 def _hot_during_sims_result(peak_rss_bytes) -> BenchResult:
-    """``serve.hot_during_sims``: what the serve front end's worker pool
-    buys.  Boots ``repro serve`` with ``--jobs 2`` and then ``--jobs 1``
-    (no pool) on fresh caches, warms one hot key, fires a burst of the
-    largest Figure 6 points (every application at 48/64/96 nodes) plus
-    two headlines, and probes the hot key back to back until the burst
-    has answered.  Records, per setting, the hot-hit p50/p99 while the
-    burst computes and the burst's wall time; ``p99_ratio`` is the
-    no-pool p99 over the pool p99, a same-run ratio.  The entry's
-    ``ops_per_s`` is burst units per second with the pool.  Not gated:
-    on a host with fewer cores than workers the pool cannot pay."""
+    """``serve.hot_during_sims``: the hot-hit tail while simulations
+    compute.  Boots ``repro serve`` on a fresh cache, warms one hot key,
+    fires a burst of the largest Figure 6 points (every application at
+    48/64/96 nodes) plus two headlines, and probes the hot key back to
+    back until the burst has answered.  Records the hot-hit p50/p99
+    while the burst computes, the burst's wall time and the probe
+    count; ``ops_per_s`` is burst units per second.  Not gated: the
+    numbers depend on the host's cores."""
     import asyncio
     import json
     import os
@@ -580,35 +578,30 @@ def _hot_during_sims_result(peak_rss_bytes) -> BenchResult:
         writer.close()
         return latencies, wall
 
-    extras: dict[str, Any] = {"host_cpus": float(os.cpu_count() or 1)}
-    units = {"host_cpus": "count", "p99_ratio": "ratio"}
-    walls = {}
-    for jobs, label in ((2, "pool"), (1, "no_pool")):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-hot-") as td:
-            proc, port = _spawn_listening(
-                ["serve", "--port", "0", "--jobs", str(jobs), "--no-jobs",
-                 "--cache-dir", td],
-                "repro serve",
-            )
-            try:
-                latencies, walls[label] = asyncio.run(_drive(port))
-            finally:
-                _stop(proc)  # SIGTERM: the same graceful drain as shutdown
-        for key, value, unit in (
-            ("hot_p50_ms", percentile(latencies, 0.50) * 1e3, "ms"),
-            ("hot_p99_ms", percentile(latencies, 0.99) * 1e3, "ms"),
-            ("burst_wall_s", walls[label], "s"),
-            ("probes", float(len(latencies)), "count"),
-        ):
-            extras[f"{key}_{label}"] = value
-            units[f"{key}_{label}"] = unit
-    extras["p99_ratio"] = extras["hot_p99_ms_no_pool"] / extras["hot_p99_ms_pool"]
-    extras["units"] = units
+    with tempfile.TemporaryDirectory(prefix="repro-bench-hot-") as td:
+        proc, port = _spawn_listening(
+            ["serve", "--port", "0", "--no-jobs", "--cache-dir", td],
+            "repro serve",
+        )
+        try:
+            latencies, wall = asyncio.run(_drive(port))
+        finally:
+            _stop(proc)  # SIGTERM: the same graceful drain as shutdown
+    extras: dict[str, Any] = {
+        "hot_p50_ms": percentile(latencies, 0.50) * 1e3,
+        "hot_p99_ms": percentile(latencies, 0.99) * 1e3,
+        "burst_wall_s": wall,
+        "probes": float(len(latencies)),
+        "host_cpus": float(os.cpu_count() or 1),
+        "units": {"hot_p50_ms": "ms", "hot_p99_ms": "ms",
+                  "burst_wall_s": "s", "probes": "count",
+                  "host_cpus": "count"},
+    }
     return BenchResult(
         name="serve.hot_during_sims",
         ops=len(burst),
-        wall_s=walls["pool"],
-        ops_per_s=len(burst) / walls["pool"],
+        wall_s=wall,
+        ops_per_s=len(burst) / wall,
         repeats=1,
         peak_rss_bytes=peak_rss_bytes(),
         extras=extras,
@@ -690,7 +683,7 @@ def _cluster_saturation_result(
     with tempfile.TemporaryDirectory(prefix="repro-bench-cluster-") as td:
         proc, port = _spawn_listening(
             ["cluster-serve", "--backends", str(n_backends), "--port", "0",
-             "--jobs", "1", "--cache-dir", td],
+             "--cache-dir", td],
             "cluster-serve",
         )
         try:

@@ -16,11 +16,11 @@ makes three mechanisms do almost all the work:
 * **micro-batching** — the distinct misses that remain are collected
   for a few milliseconds: sweep points are computed as one vectorized
   call per mode on the event loop, and Figure 6 and headline
-  simulations as one :func:`repro.parallel.runner.run_units` call from
-  an executor thread, spread over the front end's pre-forked worker
-  pool — the package's only multiprocessing pool, kept because the
-  ``serve.hot_during_sims`` bench entry shows it holds the hot-hit tail
-  down while large simulations compute.
+  simulations as one :func:`repro.parallel.runner.run_units` call on
+  one executor thread.  ``repro serve`` runs under a 0.5 ms GIL switch
+  interval, so the loop answers hot hits promptly while simulations
+  compute; the ``serve.hot_during_sims`` bench entry records that
+  tail.
 
 Around them sit admission control (a bounded pending queue; excess
 load is rejected 429-style with a ``retry_after_s`` hint), graceful
@@ -29,7 +29,7 @@ shutdown (drain every accepted request, then exit), and observability
 :mod:`repro.obs`).  ``repro loadtest`` (:mod:`repro.serve.loadtest`)
 is the matching open-loop load generator, and the ``serve`` perf suite
 records throughput and tail latency cold vs warm, and the hot-hit
-tail with and without the pool, in ``BENCH_serve.json``.
+tail during a simulation burst, in ``BENCH_serve.json``.
 
 For work that outlives a request — whole figure campaigns, batch
 sweeps — the **durable job tier** (:mod:`~repro.serve.jobs`) accepts

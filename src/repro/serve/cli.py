@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro serve                        # default cache + 2 workers
-    python -m repro serve --port 7653 --jobs 4
+    python -m repro serve                        # default cache and journal
+    python -m repro serve --port 7653
     python -m repro loadtest --port 7653 --quick --assert-hit-ratio 0.9
     python -m repro loadtest --port 7653 --requests 2000 --rate 500 --shutdown
 
@@ -21,6 +21,7 @@ import asyncio
 import contextlib
 import json
 import signal
+import sys
 from pathlib import Path
 
 from repro.cli import jobs_count
@@ -40,14 +41,24 @@ from repro.serve.server import ServeServer
 #: Default journal location for the durable job tier.
 DEFAULT_JOURNAL_DIR = Path(".repro-jobs")
 
+#: GIL switch interval for ``repro serve``.  Simulation misses run on
+#: the front end's executor thread; at CPython's default 5 ms the event
+#: loop waits out a whole interval each time it needs the GIL back, and
+#: a hot hit queued behind a computing simulation pays for it.  On a
+#: 2-vCPU VM, with 17 large simulations computing, the hot-hit p99 was
+#: 34.9-42.7 ms at 5 ms and 2.35-2.63 ms at 0.5 ms (3.89 ms over the
+#: worker pool this replaced), for a burst wall time of 0.28-0.40 s
+#: instead of the pool's 0.24 s.  DESIGN.md section 11.
+SWITCH_INTERVAL_S = 0.0005
+
 
 def serve_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve campaign queries over JSON-lines TCP with "
         "single-flight coalescing, cache-backed hits and micro-batched "
-        "execution (sweep points in process, simulations spread over a "
-        "worker pool).",
+        "execution (sweep points on the event loop, simulations on one "
+        "executor thread).",
     )
     parser.add_argument(
         "--host", default="127.0.0.1",
@@ -59,9 +70,9 @@ def serve_main(argv: list[str] | None = None) -> int:
         "printed on the 'listening on' line)",
     )
     parser.add_argument(
-        "--jobs", type=jobs_count, default=2,
-        help="worker processes for Figure 6 / headline misses and job "
-        "batches; 1 forks no pool (default: 2)",
+        "--jobs", type=jobs_count, default=1, metavar="N",
+        help="accepted for compatibility and ignored: every miss runs "
+        "in this process (must still be at least 1)",
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.01, metavar="S",
@@ -151,7 +162,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = ServeConfig(
-            jobs=args.jobs,
             batch_window_s=args.batch_window,
             max_batch=args.max_batch,
             queue_limit=args.queue_limit,
@@ -173,6 +183,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             )
     except ValueError as exc:
         parser.error(str(exc))
+    sys.setswitchinterval(SWITCH_INTERVAL_S)
     return asyncio.run(
         _serve(
             config, args.host, args.port,
@@ -268,7 +279,7 @@ async def _serve(
         shard = f", shard={name}/{len(peers)}"
     print(
         f"repro serve: listening on {server.host}:{server.port} "
-        f"(jobs={config.jobs}, queue_limit={config.queue_limit}, "
+        f"(queue_limit={config.queue_limit}, "
         f"cache={'off' if config.cache_dir is None else config.cache_dir}, "
         f"journal={'off' if journal_dir is None else journal_dir}, "
         f"wire={'json+binary1' if binary_wire else 'json'}"

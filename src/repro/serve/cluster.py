@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro cluster-serve --backends 2 --port 7660 --jobs 1
+    python -m repro cluster-serve --backends 2 --port 7660
 
 One command brings up N backend ``repro serve`` processes (each a
 cluster shard with its own cache directory and a peer map for cache
@@ -43,7 +43,6 @@ import sys
 import threading
 from pathlib import Path
 
-from repro.cli import jobs_count
 from repro.parallel.cache import DEFAULT_CACHE_DIR
 from repro.serve.router import ServeRouter, advertised_host
 
@@ -144,11 +143,6 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
         "'listening on' line); backends always take ephemeral ports",
     )
     parser.add_argument(
-        "--jobs", type=jobs_count, default=1,
-        help="each backend's --jobs: worker processes for its Figure 6 "
-        "/ headline misses (default: 1)",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=DEFAULT_CACHE_DIR, metavar="DIR",
         help="base cache directory; each backend shards into "
         "DIR/<name> (default: %(default)s)",
@@ -199,7 +193,6 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
             "--port", str(port),
             "--name", name,
             "--peers", peers_spec,
-            "--jobs", str(args.jobs),
             "--queue-limit", str(args.queue_limit),
             "--cache-dir", str(args.cache_dir / name),
             "--seed", str(args.seed),

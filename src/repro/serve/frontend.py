@@ -20,18 +20,15 @@ funnel, cheapest mechanism first:
    (:func:`repro.parallel.units.execute_batch`): a point costs well
    under a millisecond, less than handing it to another thread.  Their
    cache writes go to the executor thread.  The Figure 6 and headline
-   simulations — milliseconds to seconds each — go through
+   simulations — milliseconds to seconds each — run through
    :func:`repro.parallel.runner.run_units` on the one executor thread,
-   which spreads two or more of them over the worker pool, so the loop
-   keeps answering hits while they run and they use every core.
+   so the loop keeps answering hits while they compute.  ``repro
+   serve`` shortens the interpreter's GIL switch interval so that the
+   loop gets the GIL back quickly (DESIGN.md section 11).
 
-The pool (``jobs`` workers, forked where the platform allows) is
-created in :meth:`CampaignFrontEnd.start` when ``jobs > 1``; it also
-runs the durable job tier's batches
-(:meth:`CampaignFrontEnd.execute_units`).  With ``jobs=1`` the front end
-forks nothing and every simulation runs on the executor thread, holding
-the GIL against the event loop — the ``serve.hot_during_sims`` bench
-entry measures what that costs the hot-hit tail.
+The durable job tier's batches (:meth:`CampaignFrontEnd.execute_units`)
+run on the same executor thread, in process, one at a time with the
+query path's simulation batches.
 
 Admission control bounds the miss backlog: once ``queue_limit``
 distinct computations are pending, further misses are rejected with
@@ -63,7 +60,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import multiprocessing
 import sys
 import time
 import traceback
@@ -82,7 +78,7 @@ from repro.parallel.units import UnitFailure, WorkUnit, execute_batch
 UNIT_KINDS = ("sweep_base", "sweep_point", "fig6_point", "headline")
 
 #: Kinds a query batch computes inline on the event-loop thread; the
-#: rest (discrete-event simulations) go to the executor thread and pool.
+#: rest (simulations) go to the executor thread.
 INLINE_KINDS = frozenset(("sweep_base", "sweep_point"))
 
 #: How a request was served.
@@ -123,7 +119,6 @@ class Overloaded(RuntimeError):
 class ServeConfig:
     """Tunables for one front end."""
 
-    jobs: int = 2                  #: pool workers (1 = no pool, in process)
     batch_window_s: float = 0.01   #: micro-batch collection window
     max_batch: int = 32            #: distinct misses per batch
     queue_limit: int = 256        #: pending distinct computations bound
@@ -136,8 +131,6 @@ class ServeConfig:
     hot_values: int = 4096
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.hot_values < 0:
             raise ValueError("hot_values must be non-negative")
         if self.max_batch < 1:
@@ -228,7 +221,7 @@ def _report_write_failure(future) -> None:
 class CampaignFrontEnd:
     """See the module docstring.  Lifecycle::
 
-        fe = CampaignFrontEnd(ServeConfig(jobs=4))
+        fe = CampaignFrontEnd(ServeConfig())
         await fe.start()
         value, served = await fe.submit("sweep_point", {...})
         ...
@@ -267,7 +260,6 @@ class CampaignFrontEnd:
             OrderedDict()
             if cfg.cache_dir is not None and cfg.hot_values > 0 else None
         )
-        self._pool = None  # persistent worker pool; created in start()
         #: Optional cluster hook (duck-typed; see repro.serve.router's
         #: CachePeerFill): ``await peer_fill.probe(kind, params)``
         #: returns a cached value from the key's home shard or MISS.
@@ -279,9 +271,7 @@ class CampaignFrontEnd:
         self._draining = False
         self._batcher_task: asyncio.Task | None = None
         # One executor thread: simulation batches, job batches and
-        # cache writes run strictly one at a time — the bounded worker
-        # pool is the multiprocessing pool *inside* each run_units call,
-        # not a fan-out of concurrent batches.
+        # cache writes run strictly one at a time.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
@@ -291,19 +281,6 @@ class CampaignFrontEnd:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        if self._runner is None and self.config.jobs > 1 and self._pool is None:
-            # Pre-fork the worker pool NOW, while the process is still
-            # single-threaded.  Batches execute from an executor thread,
-            # and forking a pool from there can hand workers a lock the
-            # event-loop thread held at fork time — a worker deadlocked
-            # before its first task, and a batch that never returns.
-            # Fork where the platform has it (workers inherit warm
-            # imports), else the platform default.
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = context.Pool(self.config.jobs)
         if self._batcher_task is None:
             self._batcher_task = asyncio.get_running_loop().create_task(
                 self._batcher()
@@ -315,8 +292,8 @@ class CampaignFrontEnd:
 
         ``timeout_s`` bounds the wait.  At the deadline every still-
         unresolved query future is failed with :class:`Overloaded`
-        (``reason="draining"`` plus a retry hint) and worker teardown
-        switches to non-blocking — the returned ``False`` tells the
+        (``reason="draining"`` plus a retry hint) and the executor is
+        shut down without waiting — the returned ``False`` tells the
         caller the drain was cut short.  Pre-fix, a single wedged batch
         blocked shutdown indefinitely.
         """
@@ -349,15 +326,6 @@ class CampaignFrontEnd:
                 pass
             self._batcher_task = None
         self._executor.shutdown(wait=drained)
-        if self._pool is not None:
-            if drained:
-                self._pool.close()
-            else:
-                # A batch may still be wedged inside the pool; close()
-                # would wait on it via join below.
-                self._pool.terminate()
-            self._pool.join()
-            self._pool = None
         return drained
 
     def _abort_pending(self) -> None:
@@ -594,7 +562,8 @@ class CampaignFrontEnd:
             # The simulations start first, so the executor thread works
             # through them while this thread computes the sweep points.
             pending = loop.run_in_executor(
-                self._executor, self._run_batch, [e.unit for e in offload]
+                self._executor, self._run_batch,
+                [e.unit for e in offload], self.config.seed,
             ) if offload else None
             if inline:
                 # The funnel has just probed these keys: compute them
@@ -654,18 +623,23 @@ class CampaignFrontEnd:
             else:
                 entry.future.set_result(value)
 
-    def _run_batch(self, units: list[WorkUnit]) -> list[Any]:
-        """Executor-thread entry for a query batch: the injected runner,
-        or ``run_units`` over the pool.  Either way results are written
-        through to the cache — the hit-path contract must not depend on
-        which runner computed the value."""
+    def _run_batch(self, units: list[WorkUnit], seed: int) -> list[Any]:
+        """Executor-thread entry for query and job batches alike: the
+        injected runner, or ``run_units`` in this process.  Either way
+        results are written through to the cache — the hit-path
+        contract must not depend on which runner computed the value.
+
+        Unit failures come back as :class:`UnitFailure` slots.  An
+        injected runner that raises fails the whole batch: every query
+        in it, or, through the job tier's own containment, every unit
+        of a job batch (retried or quarantined per unit).
+        """
         if self._runner is None:
             return _runner.run_units(
-                units, cache=self._batch_cache, seed=self.config.seed,
-                pool=self._pool, safe=True,
+                units, cache=self._batch_cache, seed=seed, safe=True
             )
         values = self._runner(units)
-        self._write_through(units, values, self.config.seed)
+        self._write_through(units, values, seed)
         return values
 
     def _write_through(
@@ -689,32 +663,18 @@ class CampaignFrontEnd:
         """Run a job-tier unit batch on the serve executor thread.
 
         Job batches and the query path's simulation batches share the
-        ONE executor thread (and its pre-forked pool), so they serialise
-        instead of fighting over workers, and the fork-safety invariant
-        from :meth:`start` keeps holding.  Failures come back as
+        ONE executor thread, so they serialise instead of competing for
+        the GIL.  Sweep points are grouped into one ``sweep_points``
+        call per mode, as on the query path.  Failures come back as
         :class:`~repro.parallel.runner.UnitFailure` slots (``safe``
-        execution) — the job tier retries or quarantines per unit;
-        completed values are written through to the cache, which is
-        exactly what makes unit completion a restart checkpoint.
+        execution; an injected runner's exception propagates, and the
+        job tier fails each unit with it) — the job tier retries or
+        quarantines per unit; completed values are written through to
+        the cache, which is exactly what makes unit completion a
+        restart checkpoint.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._executor, self._run_job_units, units,
+            self._executor, self._run_batch, units,
             self.config.seed if seed is None else seed,
-        )
-
-    def _run_job_units(self, units: list[WorkUnit], seed: int) -> list[Any]:
-        if self._runner is not None:
-            try:
-                values = self._runner(units)
-            except Exception as exc:  # noqa: BLE001 - containment
-                return [
-                    UnitFailure(f"{type(exc).__name__}: {exc}")
-                    for _ in units
-                ]
-            self._write_through(units, values, seed)
-            return values
-        return _runner.run_units(
-            units, cache=self._batch_cache, seed=seed, pool=self._pool,
-            safe=True,
         )

@@ -179,6 +179,12 @@ def campaign_job_units(quick: bool = True) -> list[dict[str, Any]]:
     return [{"kind": u.kind, "params": u.params} for u in units]
 
 
+def _is_seed(value: Any) -> bool:
+    """A job seed is a plain ``int``: it is baked into cache keys and
+    the study, so a float or a string would resume as a different job."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class JobManager:
     """The durable queue: journal + cache + fair dispatch.
 
@@ -301,6 +307,8 @@ class JobManager:
             raise ValueError("a job needs at least one unit")
         if not tenant or not isinstance(tenant, str):
             raise ValueError("tenant must be a non-empty string")
+        if seed is not None and not _is_seed(seed):
+            raise ValueError("seed must be an integer")
         units = []
         for spec in unit_specs:
             kind = spec.get("kind")
@@ -469,8 +477,10 @@ class JobManager:
         if kind == "submit":
             units = doc.get("units")
             job_id = doc.get("job")
+            seed = doc.get("seed", 0)
             if not isinstance(units, list) or not units \
-                    or not isinstance(job_id, str) or job_id in self.jobs:
+                    or not isinstance(job_id, str) or job_id in self.jobs \
+                    or not _is_seed(seed):
                 return
             try:
                 parsed = [
@@ -483,7 +493,7 @@ class JobManager:
                 job_id=job_id,
                 tenant=str(doc.get("tenant", "default")),
                 units=parsed,
-                seed=int(doc.get("seed", 0)),
+                seed=seed,
                 order=next(self._order),
                 created_unix=float(doc.get("created", 0.0)),
             )

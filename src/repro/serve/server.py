@@ -60,7 +60,7 @@ Error responses carry ``ok: false`` plus ``error`` — ``"overloaded"``
 connection run concurrently — responses are matched by ``id``, not by
 order — which is what lets a single connection exercise single-flight
 coalescing.  Job ops are answered inline: they touch only in-memory
-state plus a journal append, never the worker pool.
+state plus a journal append, never the batch executor.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ class ServeServer:
     def _answer_job(self, op: str, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
         """Handle a job-tier op synchronously; returns the response doc.
 
-        Job ops never touch the worker pool — they are in-memory state
+        Job ops never touch the batch executor — they are in-memory state
         plus (for ``submit``/``cancel``) a flushed journal append — so
         answering them inline keeps them responsive even while a batch
         is executing.

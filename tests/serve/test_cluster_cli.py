@@ -37,7 +37,7 @@ class TestClusterServeCLI:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "cluster-serve",
-                "--backends", "2", "--port", "0", "--jobs", "1",
+                "--backends", "2", "--port", "0",
                 "--cache-dir", str(tmp_path / "cache"),
             ],
             stdout=subprocess.PIPE,
@@ -117,3 +117,14 @@ class TestClusterServeCLI:
         )
         assert proc.returncode == 2
         assert "--backends" in proc.stderr
+
+
+def test_cluster_serve_has_no_jobs_option(capsys):
+    """Backends compute every miss in process; there is no worker count
+    to forward."""
+    from repro.serve.cluster import cluster_serve_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        cluster_serve_main(["--jobs", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err

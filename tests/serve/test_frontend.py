@@ -415,7 +415,7 @@ class TestConfigAndHelpers:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"jobs": 0},
+            {"hot_values": -1},
             {"max_batch": 0},
             {"queue_limit": 0},
             {"batch_window_s": -0.1},

@@ -1,12 +1,11 @@
 """The front end's real execution path (no injected runner): sweep
 misses are computed inline on the event-loop thread with their cache
-writes on the executor thread, Figure 6 and headline simulations go
-through the executor thread (and the worker pool, when ``jobs > 1``),
-every query fails only on its own error, and ``jobs=1`` forks
-nothing."""
+writes on the executor thread, Figure 6 and headline simulations and
+job batches run in process on the executor thread, every query fails
+only on its own error, and nothing forks a worker."""
 
 import asyncio
-import multiprocessing
+import multiprocessing.pool
 import threading
 
 import pytest
@@ -15,7 +14,7 @@ from repro.core.study import MobileSoCStudy
 from repro.parallel import runner as runner_mod
 from repro.parallel import units as units_mod
 from repro.parallel.cache import ResultCache, unit_key
-from repro.parallel.units import execute_unit
+from repro.parallel.units import WorkUnit, execute_unit
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
 
 GOOD = {"mode": "single", "platform": "Tegra2", "freq": 0.777}
@@ -57,60 +56,68 @@ class TestFailureIsolation:
         assert stats.batches == 1  # all three shared one micro-batch
         assert (stats.computed, stats.failed) == (1, 2)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bad_simulation_fails_only_itself(self, jobs):
-        """In process and through the pool alike, the bad unit's own
-        exception type reaches its waiter (it decides bad_request)."""
+    @pytest.mark.parametrize("n_good", [1, 2])
+    def test_bad_simulation_fails_only_itself(self, n_good):
+        """Beside one or two good simulations in the same batch, the bad
+        unit's own exception type reaches its waiter (it decides
+        bad_request)."""
+        goods = [{**FIG6, "n": n} for n in range(1, n_good + 1)]
 
         async def scenario():
-            fe = frontend(batch_window_s=0.2, jobs=jobs)
+            fe = frontend(batch_window_s=0.2)
             await fe.start()
             try:
                 return await asyncio.gather(
-                    fe.submit("fig6_point", FIG6),
+                    *(fe.submit("fig6_point", p) for p in goods),
                     fe.submit("fig6_point", {**FIG6, "app": "NoSuch"}),
                     return_exceptions=True,
-                )
+                ), fe.stats
             finally:
                 await fe.drain()
 
-        good, bad = run_async(scenario())
-        assert good[0] == execute_unit("fig6_point", FIG6)
+        (*good, bad), stats = run_async(scenario())
+        assert [v for v, _ in good] == [
+            execute_unit("fig6_point", p) for p in goods
+        ]
         assert isinstance(bad, KeyError)
+        assert stats.batches == 1
 
 
 class TestExecutionSplit:
-    def test_one_job_forks_no_worker_process(self):
+    def test_one_job_forks_no_worker_process(self, monkeypatch, tmp_path):
+        """A default-config front end answers sweep, Figure 6 and
+        job-batch misses with pool creation patched to fail."""
+
+        def no_pool(self, *args, **kwargs):
+            raise AssertionError("the serve front end forked a pool")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
         before = set(multiprocessing.active_children())
+        job = [WorkUnit("sweep_point", {**GOOD, "freq": 0.9}),
+               WorkUnit("fig6_point", {**FIG6, "n": 2})]
 
         async def scenario():
-            fe = frontend(jobs=1)
+            fe = CampaignFrontEnd(ServeConfig(cache_dir=tmp_path))
             await fe.start()
             try:
-                await asyncio.gather(
+                queries = await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
                     fe.submit("sweep_base", {}),
                     fe.submit("fig6_point", FIG6),
                 )
-                return set(multiprocessing.active_children())
+                return (queries, await fe.execute_units(job),
+                        set(multiprocessing.active_children()))
             finally:
                 await fe.drain()
 
-        assert run_async(scenario()) - before == set()
-
-    def test_pool_forked_at_start(self):
-        before = set(multiprocessing.active_children())
-
-        async def scenario():
-            fe = frontend(jobs=2)
-            await fe.start()
-            try:
-                return set(multiprocessing.active_children())
-            finally:
-                await fe.drain()
-
-        assert len(run_async(scenario()) - before) == 2
-        assert set(multiprocessing.active_children()) - before == set()
+        queries, job_values, children = run_async(scenario())
+        assert children - before == set()
+        assert [v for v, _ in queries] == [
+            execute_unit("sweep_point", GOOD),
+            execute_unit("sweep_base", {}),
+            execute_unit("fig6_point", FIG6),
+        ]
+        assert job_values == [execute_unit(u.kind, u.params) for u in job]
 
     def test_sweeps_run_on_the_loop_and_simulations_on_the_executor(
         self, monkeypatch
@@ -130,7 +137,7 @@ class TestExecutionSplit:
         monkeypatch.setattr(units_mod, "execute_unit", spy_unit)
 
         async def scenario():
-            fe = frontend(batch_window_s=0.1, jobs=1)
+            fe = frontend(batch_window_s=0.1)
             await fe.start()
             try:
                 await asyncio.gather(
@@ -161,7 +168,7 @@ class TestExecutionSplit:
         monkeypatch.setattr(units_mod, "execute_unit", slow_unit)
 
         async def scenario():
-            fe = frontend(cache_dir=tmp_path, jobs=1)
+            fe = frontend(cache_dir=tmp_path)
             await fe.start()
             try:
                 await fe.submit("sweep_point", GOOD)  # now a hot key
@@ -185,35 +192,73 @@ class TestExecutionSplit:
         assert value == execute_unit("sweep_point", GOOD)
         assert sim_served == "computed"
 
-    def test_simulation_batches_go_to_the_pool(self, monkeypatch):
+    def test_simulation_batches_run_in_process(self, monkeypatch):
+        """The two simulations of a batch go to ``run_units`` as one
+        call on the executor thread, which computes them in process."""
         seen = []
         run_units = runner_mod.run_units
 
         def spy(units, **kwargs):
-            seen.append(([u.kind for u in units], kwargs.get("pool")))
+            seen.append(([u.kind for u in units], sorted(kwargs),
+                         threading.current_thread().name))
             return run_units(units, **kwargs)
 
         monkeypatch.setattr(runner_mod, "run_units", spy)
         sims = [{**FIG6, "n": n} for n in (1, 2)]
 
         async def scenario():
-            fe = frontend(batch_window_s=0.2, jobs=2)
+            fe = frontend(batch_window_s=0.2)
             await fe.start()
             try:
-                values = await asyncio.gather(
+                return await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
                     *(fe.submit("fig6_point", p) for p in sims),
                 )
-                return values, fe._pool
             finally:
                 await fe.drain()
 
-        values, pool = run_async(scenario())
-        assert pool is not None
-        assert seen == [(["fig6_point", "fig6_point"], pool)]
+        values = run_async(scenario())
+        [(kinds, kwargs, thread)] = seen
+        assert kinds == ["fig6_point", "fig6_point"]
+        assert kwargs == ["cache", "safe", "seed"]
+        assert thread.startswith("repro-serve-batch")
         assert [v for v, _ in values] == [
             execute_unit("sweep_point", GOOD),
             *(execute_unit("fig6_point", p) for p in sims),
+        ]
+
+    def test_job_batch_groups_sweep_points_per_mode(self, monkeypatch):
+        """A job batch of sweep points makes one ``sweep_points`` call
+        per mode, in process, bit-identical to the scalar units."""
+        calls = []
+        sweep_points = MobileSoCStudy.sweep_points
+
+        def spy(self, mode, points=None):
+            calls.append((mode, len(points)))
+            return sweep_points(self, mode, points)
+
+        monkeypatch.setattr(MobileSoCStudy, "sweep_points", spy)
+        units = [
+            WorkUnit("sweep_point", {**GOOD, "mode": mode, "freq": freq})
+            for mode in ("single", "multi") for freq in (0.5, 0.6, 0.7)
+        ]
+
+        async def scenario():
+            fe = frontend()
+            await fe.start()
+            try:
+                return await fe.execute_units(units)
+            finally:
+                await fe.drain()
+
+        values = run_async(scenario())
+        assert calls == [("single", 3), ("multi", 3)]
+        study = MobileSoCStudy()
+        assert values == [
+            study._sweep_point_scalar(
+                u.params["mode"], u.params["platform"], u.params["freq"]
+            )
+            for u in units
         ]
 
     def test_inline_cache_writes_stay_off_the_loop(
@@ -238,7 +283,7 @@ class TestExecutionSplit:
         monkeypatch.setattr(ResultCache, "put", slow_put)
 
         async def scenario():
-            fe = frontend(cache_dir=tmp_path, jobs=1)
+            fe = frontend(cache_dir=tmp_path)
             await fe.start()
             try:
                 miss = await asyncio.wait_for(
@@ -272,7 +317,7 @@ class TestExecutionSplit:
         monkeypatch.setattr(ResultCache, "put", broken_put)
 
         async def scenario():
-            fe = frontend(cache_dir=tmp_path, jobs=1)
+            fe = frontend(cache_dir=tmp_path)
             await fe.start()
             try:
                 return await fe.submit("sweep_point", GOOD)

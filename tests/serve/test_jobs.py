@@ -84,6 +84,17 @@ class TestSubmitValidation:
         with pytest.raises(ValueError, match="duplicate job id"):
             mgr.submit("t", specs(1, tag="other"), job_id="fixed")
 
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True])
+    def test_non_integer_seed_rejected(self, tmp_path, seed):
+        """Regression: a string seed was journaled and then bricked the
+        next ``recover()``; a float resumed as a different job."""
+        mgr = make_manager(tmp_path, echo_executor())
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mgr.submit("t", specs(1), seed=seed)
+        assert mgr.jobs == {}
+        mgr.close()
+        assert JobJournal(tmp_path / "journal", fsync=False).replay() == []
+
     def test_campaign_decomposition_is_submittable(self, tmp_path):
         units = campaign_job_units(quick=True)
         assert len(units) > 10
@@ -449,6 +460,31 @@ class TestRecovery:
             mgr2.close()
 
         run_async(scenario())
+
+    def test_replay_skips_submit_records_with_non_integer_seeds(
+        self, tmp_path
+    ):
+        """A journal written before seeds were validated may hold a
+        string or float seed: recovery skips that job (and its unit
+        records) instead of raising or resuming it under another seed."""
+        mgr = make_manager(tmp_path, echo_executor())
+        good = mgr.submit("t", specs(1), seed=7)
+        for bad_id, seed in (("str-seed", "abc"), ("float-seed", 1.5)):
+            mgr.journal.append({
+                "t": "submit", "job": bad_id, "tenant": "t", "seed": seed,
+                "created": 0.0, "units": specs(1),
+            })
+            mgr.journal.append(
+                {"t": "unit", "job": bad_id, "i": 0, "state": "done"}
+            )
+        mgr.close()
+
+        mgr2 = make_manager(tmp_path, echo_executor())
+        info = mgr2.recover()
+        assert set(mgr2.jobs) == {good.job_id}
+        assert mgr2.get(good.job_id).seed == 7
+        assert info["jobs"] == 1
+        mgr2.close()
 
     def test_rotation_compacts_and_preserves_state(self, tmp_path):
         async def scenario():

@@ -97,6 +97,40 @@ class TestJobOps:
 
         asyncio.run(scenario())
 
+    def test_runner_crash_retries_each_job_unit(self, tmp_path):
+        """A runner that raises fails the whole job batch, and the job
+        tier retries every unit of it (here to success)."""
+        calls = []
+
+        def flaky_runner(units):
+            calls.append(len(units))
+            if len(calls) == 1:
+                raise RuntimeError("worker lost")
+            return label_runner(units)
+
+        async def scenario():
+            server, run_task = await start_server(
+                tmp_path, runner=flaky_runner
+            )
+            reader, writer = await connect(server)
+            sub = await request(
+                reader, writer,
+                {"op": "submit", "id": 1, "tenant": "alice", "units": UNITS},
+            )
+            job = await wait_job_state(
+                reader, writer, sub["job_id"], ("done", "failed")
+            )
+            stats = await request(reader, writer, {"op": "stats", "id": 2})
+            await request(reader, writer, {"op": "shutdown", "id": 3})
+            await run_task
+            writer.close()
+            return job, stats["jobs"]
+
+        job, totals = asyncio.run(scenario())
+        assert job["state"] == "done" and job["done"] == 3
+        assert calls[0] == 3 and sum(calls[1:]) == 3
+        assert totals["units_retried"] == 3
+
     def test_status_without_id_lists_all_jobs(self, tmp_path):
         async def scenario():
             server, run_task = await start_server(tmp_path)

@@ -303,14 +303,13 @@ class TestByteIdentity:
         return json.dumps(value, sort_keys=True)
 
     def test_router_and_peer_fill_serve_identical_bytes(self, tmp_path):
-        """REAL units (jobs=1: inline in-thread execution, no pool),
-        served four ways — direct run_unit, single-process server,
+        """REAL units, served four ways — direct run_unit, single-process server,
         through the router, and via a peer's cache_peek+probe fill —
         must all canonicalise to identical bytes."""
 
         async def scenario():
             router, backends, tasks = await start_cluster(
-                tmp_path, n=2, runner=None, jobs=1
+                tmp_path, n=2, runner=None
             )
             reader, writer = await connect(router.port)
             via_router = {}

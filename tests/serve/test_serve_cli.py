@@ -65,6 +65,35 @@ class TestServeArgs:
             serve_main([flag, value])
         assert excinfo.value.code == 2
 
+    def test_serve_sets_the_switch_interval_before_the_loop(
+        self, monkeypatch, tmp_path
+    ):
+        """``repro serve`` shortens the GIL switch interval before its
+        event loop starts, and ``--jobs`` is parsed but changes
+        nothing."""
+        import asyncio
+        import sys as _sys
+
+        from repro.serve import cli as serve_cli
+
+        seen = []
+
+        def fake_run(coro):
+            seen.append(_sys.getswitchinterval())
+            coro.close()
+            return 0
+
+        monkeypatch.setattr(asyncio, "run", fake_run)
+        before = _sys.getswitchinterval()
+        try:
+            assert serve_cli.serve_main(
+                ["--jobs", "3", "--no-jobs", "--cache-dir", str(tmp_path)]
+            ) == 0
+        finally:
+            _sys.setswitchinterval(before)
+        assert seen == [pytest.approx(serve_cli.SWITCH_INTERVAL_S)]
+        assert serve_cli.SWITCH_INTERVAL_S == 0.0005
+
     def test_loadtest_requires_a_port(self, capsys):
         from repro.serve.cli import loadtest_main
 
@@ -98,6 +127,7 @@ class TestServeLoadtestEndToEnd:
         try:
             ready = proc.stdout.readline()
             assert "listening on" in ready, ready
+            assert "jobs=" not in ready, ready
             port = int(ready.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
 
             # Warm the cache, then measure — the warm pass must clear

@@ -416,15 +416,19 @@ class TestCacheStability:
                 monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
             else:
                 monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
-            # Fresh worker-side memos so each pass recomputes from cold.
-            monkeypatch.setattr(punits, "_studies", {})
-            monkeypatch.setattr(punits, "_clusters", {})
+            # Fresh study and cluster memos so each pass recomputes
+            # from cold.
+            punits._plan_study.cache_clear()
+            punits._cluster_for.cache_clear()
             root = tmp_path / label
             cache = ResultCache(root, max_bytes=0)
             for kind, params in units:
                 key = unit_key(kind, params, 0, fingerprint=PINNED_FP)
                 cache.put(key, punits.execute_unit(kind, params, 0), kind=kind)
             roots[label] = root
+        # Leave no study memoized under the scalar oracle behind.
+        punits._plan_study.cache_clear()
+        punits._cluster_for.cache_clear()
         vec_files = sorted(
             p.relative_to(roots["vec"]) for p in roots["vec"].rglob("*.json")
         )
