@@ -27,19 +27,32 @@ Quickstart::
     print(study.headline_hpl())   # ~97 GFLOPS, ~51%, ~120 MFLOPS/W
 """
 
-from repro.core.study import MobileSoCStudy
-from repro.arch.catalog import PLATFORMS, get_platform
-from repro.kernels.registry import KERNELS, get_kernel
-from repro.cluster.cluster import tibidabo
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "MobileSoCStudy",
-    "PLATFORMS",
-    "get_platform",
-    "KERNELS",
-    "get_kernel",
-    "tibidabo",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Resolved on first access
+#: (PEP 562), so ``import repro`` loads no model code and no numpy: the
+#: ``python -m repro`` entry point runs before either.
+_EXPORTS = {
+    "MobileSoCStudy": "repro.core.study",
+    "PLATFORMS": "repro.arch.catalog",
+    "get_platform": "repro.arch.catalog",
+    "KERNELS": "repro.kernels.registry",
+    "get_kernel": "repro.kernels.registry",
+    "tibidabo": "repro.cluster.cluster",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -185,7 +185,7 @@ def _model_schedule(cfg: HPLConfig, clocks: schedule.Clocks) -> None:
         cur_nb = min(nb, rows)
         owner = _owner(k, size)
         nbytes = rows * cur_nb * 8 + cur_nb * 4
-        occ, xfer = trees.prices(nbytes)
+        occ, xfer = clocks.prices(nbytes)
         totals = sent_from.setdefault(owner, [0, 0])
         totals[0] += 1
         totals[1] += nbytes

@@ -66,14 +66,20 @@ def _pingpong_rank(ctx: RankContext, reps: int, payload: SyntheticPayload):
 
 def _pingpong_schedule(clocks: Clocks, nbytes: int, reps: int) -> None:
     """Event-free :func:`_pingpong_rank`: each message is one send on
-    its sender's clock and one blocking receive on its peer's."""
+    its sender's clock and one blocking receive on its peer's, with one
+    price per link class."""
     now = clocks.now
+    classes = clocks.pattern("shift", 1)[1]  # 0 -> 1 and 1 -> 0
+    occ, xfer = clocks.prices(nbytes)
     for _ in range(reps):
         for src in (0, 1):
-            occ, xfer = clocks._send(src, 1 - src, nbytes)
-            arrival = now[src] + xfer
-            now[src] = now[src] + occ
+            c = classes[src]
+            arrival = now[src] + xfer[c]
+            now[src] = now[src] + occ[c]
             clocks._recv(1 - src, arrival)
+    for st in clocks.stats:
+        st.messages_sent += reps
+        st.bytes_sent += reps * nbytes
 
 
 def ping_pong(

@@ -21,11 +21,18 @@ with the compute around them (:func:`repro.apps.hpl._model_schedule`).
 the same operations, in the same order, on the same operands as
 :mod:`repro.mpi.api` and :mod:`repro.mpi.collectives` — times come from
 the same ``network.transfer_time_s``/``sender_occupancy_s`` functions
-(called on the same pair, or on another pair of the same
-``network.link_class``), a receive that ties its arrival resumes at the
-same float either way (the mailbox race), and per-rank stats accumulate
-in program order.  The makespan is the latest final clock, which is the
-last event the engine would have dispatched.
+(called on another pair of the same ``network.link_class``: untraced,
+they depend on that class and the size only, a property the tests draw
+over every stack, link and cluster size), a receive that ties its
+arrival resumes at the same float either way (the mailbox race), and
+per-rank stats accumulate in program order.  The makespan is the latest
+final clock, which is the last event the engine would have dispatched.
+
+Every shape therefore prices a message size once per link class
+(:meth:`Clocks.prices`), and reads each rank's class from a table built
+once per run (:meth:`Clocks.pattern`, :class:`BcastTrees`): Tibidabo
+has two classes, within a leaf switch and across the core, plus
+self-sends.
 """
 
 from __future__ import annotations
@@ -61,8 +68,13 @@ class Clocks:
         self.now = [0.0] * self.size
         self.stats = [RankStats() for _ in range(self.size)]
         self.network = network
-        self.transfer = network.transfer_time_s
-        self.occupancy = network.sender_occupancy_s
+        # Link classes met so far (class -> index) and the first pair of
+        # each, on which the class is priced.
+        self._class_index: dict[Any, int] = {}
+        self._class_pairs: list[tuple[int, int]] = []
+        self._patterns: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+        # nbytes -> per-class (occupancy, transfer); bounded by the run.
+        self._prices: dict[int, tuple[list[float], list[float]]] = {}
 
     @property
     def makespan_s(self) -> float:
@@ -79,15 +91,48 @@ class Clocks:
         for r in range(self.size):
             self.compute_flops(r, flops)
 
-    def _send(self, src: int, dst: int, nbytes: int) -> tuple[float, float]:
-        """Account one ``isend``; returns ``(occupancy, transfer)``."""
-        st = self.stats[src]
-        st.messages_sent += 1
-        st.bytes_sent += nbytes
-        return (
-            self.occupancy(src, dst, nbytes),
-            self.transfer(src, dst, nbytes),
-        )
+    def pattern(self, kind: str, k: int) -> tuple[list[int], list[int]]:
+        """``(dst, class index)`` per sender of one send pattern, built
+        once per run: ``("shift", k)`` sends every rank ``r`` to
+        ``(r + k) % size``; ``("xor", m)`` sends ``r`` to ``r ^ m`` over
+        the largest power-of-two block of ranks (recursive doubling).
+        A class index points into :meth:`prices`."""
+        if kind == "shift":
+            k %= self.size
+        key = (kind, k)
+        got = self._patterns.get(key)
+        if got is None:
+            size = self.size
+            if kind == "shift":
+                dst = [(r + k) % size for r in range(size)]
+            else:
+                dst = [r ^ k for r in range(1 << (size.bit_length() - 1))]
+            index, pairs = self._class_index, self._class_pairs
+            link_class = self.network.link_class
+            classes = []
+            for r, d in enumerate(dst):
+                cls = link_class(r, d)
+                if cls not in index:
+                    index[cls] = len(pairs)
+                    pairs.append((r, d))
+                classes.append(index[cls])
+            got = self._patterns[key] = (dst, classes)
+        return got
+
+    def prices(self, nbytes: int) -> tuple[list[float], list[float]]:
+        """``(occupancy, transfer)`` of one ``nbytes`` message, indexed
+        by link class: the network is called once per class, on the
+        class's first pair."""
+        got = self._prices.get(nbytes)
+        pairs = self._class_pairs
+        if got is None or len(got[0]) < len(pairs):
+            occupancy = self.network.sender_occupancy_s
+            transfer = self.network.transfer_time_s
+            got = self._prices[nbytes] = (
+                [occupancy(s, d, nbytes) for s, d in pairs],
+                [transfer(s, d, nbytes) for s, d in pairs],
+            )
+        return got
 
     def _recv(self, rank: int, arrival: float) -> None:
         """A blocking receive, posted now, of a message landing at
@@ -104,36 +149,24 @@ class BcastTrees:
 
     In a binomial tree every send goes from a rank ``r`` to
     ``(r + 2**j) % size``, so the edges of all roots' trees are the
-    ``size * ceil(log2 size)`` pairs tabulated once here; a root's tree
-    picks, for each virtual rank, the run of rounds it forwards in.
-    Untraced ``transfer_time_s``/``sender_occupancy_s`` are functions of
-    ``(network.link_class(src, dst), nbytes)`` only, so :meth:`prices`
-    calls them once per class, on the class's first edge, instead of
-    once per message (Tibidabo has two classes: within a leaf switch
-    and across the core).
+    ``ceil(log2 size)`` shift patterns of :meth:`Clocks.pattern`; a
+    root's tree picks, for each virtual rank, the run of rounds it
+    forwards in.  A broadcast of ``nbytes`` reads each edge's times from
+    ``clocks.prices(nbytes)`` by its class index.
     """
 
     def __init__(self, clocks: Clocks) -> None:
         self._clocks = clocks
         size = clocks.size
-        link_class = clocks.network.link_class
         masks = []
         while (1 << len(masks)) < size:
             masks.append(1 << len(masks))
-        index: dict[Any, int] = {}
-        self._pairs: list[tuple[int, int]] = []  # one edge per class
+        rounds = [clocks.pattern("shift", mask) for mask in masks]
         # _edges[r][j]: r's round-j send, (dst, class index).
-        self._edges: list[tuple[tuple[int, int], ...]] = []
-        for r in range(size):
-            row = []
-            for mask in masks:
-                dst = (r + mask) % size
-                cls = link_class(r, dst)
-                if cls not in index:
-                    index[cls] = len(self._pairs)
-                    self._pairs.append((r, dst))
-                row.append((dst, index[cls]))
-            self._edges.append(tuple(row))
+        self._edges: list[tuple[tuple[int, int], ...]] = [
+            tuple((dst[r], cls[r]) for dst, cls in rounds)
+            for r in range(size)
+        ]
         # A non-root receives in the round of its highest set bit and
         # forwards in every later round that reaches a rank.
         self._rounds: list[tuple[int, int]] = []
@@ -157,30 +190,21 @@ class BcastTrees:
                 tree.append((r, edges[r][lo:hi]))
         return tree
 
-    def prices(self, nbytes: int) -> tuple[list[float], list[float]]:
-        """``(occupancy, transfer)`` of one ``nbytes`` message, indexed
-        by class."""
-        occupancy, transfer = self._clocks.occupancy, self._clocks.transfer
-        return (
-            [occupancy(s, d, nbytes) for s, d in self._pairs],
-            [transfer(s, d, nbytes) for s, d in self._pairs],
-        )
-
 
 def _links(
-    clocks: Clocks, dst: list[int], nbytes: int, count: int = 1
+    clocks: Clocks, classes: list[int], nbytes: int, count: int = 1
 ) -> tuple[list[float], list[float]]:
-    """Per-rank ``(occupancy, transfer)`` of rank ``r``'s send to
-    ``dst[r]``, accounting ``count`` such sends on every rank (a ring
-    reuses its links every round; the network times are pure)."""
-    occ, xfer = [], []
-    for r, d in enumerate(dst):
-        st = clocks.stats[r]
+    """Per-rank ``(occupancy, transfer)`` of rank ``r``'s send of class
+    ``classes[r]``, accounting ``count`` such sends on each of those
+    ranks (a ring reuses its links every round; the network times are
+    pure)."""
+    occ, xfer = clocks.prices(nbytes)
+    stats = clocks.stats
+    for r in range(len(classes)):
+        st = stats[r]
         st.messages_sent += count
         st.bytes_sent += count * nbytes
-        occ.append(clocks.occupancy(r, d, nbytes))
-        xfer.append(clocks.transfer(r, d, nbytes))
-    return occ, xfer
+    return [occ[c] for c in classes], [xfer[c] for c in classes]
 
 
 def _pairwise_round(
@@ -210,17 +234,35 @@ def allgather(clocks: Clocks, nbytes: int) -> None:
     size = clocks.size
     if size == 1:
         return
-    right = [(r + 1) % size for r in range(size)]
-    occ, xfer = _links(clocks, right, nbytes, count=size - 1)
+    right, classes = clocks.pattern("shift", 1)
+    occ, xfer = _links(clocks, classes, nbytes, count=size - 1)
     for _ in range(size - 1):
         _pairwise_round(clocks, right, occ, xfer)
+
+
+def _fold(clocks: Clocks, senders: range, offset: int, nbytes: int,
+          arrival: list[float]) -> None:
+    """Each rank ``r`` in ``senders`` sends to ``r + offset`` and goes
+    on: the message lands at ``arrival[r - senders.start]``."""
+    if not senders:
+        return
+    now, stats = clocks.now, clocks.stats
+    classes = clocks.pattern("shift", offset)[1]
+    occ, xfer = clocks.prices(nbytes)
+    for r in senders:
+        st = stats[r]
+        st.messages_sent += 1
+        st.bytes_sent += nbytes
+        c = classes[r]
+        arrival[r - senders.start] = now[r] + xfer[c]
+        now[r] = now[r] + occ[c]
 
 
 def allreduce(clocks: Clocks, nbytes: int) -> None:
     """:func:`repro.mpi.collectives.allreduce`: recursive doubling over
     the largest power-of-two block, with the surplus ranks folded in
     before and out after."""
-    size, now = clocks.size, clocks.now
+    size = clocks.size
     pof2 = 1
     while pof2 * 2 <= size:
         pof2 *= 2
@@ -228,22 +270,16 @@ def allreduce(clocks: Clocks, nbytes: int) -> None:
     # Fold-in: each surplus rank sends to its partner (then blocks on
     # the fold-out reply).
     arrival = [0.0] * rem
-    for r in range(pof2, size):
-        occ, xfer = clocks._send(r, r - pof2, nbytes)
-        arrival[r - pof2] = now[r] + xfer
-        now[r] = now[r] + occ
+    _fold(clocks, range(pof2, size), -pof2, nbytes, arrival)
     for r in range(rem):
         clocks._recv(r, arrival[r])
     mask = 1
     while mask < pof2:
-        partner = [r ^ mask for r in range(pof2)]
-        _pairwise_round(clocks, partner, *_links(clocks, partner, nbytes))
+        partner, classes = clocks.pattern("xor", mask)
+        _pairwise_round(clocks, partner, *_links(clocks, classes, nbytes))
         mask <<= 1
     # Fold-out: return the result to the surplus ranks.
-    for r in range(rem):
-        occ, xfer = clocks._send(r, r + pof2, nbytes)
-        arrival[r] = now[r] + xfer
-        now[r] = now[r] + occ
+    _fold(clocks, range(rem), pof2, nbytes, arrival)
     for r in range(pof2, size):
         clocks._recv(r, arrival[r - pof2])
 
@@ -254,8 +290,8 @@ def sendrecv_shift(clocks: Clocks, nbytes: int, offset: int) -> None:
     at once, resuming when the send's occupancy ends and the message
     has landed; the whole span counts as waiting."""
     size, now, stats = clocks.size, clocks.now, clocks.stats
-    dst = [(r + offset) % size for r in range(size)]
-    occ, xfer = _links(clocks, dst, nbytes)
+    dst, classes = clocks.pattern("shift", offset)
+    occ, xfer = _links(clocks, classes, nbytes)
     arrival = [0.0] * size
     for r in range(size):
         arrival[dst[r]] = now[r] + xfer[r]
@@ -277,16 +313,24 @@ def slab_exchange(clocks: Clocks, nbytes: int) -> None:
     size, now, stats = clocks.size, clocks.now, clocks.stats
     if size == 1:
         return
+    up = clocks.pattern("shift", 1)[1]
+    down = clocks.pattern("shift", -1)[1]
+    occ, xfer = clocks.prices(nbytes)
     t0 = list(now)
     from_below = [0.0] * size  # arrival at r of r - 1's message
     from_above = [0.0] * size  # arrival at r of r + 1's message
     for r in range(size):
         done = t0[r]
-        for dst in (r + 1, r - 1):
+        for dst, classes, lands in (
+            (r + 1, up, from_below), (r - 1, down, from_above)
+        ):
             if 0 <= dst < size:
-                occ, xfer = clocks._send(r, dst, nbytes)
-                (from_below if dst > r else from_above)[dst] = t0[r] + xfer
-                end = t0[r] + occ
+                st = stats[r]
+                st.messages_sent += 1
+                st.bytes_sent += nbytes
+                c = classes[r]
+                lands[dst] = t0[r] + xfer[c]
+                end = t0[r] + occ[c]
                 if end > done:
                     done = end
         now[r] = done

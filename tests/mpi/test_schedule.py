@@ -6,14 +6,25 @@ Figure 7 ping-pong run against the same program on a real
 (1- and 3-hop paths) with per-rank speeds skewed so ranks reach every
 collective at different times.  Makespan and every per-rank
 :class:`~repro.mpi.api.RankStats` must match with ``==``.
+
+Two ``hypothesis`` properties extend the fixed grids: the link-class
+contract the schedules price by (untraced network times depend only on
+``(link_class, nbytes)``), drawn over every stack, link and leaf-switch
+boundary, and random sequences of the shapes on random worlds against
+the engine.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.hpl import HPLConfig, _model_rank, _model_schedule
-from repro.cluster.cluster import tibidabo
+from repro.arch.catalog import PLATFORMS
+from repro.cluster.cluster import ClusterNetwork, tibidabo
+from repro.cluster.node import ClusterNode
 from repro.core.study import FIG7_CONFIGS
 from repro.mpi import schedule
 from repro.mpi.api import MPIWorld, SyntheticPayload, UniformNetwork
@@ -25,7 +36,21 @@ from repro.mpi.benchmarks import (
     ping_pong,
 )
 from repro.mpi.collectives import allgather, allreduce, bcast
-from repro.net.protocol import ProtocolStack
+from repro.net import (
+    FAST_ETHERNET,
+    GBE,
+    INFINIBAND_40G,
+    ONBOARD,
+    OPEN_MX,
+    PCIE,
+    TCP_IP,
+    TEN_GBE,
+    USB3,
+    CPU_PROTOCOL_SPEED,
+    ProtocolStack,
+    Switch,
+    TreeTopology,
+)
 
 SIZES = (1, 2, 3, 4, 5, 7, 8, 13, 50)
 
@@ -64,7 +89,7 @@ def _tree_bcast(clocks, nbytes, root):
     compute fused around it."""
     trees = schedule.BcastTrees(clocks)
     tree = trees.tree(root)
-    occ, xfer = trees.prices(nbytes)
+    occ, xfer = clocks.prices(nbytes)
     arrival = [0.0] * clocks.size
     for r, children in tree:
         if r != root:
@@ -219,3 +244,175 @@ def test_ping_pong_matches_engine(config, repetitions, monkeypatch):
         _pingpong_schedule(clocks, nbytes, repetitions)
         assert clocks.now == want.results, nbytes
         assert clocks.stats == want.stats, nbytes
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+LINKS = (FAST_ETHERNET, GBE, TEN_GBE, INFINIBAND_40G)
+PROTOCOLS = (TCP_IP, OPEN_MX)
+
+#: Message sizes: tiny, around Open-MX's 32 KiB rendezvous threshold,
+#: and anything up to 4 MiB.
+_NBYTES = st.one_of(
+    st.integers(0, 64),
+    st.integers(32 * 1024 - 2, 32 * 1024 + 2),
+    st.integers(0, 4 << 20),
+)
+
+
+@st.composite
+def _cluster_specs(draw, max_size: int = 200):
+    """``(size, build)``: ``build()`` makes a fresh
+    :class:`ClusterNetwork` — nodes of one to three platforms at full
+    or half clock (so one to six stacks), any protocol and link, leaf
+    switches small enough that the ranks span several of them, and a
+    contention factor."""
+    ports = draw(st.sampled_from((2, 4, 8, 48)))
+    size = draw(st.integers(1, min(max_size, 4 * ports)))
+    kinds = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(PLATFORMS)), st.sampled_from((0.5, 1.0))),
+        min_size=1, max_size=3,
+    ))
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    link = draw(st.sampled_from(LINKS))
+    switch = Switch(ports=ports, link=draw(st.sampled_from(LINKS)))
+    contention = draw(st.floats(1.0, 4.0))
+    nodes = []
+    for i in range(size):
+        name, clock = kinds[i % len(kinds)]
+        platform = PLATFORMS[name]
+        nodes.append(ClusterNode(i, platform, clock * platform.soc.max_freq_ghz))
+
+    def build() -> ClusterNetwork:
+        return ClusterNetwork(
+            nodes, TreeTopology(size, switch), protocol=protocol, link=link,
+            contention_factor=contention,
+        )
+
+    return size, build
+
+
+def _prices_by_class(networks, pairs, nbytes) -> dict:
+    """link class -> the set of untraced ``(transfer, occupancy)`` of
+    ``pairs``, each pair priced on a network from ``networks()``."""
+    by_class: dict = {}
+    for src, dst in pairs:
+        net = networks()
+        by_class.setdefault(net.link_class(src, dst), set()).add(
+            (net.transfer_time_s(src, dst, nbytes),
+             net.sender_occupancy_s(src, dst, nbytes))
+        )
+    return by_class
+
+
+def _pairs(size: int):
+    rank = st.integers(0, size - 1)
+    return st.lists(st.tuples(rank, rank), min_size=2, max_size=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_cluster_specs(), data=st.data(), nbytes=_NBYTES)
+def test_cluster_network_prices_depend_only_on_link_class(spec, data, nbytes):
+    """On fresh networks (no memo shared between pairs) and on one
+    shared, memoising network alike, every pair of a link class costs
+    the same: the contract :meth:`Clocks.prices` relies on."""
+    size, build = spec
+    pairs = data.draw(_pairs(size))
+    fresh = _prices_by_class(build, pairs, nbytes)
+    shared_net = build()
+    shared = _prices_by_class(lambda: shared_net, pairs, nbytes)
+    assert all(len(prices) == 1 for prices in fresh.values())
+    assert shared == fresh
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    attachment=st.sampled_from((PCIE, USB3, ONBOARD)),
+    link=st.sampled_from(LINKS),
+    core=st.sampled_from(sorted(CPU_PROTOCOL_SPEED)),
+    freq=st.floats(0.2, 3.0),
+    hop_us=st.floats(0.0, 20.0),
+    pairs=_pairs(6),
+    nbytes=_NBYTES,
+)
+def test_uniform_network_prices_depend_only_on_link_class(
+    protocol, attachment, link, core, freq, hop_us, pairs, nbytes
+):
+    def build() -> UniformNetwork:
+        stack = ProtocolStack(protocol, attachment, link, core, freq)
+        return UniformNetwork(stack, hop_latency_us=hop_us)
+
+    by_class = _prices_by_class(build, pairs, nbytes)
+    assert all(len(prices) == 1 for prices in by_class.values())
+
+
+@st.composite
+def _programs(draw):
+    """A random world and a random sequence of schedule shapes.  One
+    size per shape kind, so every ``(src, dst, tag)`` channel carries
+    same-size messages (the schedules' precondition)."""
+    size, build = draw(_cluster_specs(max_size=24))
+    gflops = draw(st.lists(st.floats(0.25, 4.0), min_size=size, max_size=size))
+    nbytes = {kind: draw(_NBYTES) for kind in ("allgather", "shift", "slab", "bcast")}
+    ops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("compute"), st.lists(
+                st.floats(0.0, 1e8), min_size=size, max_size=size)),
+            st.tuples(st.sampled_from(("allgather", "allreduce", "slab"))),
+            st.tuples(st.just("shift"), st.integers(-size - 1, size + 1)),
+            st.tuples(st.just("bcast"), st.integers(0, size - 1)),
+        ),
+        min_size=1, max_size=8,
+    ))
+    floats = draw(st.integers(1, 4))  # the allreduce payload, in doubles
+    return build(), gflops, nbytes, floats, ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=_programs())
+def test_random_shape_sequences_match_engine(program):
+    network, gflops, nbytes, floats, ops = program
+    size = len(gflops)
+
+    def rank_program(ctx):
+        for op, *args in ops:
+            if op == "compute":
+                yield ctx.compute_flops(args[0][ctx.rank])
+            elif op == "allgather":
+                yield from allgather(ctx, SyntheticPayload(nbytes[op]))
+            elif op == "allreduce":
+                yield from allreduce(ctx, np.ones(floats))
+            elif op == "shift":
+                yield from _des_shift(ctx, nbytes[op], args[0])
+            elif op == "slab":
+                yield from _des_slab(ctx, nbytes[op])
+            else:
+                yield from bcast(ctx, SyntheticPayload(nbytes[op]), root=args[0])
+        return ctx.now
+
+    world = MPIWorld(size, network, rank_gflops=lambda r: gflops[r])
+    want = world.run(rank_program)
+
+    clocks = schedule.Clocks(network, gflops)
+    for op, *args in ops:
+        if op == "compute":
+            for r in range(size):
+                clocks.compute_flops(r, args[0][r])
+        elif op == "allgather":
+            # The ring message is (index, payload): 8 + nbytes + 8.
+            schedule.allgather(clocks, nbytes[op] + 16)
+        elif op == "allreduce":
+            schedule.allreduce(clocks, 8 * floats)
+        elif op == "shift":
+            schedule.sendrecv_shift(clocks, nbytes[op], args[0])
+        elif op == "slab":
+            schedule.slab_exchange(clocks, nbytes[op])
+        else:
+            _tree_bcast(clocks, nbytes[op], root=args[0])
+
+    assert clocks.makespan_s == want.makespan_s
+    assert clocks.now == want.results
+    assert clocks.stats == want.stats

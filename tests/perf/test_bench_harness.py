@@ -336,10 +336,31 @@ class TestSuitesAndCli:
         names = [r.name for r in results]
         assert names == [
             "campaign.quick_serial", "campaign.quick_cold_cache",
-            "campaign.quick_warm_cache",
+            "campaign.quick_warm_cache", "campaign.warm_cpu_ms",
         ]
-        assert set(ref) == set(names)
+        # The start-up floor makes no speedup claim.
+        assert set(ref) == set(names) - {"campaign.warm_cpu_ms"}
         validate_bench_doc(suite_doc("campaign", results, ref))
+
+    def test_warm_cpu_ms_times_one_all_hit_process(self, tmp_path):
+        """``campaign.warm_cpu_ms`` is the CPU of a ``repro all --quick``
+        process whose every unit hits the cache, with a unit and a
+        direction per extra; a cache that misses is refused."""
+        from repro.parallel.runner import run_campaign
+        from repro.perf.suites import _warm_cpu_result
+
+        with pytest.raises(RuntimeError, match="missed the cache"):
+            _warm_cpu_result(str(tmp_path / "empty"), runs=1)
+        run_campaign(quick=True, cache_dir=tmp_path / "cache")
+        result = _warm_cpu_result(str(tmp_path / "cache"), runs=2)
+        assert result.name == "campaign.warm_cpu_ms" and result.repeats == 2
+        extras = result.extras
+        assert extras["cpu_ms"] > 0 and extras["host_cpus"] >= 1
+        assert set(extras["units"]) == set(extras["better"]) == {
+            "cpu_ms", "host_cpus",
+        }
+        assert extras["better"]["cpu_ms"] == "lower"
+        validate_bench_doc(suite_doc("campaign", [result]))
 
     def test_hot_during_sims_records_the_hot_tail(self):
         """One ``repro serve`` boot, no pool: the hot-hit tail during
