@@ -22,19 +22,36 @@ plan, never by completion order.  DESIGN.md section 10 carries the full
 argument.
 """
 
-from repro.parallel.cache import CacheStats, ResultCache, code_fingerprint, unit_key
-from repro.parallel.runner import CampaignReport, run_campaign, run_units
-from repro.parallel.units import WorkUnit, campaign_units, execute_unit
+#: Public name -> the module that defines it, resolved on first access
+#: (PEP 562), so ``repro.parallel.cache`` loads without the runner, the
+#: unit kinds and the simulator behind them.
+_EXPORTS = {
+    "CacheStats": "repro.parallel.cache",
+    "CampaignReport": "repro.parallel.runner",
+    "ResultCache": "repro.parallel.cache",
+    "WorkUnit": "repro.parallel.units",
+    "campaign_units": "repro.parallel.units",
+    "code_fingerprint": "repro.parallel.cache",
+    "execute_unit": "repro.parallel.units",
+    "run_campaign": "repro.parallel.runner",
+    "run_units": "repro.parallel.runner",
+    "unit_key": "repro.parallel.cache",
+}
 
-__all__ = [
-    "CacheStats",
-    "CampaignReport",
-    "ResultCache",
-    "WorkUnit",
-    "campaign_units",
-    "code_fingerprint",
-    "execute_unit",
-    "run_campaign",
-    "run_units",
-    "unit_key",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.parallel' has no attribute {name!r}"
+        )
+    import importlib
+
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -71,39 +71,40 @@ protocol across backends; :mod:`~repro.serve.cli` is the
 :mod:`~repro.serve.jobs_cli` the ``repro jobs`` one.
 """
 
-from repro.serve.client import RingClient, request_once
-from repro.serve.frontend import (
-    CampaignFrontEnd,
-    Overloaded,
-    ServeConfig,
-    ServeStats,
-    percentile,
-)
-from repro.serve.jobs import Job, JobManager, JobsConfig
-from repro.serve.journal import JobJournal
-from repro.serve.router import (
-    CachePeerFill,
-    HashRing,
-    ServeRouter,
-    route_key,
-    topology_epoch,
-)
+#: Public name -> the module that defines it, resolved on first access
+#: (PEP 562): ``repro cluster-serve``'s router process imports only the
+#: router and the wire, not the front end, its cache and the simulator.
+_EXPORTS = {
+    "CachePeerFill": "repro.serve.router",
+    "CampaignFrontEnd": "repro.serve.frontend",
+    "HashRing": "repro.serve.router",
+    "Job": "repro.serve.jobs",
+    "JobJournal": "repro.serve.journal",
+    "JobManager": "repro.serve.jobs",
+    "JobsConfig": "repro.serve.jobs",
+    "Overloaded": "repro.serve.frontend",
+    "RingClient": "repro.serve.client",
+    "ServeConfig": "repro.serve.frontend",
+    "ServeRouter": "repro.serve.router",
+    "ServeStats": "repro.serve.frontend",
+    "percentile": "repro.serve.frontend",
+    "request_once": "repro.serve.client",
+    "route_key": "repro.serve.router",
+    "topology_epoch": "repro.serve.router",
+}
 
-__all__ = [
-    "CachePeerFill",
-    "CampaignFrontEnd",
-    "HashRing",
-    "Job",
-    "JobJournal",
-    "JobManager",
-    "JobsConfig",
-    "Overloaded",
-    "RingClient",
-    "ServeConfig",
-    "ServeRouter",
-    "ServeStats",
-    "percentile",
-    "request_once",
-    "route_key",
-    "topology_epoch",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")
+    import importlib
+
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -11,7 +11,10 @@ funnel, cheapest mechanism first:
    anything any previous run (or process) already computed; a bounded
    in-memory LRU (``hot_values``) fronts it, so the hot set skips the
    disk read *and* hands the transport the same value object every
-   time (which is what makes the binary wire's encode memo hit);
+   time (which is what makes the binary wire's encode memo hit).  The
+   LRU is looked up first, by the synchronous
+   :meth:`CampaignFrontEnd.submit_nowait`, which the transport calls
+   on its read path;
 3. **micro-batch** — the distinct misses that remain are collected for
    ``batch_window_s`` (up to ``max_batch``) and executed with per-unit
    failure isolation, so a bad query fails only itself.  The sweep
@@ -63,7 +66,7 @@ import math
 import sys
 import time
 import traceback
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,9 +76,7 @@ from repro.obs.recorder import current as _obs_current
 from repro.parallel import runner as _runner
 from repro.parallel.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, unit_key
 from repro.parallel.units import UnitFailure, WorkUnit, execute_batch
-
-#: The queryable work-unit kinds (the campaign decomposition's own).
-UNIT_KINDS = ("sweep_base", "sweep_point", "fig6_point", "headline")
+from repro.serve.wire import UNIT_KINDS
 
 #: Kinds a query batch computes inline on the event-loop thread; the
 #: rest (simulations) go to the executor thread.
@@ -86,6 +87,10 @@ SERVED_CACHE = "cache"
 SERVED_COALESCED = "coalesced"
 SERVED_COMPUTED = "computed"
 SERVED_PEER = "peer"  # filled from the key's home shard's cache
+
+#: Latency samples :class:`ServeStats` keeps: the most recent ones, so
+#: a long-lived server's p50/p99 describe its recent traffic.
+LATENCY_WINDOW = 1_000_000
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -157,7 +162,9 @@ class ServeStats:
     direct: int = 0        #: queries tagged via="direct" by a ring client
     batches: int = 0       #: run_units calls issued
     batched_units: int = 0  #: distinct units across all batches
-    latencies_s: list[float] = field(default_factory=list)
+    latencies_s: deque[float] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
 
     @property
     def hit_ratio(self) -> float:
@@ -174,9 +181,8 @@ class ServeStats:
         return self.batched_units / self.batches if self.batches else 0.0
 
     def record_latency(self, seconds: float) -> None:
-        # Bounded: a long-lived server must not grow without limit.
-        if len(self.latencies_s) < 1_000_000:
-            self.latencies_s.append(seconds)
+        # Bounded: past the window the oldest sample drops out.
+        self.latencies_s.append(seconds)
 
     def snapshot(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -364,17 +370,51 @@ class CampaignFrontEnd:
         return time.perf_counter() - self._t0
 
     # -- the funnel --------------------------------------------------------
+    def _check_kind(self, kind: str) -> None:
+        if kind not in UNIT_KINDS:
+            raise ValueError(
+                f"unknown work-unit kind {kind!r} "
+                f"(one of: {', '.join(UNIT_KINDS)})"
+            )
+
+    def submit_nowait(
+        self, kind: str, params: dict[str, Any]
+    ) -> tuple[Any, str] | None:
+        """The synchronous half of :meth:`submit`: a hot-LRU hit,
+        counted and returned as ``(value, "cache")``, or ``None`` when
+        the key needs the rest of the funnel.  The transport answers a
+        hit on its read path with it, without a task.
+
+        Raises ``ValueError`` for an unknown unit kind.
+        """
+        self._check_kind(kind)
+        hot = self._hot_values
+        if hot is None:
+            return None
+        t_in = time.perf_counter()
+        key = (kind, json.dumps(params, sort_keys=True))
+        value = hot.get(key, MISS)
+        if value is MISS:
+            return None
+        hot.move_to_end(key)
+        self.stats.accepted += 1
+        self.stats.cache_hits += 1
+        self.stats.hot_hits += 1
+        rec = _obs_current()
+        if rec is not None:
+            rec.bump("serve.hit")
+        self.stats.record_latency(time.perf_counter() - t_in)
+        return value, SERVED_CACHE
+
     async def submit(self, kind: str, params: dict[str, Any]) -> tuple[Any, str]:
         """Resolve one campaign query; returns ``(value, served_by)``.
 
         Raises :class:`Overloaded` when admission control refuses the
         request and ``ValueError`` for an unknown unit kind.
         """
-        if kind not in UNIT_KINDS:
-            raise ValueError(
-                f"unknown work-unit kind {kind!r} "
-                f"(one of: {', '.join(UNIT_KINDS)})"
-            )
+        hit = self.submit_nowait(kind, params)
+        if hit is not None:
+            return hit
         t_in = time.perf_counter()
         key = (kind, json.dumps(params, sort_keys=True))
         rec = _obs_current()
@@ -393,19 +433,6 @@ class CampaignFrontEnd:
                 raise
             self.stats.record_latency(time.perf_counter() - t_in)
             return value, SERVED_COALESCED
-
-        hot = self._hot_values
-        if hot is not None:
-            value = hot.get(key, MISS)
-            if value is not MISS:
-                hot.move_to_end(key)
-                self.stats.accepted += 1
-                self.stats.cache_hits += 1
-                self.stats.hot_hits += 1
-                if rec is not None:
-                    rec.bump("serve.hit")
-                self.stats.record_latency(time.perf_counter() - t_in)
-                return value, SERVED_CACHE
 
         if self._probe_cache is not None:
             hit = self._probe_cache.get(unit_key(kind, params, self.config.seed))
@@ -494,11 +521,7 @@ class CampaignFrontEnd:
         never consults ``peer_fill`` — the home shard answering a
         peer's probe with another probe would recurse across the ring.
         """
-        if kind not in UNIT_KINDS:
-            raise ValueError(
-                f"unknown work-unit kind {kind!r} "
-                f"(one of: {', '.join(UNIT_KINDS)})"
-            )
+        self._check_kind(kind)
         if self._probe_cache is None:
             return MISS
         value = self._probe_cache.get(unit_key(kind, params, self.config.seed))

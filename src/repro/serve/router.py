@@ -17,7 +17,9 @@ the single-process tier's cache economics:
   towards the router, and the router's backend links may go binary
   towards the shards, independently.  ``query`` and
   ``probe`` ops forward to the key's home shard over one multiplexed
-  connection per backend (:class:`BackendLink`); the backend's response
+  connection per backend (:class:`BackendLink`), straight from the
+  client connection's read loop, and the link's read loop writes the
+  answer back through a reply callback; the backend's response
   is proxied verbatim (only the ``id`` is remapped, and the framing
   re-encoded for the client's negotiated wire), so the serving
   skin — values, ``served``, error shapes, ``retry_after_s`` — is
@@ -51,7 +53,7 @@ import hashlib
 import json
 import socket
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.parallel.cache import MISS
 from repro.serve.wire import (
@@ -173,14 +175,24 @@ class HashRing:
         return shares
 
 
+#: A reply callback: ``(reply doc, None)`` on an answer, ``(None, exc)``
+#: on link loss or timeout.  It runs on the link's read loop, so it
+#: must not block and must not raise.
+ReplyCallback = Callable[[dict[str, Any] | None, Exception | None], None]
+
+
 class BackendLink:
     """One multiplexed connection to one backend.
 
     Requests from many router connections share this link; responses
     are matched back by an internal id (the caller's wire id never
     travels on the link, so concurrent clients reusing ids cannot
-    collide).  A link failure fails every outstanding request with
-    ``ConnectionError`` and the next request reconnects lazily.
+    collide).  One table holds a reply callback per outstanding id:
+    :meth:`send` writes a request and registers its callback, and the
+    link's read loop calls it with the reply.  A link failure calls
+    every outstanding callback with ``ConnectionError``; the next
+    :meth:`connect` reconnects.  :meth:`request` is the awaitable form
+    over the same table.
 
     ``wire="binary"`` negotiates the ``binary1`` framing on connect
     (:meth:`~repro.serve.wire.WireConnection.negotiate`); a peer that
@@ -203,13 +215,14 @@ class BackendLink:
         self.wire = wire
         self._encode_memo = encode_memo
         self._decode_memo = decode_memo
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
         self._conn: WireConnection | None = None
         self._read_task: asyncio.Task | None = None
-        self._lock = asyncio.Lock()
+        self._connect_lock = asyncio.Lock()
         self._next_id = 0
-        self._waiting: dict[int, asyncio.Future] = {}
+        #: link id -> (reply callback, its timeout handle or None)
+        self._pending: dict[
+            int, tuple[ReplyCallback, asyncio.TimerHandle | None]
+        ] = {}
 
     @property
     def wire_active(self) -> str:
@@ -218,26 +231,41 @@ class BackendLink:
         conn = self._conn
         return conn.wire if conn is not None else "json"
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None and not self._writer.is_closing():
+    @property
+    def connected(self) -> bool:
+        conn = self._conn
+        return conn is not None and not conn.writer.is_closing()
+
+    async def connect(self) -> None:
+        """Open the link if it is not open; concurrent callers share one
+        attempt.  Raises ``ConnectionError``/``OSError`` on failure."""
+        if self.connected:
             return
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        conn = WireConnection(
-            self._reader, self._writer,
-            allow_binary=False,
-            encode_memo=self._encode_memo,
-            decode_memo=self._decode_memo,
-        )
-        if self.wire == "binary":
-            # Negotiation runs before the read loop exists, so the ack
-            # cannot race a concurrent request's response.
-            await conn.negotiate()
-        self._conn = conn
-        self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop(conn)
-        )
+        async with self._connect_lock:
+            if self.connected:
+                return
+            reader, writer = await asyncio.open_connection(
+                self.host, self.port
+            )
+            conn = WireConnection(
+                reader, writer,
+                allow_binary=False,
+                encode_memo=self._encode_memo,
+                decode_memo=self._decode_memo,
+            )
+            conn.limit_writes()
+            if self.wire == "binary":
+                # Negotiation runs before the read loop exists, so the
+                # ack cannot race a concurrent request's response.
+                try:
+                    await conn.negotiate()
+                except BaseException:
+                    writer.close()
+                    raise
+            self._conn = conn
+            self._read_task = asyncio.get_running_loop().create_task(
+                self._read_loop(conn)
+            )
 
     async def _read_loop(self, conn: WireConnection) -> None:
         try:
@@ -250,73 +278,120 @@ class BackendLink:
                     ) from exc
                 if doc is None:
                     raise ConnectionError(f"backend {self.name}: EOF")
-                fut = self._waiting.pop(doc.get("id"), None)
-                if fut is not None and not fut.done():
-                    fut.set_result(doc)
+                entry = self._pending.pop(doc.get("id"), None)
+                if entry is not None:
+                    callback, timer = entry
+                    if timer is not None:
+                        timer.cancel()
+                    callback(doc, None)
         except (ConnectionError, OSError) as exc:
-            self._fail_outstanding(exc)
+            self._fail_outstanding(exc, conn)
         except asyncio.CancelledError:
             self._fail_outstanding(ConnectionError(
                 f"backend {self.name}: link closed"
-            ))
+            ), conn)
             raise
 
-    def _fail_outstanding(self, exc: Exception) -> None:
-        waiting, self._waiting = self._waiting, {}
-        for fut in waiting.values():
-            if not fut.done():
-                fut.set_exception(exc)
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-            self._reader = None
+    def _fail_outstanding(
+        self, exc: Exception, conn: WireConnection | None = None
+    ) -> None:
+        """Drop the connection and fail every outstanding request.
+        With ``conn``, only if it is still the live connection: an old
+        connection's read loop ending late must not fail requests sent
+        on its successor (they were all failed when it was dropped)."""
+        if conn is not None and conn is not self._conn:
+            return
+        if self._conn is not None:
+            self._conn.writer.close()
             self._conn = None
+        pending, self._pending = self._pending, {}
+        for callback, timer in pending.values():
+            if timer is not None:
+                timer.cancel()
+            callback(None, exc)
+
+    def send(
+        self,
+        doc: dict[str, Any],
+        callback: ReplyCallback,
+        timeout_s: float | None = None,
+    ) -> int:
+        """Write ``doc`` (its ``id`` is overwritten) without waiting and
+        register ``callback`` for the answer; returns the link id.  Past
+        ``timeout_s`` the callback gets ``asyncio.TimeoutError``.  On a
+        link that is not connected, or a failed write, it gets
+        ``ConnectionError`` before this returns."""
+        self._next_id += 1
+        link_id = self._next_id
+        conn = self._conn
+        if conn is None:
+            callback(None, ConnectionError(
+                f"backend {self.name}: not connected"
+            ))
+            return link_id
+        timer = None
+        if timeout_s is not None:
+            timer = asyncio.get_running_loop().call_later(
+                timeout_s, self._expire, link_id, timeout_s
+            )
+        self._pending[link_id] = (callback, timer)
+        wire_doc = dict(doc)
+        wire_doc["id"] = link_id
+        try:
+            conn.write_request(wire_doc)
+        except (ConnectionError, OSError) as exc:
+            self._fail_outstanding(ConnectionError(
+                f"backend {self.name}: send failed: {exc}"
+            ))
+        return link_id
+
+    def _expire(self, link_id: int, timeout_s: float) -> None:
+        entry = self._pending.pop(link_id, None)
+        if entry is not None:
+            entry[0](None, asyncio.TimeoutError(
+                f"backend {self.name}: no answer within {timeout_s} s"
+            ))
+
+    def _forget(self, link_id: int) -> None:
+        entry = self._pending.pop(link_id, None)
+        if entry is not None and entry[1] is not None:
+            entry[1].cancel()
+
+    async def drain_if_full(self) -> None:
+        """Flow control for :meth:`send`: wait while the link holds more
+        than :data:`~repro.serve.wire.WRITE_HIGH_WATER` unsent bytes."""
+        conn = self._conn
+        if conn is not None:
+            try:
+                await conn.drain_if_full()
+            except (ConnectionError, OSError) as exc:
+                self._fail_outstanding(ConnectionError(
+                    f"backend {self.name}: send failed: {exc}"
+                ), conn)
 
     async def request(
         self, doc: dict[str, Any], timeout_s: float | None = None
     ) -> dict[str, Any]:
         """Send ``doc`` (its ``id`` is overwritten) and await the
         matching response.  Raises ``ConnectionError`` on link loss and
-        ``asyncio.TimeoutError`` past ``timeout_s``.
-
-        The lock covers connecting, id allocation and the buffered
-        write only; ``drain()`` happens OUTSIDE it.  Pre-fix the drain
-        ran under the lock, so one backpressured backend
-        head-of-line-blocked every concurrent request on the link at
-        send time — waiting on socket flow control is exactly the part
-        that needs no mutual exclusion (the write buffer is appended
-        atomically, and concurrent drains are supported waiters).
-        """
+        ``asyncio.TimeoutError`` past ``timeout_s``."""
+        await self.connect()
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        async with self._lock:
-            await self._ensure_connected()
-            self._next_id += 1
-            link_id = self._next_id
-            self._waiting[link_id] = fut
-            conn = self._conn
-            assert conn is not None
-            wire_doc = dict(doc)
-            wire_doc["id"] = link_id
-            try:
-                conn.write_request(wire_doc)
-            except (ConnectionError, OSError) as exc:
-                self._fail_outstanding(ConnectionError(str(exc)))
-                raise ConnectionError(
-                    f"backend {self.name}: send failed: {exc}"
-                ) from exc
+
+        def settle(reply: dict[str, Any] | None, exc: Exception | None) -> None:
+            if fut.done():
+                return
+            if exc is not None:
+                fut.set_exception(exc)
+            else:
+                fut.set_result(reply)
+
+        link_id = self.send(doc, settle, timeout_s)
         try:
-            await conn.drain()
-        except (ConnectionError, OSError) as exc:
-            self._fail_outstanding(ConnectionError(str(exc)))
-            raise ConnectionError(
-                f"backend {self.name}: send failed: {exc}"
-            ) from exc
-        try:
-            if timeout_s is None:
-                return await fut
-            return await asyncio.wait_for(fut, timeout_s)
+            await self.drain_if_full()
+            return await fut
         finally:
-            self._waiting.pop(link_id, None)
+            self._forget(link_id)
 
     async def close(self) -> None:
         if self._read_task is not None:
@@ -324,15 +399,13 @@ class BackendLink:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._read_task
             self._read_task = None
-        if self._writer is not None:
-            self._writer.close()
+        conn = self._conn
+        if conn is not None:
+            conn.writer.close()
             with contextlib.suppress(
                 ConnectionResetError, BrokenPipeError, OSError
             ):
-                await self._writer.wait_closed()
-            self._writer = None
-            self._reader = None
-            self._conn = None
+                await conn.writer.wait_closed()
         self._fail_outstanding(ConnectionError(f"backend {self.name}: closed"))
 
 
@@ -574,7 +647,8 @@ class ServeRouter:
             encode_memo=self._client_encode,
             decode_memo=self._client_decode,
         )
-        pending: set[asyncio.Task] = set()
+        conn.limit_writes()
+        client = _Client(conn)
         try:
             while True:
                 try:
@@ -595,13 +669,23 @@ class ServeRouter:
                 op = req.get("op")
                 rid = req.get("id")
                 if op in ("query", "probe"):
-                    # Per-request task, as in ServeServer: one slow
-                    # shard must not serialise a connection's traffic.
-                    sub = asyncio.get_running_loop().create_task(
-                        self._answer_forward(conn, rid, req)
-                    )
-                    pending.add(sub)
-                    sub.add_done_callback(pending.discard)
+                    # Forwarded from the read path: the home shard's
+                    # answer is written by the link's read loop, so one
+                    # slow shard does not serialise this connection.
+                    link = self._route(conn, rid, req)
+                    if link is not None:
+                        try:
+                            if not link.connected:
+                                await link.connect()
+                        except (ConnectionError, OSError) as exc:
+                            self.unavailable += 1
+                            conn.write_response(
+                                _unavailable_doc(rid, link.name, exc)
+                            )
+                        else:
+                            self._forward_inline(client, rid, req, link)
+                            await link.drain_if_full()
+                    await conn.drain_if_full()
                 elif op == "stats":
                     await self._send(conn, await self._answer_stats(rid))
                 elif op == "locate":
@@ -631,16 +715,16 @@ class ServeRouter:
                         {"id": rid, "ok": False, "error": "bad_request",
                          "detail": f"unknown op {op!r}"},
                     )
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            # Answer what was read before EOF, then close.
+            await client.settled()
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            # Shutdown cancels straggler connections only once every
+            # forward is answered; finishing normally keeps asyncio's
+            # streams helper from logging the cancellation.
+            pass
         finally:
-            for sub in pending:
-                sub.cancel()
             self._conn_tasks.discard(task)
             writer.close()
             with contextlib.suppress(
@@ -648,47 +732,66 @@ class ServeRouter:
             ):
                 await writer.wait_closed()
 
-    async def _answer_forward(
-        self,
-        conn: WireConnection,
-        rid: Any,
-        req: dict[str, Any],
-    ) -> None:
+    def _route(
+        self, conn: WireConnection, rid: Any, req: dict[str, Any]
+    ) -> BackendLink | None:
+        """The link a ``query``/``probe`` goes to, or ``None`` once it
+        has been answered here: a malformed request, a draining router
+        or an opt-in redirect."""
         kind = req.get("kind")
         params = req.get("params")
         if not isinstance(kind, str) or not isinstance(params, dict):
-            await self._send(
-                conn,
+            conn.write_response(
                 {"id": rid, "ok": False, "error": "bad_request",
                  "detail": f"{req.get('op')} needs a string 'kind' "
                  "and object 'params'"},
             )
-            return
+            return None
         if self._draining:
             self.rejected_draining += 1
-            await self._send(
-                conn,
+            conn.write_response(
                 {"id": rid, "ok": False, "error": "overloaded",
                  "reason": "draining", "retry_after_s": 1.0},
             )
-            return
+            return None
         home = self.ring.home(route_key(kind, params))
         if req.get("op") == "query" and req.get("redirect"):
             # Opt-in client redirect: answer with the home shard's
             # address instead of proxying — the client connects direct
             # and the router's single process leaves the data path.
             self.redirected += 1
-            await self._send(conn, self._redirect_doc(rid, home))
-            return
-        doc = await self._forward(home, rid, req)
-        # send_response re-frames a successful query response on the
-        # QRESP fast path when the client negotiated binary; the doc
-        # itself is the backend's verbatim (id-remapped) answer either
-        # way.
-        try:
-            await conn.send_response(doc)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            conn.write_response(self._redirect_doc(rid, home))
+            return None
+        return self._links[home]
+
+    def _forward_inline(
+        self,
+        client: _Client,
+        rid: Any,
+        req: dict[str, Any],
+        link: BackendLink,
+    ) -> None:
+        """Send ``req`` on ``link``; its reply callback writes the
+        backend's answer VERBATIM except for the id (remapped back to
+        the caller's) — values, ``served``, error shapes and
+        ``retry_after_s`` all pass through untouched, re-framed on the
+        QRESP fast path when the client negotiated binary.  That is the
+        byte-identity contract."""
+        self._track(+1)
+        client.inflight += 1
+
+        def answer(doc: dict[str, Any] | None, exc: Exception | None) -> None:
+            if exc is not None:
+                self.unavailable += 1
+                doc = _unavailable_doc(rid, link.name, exc)
+            else:
+                self.forwarded += 1
+                doc["id"] = rid  # a fresh decoded doc: nobody else holds it
+            client.conn.write_response(doc)
+            client.done()
+            self._track(-1)
+
+        link.send(req, answer, self.forward_timeout_s)
 
     def _redirect_doc(self, rid: Any, home: str) -> dict[str, Any]:
         host, port = next(
@@ -743,10 +846,8 @@ class ServeRouter:
     async def _forward(
         self, backend: str, rid: Any, req: dict[str, Any]
     ) -> dict[str, Any]:
-        """Proxy ``req`` to ``backend`` and return its response doc
-        VERBATIM except for the id (remapped back to the caller's) —
-        values, ``served``, error shapes and ``retry_after_s`` all pass
-        through untouched; that is the byte-identity contract."""
+        """Proxy a job op to ``backend`` and return its response doc
+        verbatim except for the id, as :meth:`_forward_inline` does."""
         self._track(+1)
         try:
             doc = await self._links[backend].request(
@@ -754,9 +855,7 @@ class ServeRouter:
             )
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             self.unavailable += 1
-            return {"id": rid, "ok": False, "error": "unavailable",
-                    "backend": backend,
-                    "detail": f"{type(exc).__name__}: {exc}"}
+            return _unavailable_doc(rid, backend, exc)
         finally:
             self._track(-1)
         self.forwarded += 1
@@ -818,3 +917,31 @@ class ServeRouter:
             await conn.send(doc)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away
+
+
+def _unavailable_doc(rid: Any, backend: str, exc: Exception) -> dict[str, Any]:
+    return {"id": rid, "ok": False, "error": "unavailable",
+            "backend": backend, "detail": f"{type(exc).__name__}: {exc}"}
+
+
+class _Client:
+    """One client connection's forwards still waiting for a reply, so
+    that the connection closes only after answering them."""
+
+    __slots__ = ("conn", "inflight", "_settled")
+
+    def __init__(self, conn: WireConnection) -> None:
+        self.conn = conn
+        self.inflight = 0
+        self._settled: asyncio.Future | None = None
+
+    def done(self) -> None:
+        self.inflight -= 1
+        if not self.inflight and self._settled is not None:
+            if not self._settled.done():
+                self._settled.set_result(None)
+
+    async def settled(self) -> None:
+        if self.inflight:
+            self._settled = asyncio.get_running_loop().create_future()
+            await self._settled

@@ -59,14 +59,17 @@ Error responses carry ``ok: false`` plus ``error`` — ``"overloaded"``
 ``state``), or ``"internal"`` (execution failure).  Queries on one
 connection run concurrently — responses are matched by ``id``, not by
 order — which is what lets a single connection exercise single-flight
-coalescing.  Job ops are answered inline: they touch only in-memory
-state plus a journal append, never the batch executor.
+coalescing.  A hot-LRU hit is answered on the read path itself, with
+no task (:meth:`CampaignFrontEnd.submit_nowait`).  Job ops are
+answered inline: they touch only in-memory state plus a journal
+append, never the batch executor.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
 from typing import Any
 
 from repro.parallel.cache import MISS
@@ -185,6 +188,7 @@ class ServeServer:
             allow_binary=self.binary_wire,
             encode_memo=self._encode_memo,
         )
+        conn.limit_writes()
         pending: set[asyncio.Task] = set()
         try:
             while True:
@@ -207,13 +211,19 @@ class ServeServer:
                 op = req.get("op")
                 rid = req.get("id")
                 if op == "query":
-                    # Per-request task: queries on one connection run
-                    # concurrently, so duplicates actually coalesce.
-                    sub = asyncio.get_running_loop().create_task(
-                        self._answer_query(conn, rid, req)
-                    )
-                    pending.add(sub)
-                    sub.add_done_callback(pending.discard)
+                    if not self._answer_hot(conn, rid, req):
+                        # Per-request task for the rest of the funnel:
+                        # queries on one connection run concurrently,
+                        # so duplicates actually coalesce.
+                        sub = asyncio.get_running_loop().create_task(
+                            self._answer_query(conn, rid, req)
+                        )
+                        pending.add(sub)
+                        sub.add_done_callback(pending.discard)
+                    # Hot answers are buffered without waiting: stop
+                    # reading while a client that does not read holds
+                    # the buffer over its mark.
+                    await conn.drain_if_full()
                 elif op == "stats":
                     doc = {
                         "id": rid, "ok": True,
@@ -391,6 +401,29 @@ class ServeServer:
             return {"id": rid, "ok": True, "hit": False}
         return {"id": rid, "ok": True, "hit": True, "value": value}
 
+    def _answer_hot(
+        self, conn: WireConnection, rid: Any, req: dict[str, Any]
+    ) -> bool:
+        """Answer a hot-LRU hit on the read path (no task, no await);
+        ``False`` leaves the query, malformed ones included, to
+        :meth:`_answer_query`."""
+        kind = req.get("kind")
+        params = req.get("params")
+        if not isinstance(kind, str) or not isinstance(params, dict):
+            return False
+        t0 = time.monotonic()
+        try:
+            hit = self.frontend.submit_nowait(kind, params)
+        except ValueError:
+            return False
+        if hit is None:
+            return False
+        if req.get("via") == "direct":
+            self.frontend.stats.direct += 1
+        value, served = hit
+        conn.write_query_response(rid, value, served, time.monotonic() - t0)
+        return True
+
     async def _answer_query(
         self,
         conn: WireConnection,
@@ -443,10 +476,9 @@ class ServeServer:
             return
         if direct:
             self.frontend.stats.direct += 1
+        conn.write_query_response(rid, value, served, loop.time() - t0)
         try:
-            await conn.send_query_response(
-                rid, value, served, loop.time() - t0
-            )
+            await conn.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; the front end still counted the work
 

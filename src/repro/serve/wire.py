@@ -72,8 +72,6 @@ import struct
 from collections import OrderedDict
 from typing import Any
 
-from repro.serve.frontend import UNIT_KINDS
-
 WIRE_BINARY1 = "binary1"
 WIRE_JSON = "json"
 
@@ -90,12 +88,26 @@ MAX_FRAME_LEN = 64 * 1024 * 1024
 #: usually arrive per chunk, so the per-frame await cost amortises.
 READ_CHUNK = 65536
 
+#: Write-buffer high-water mark of a served connection.  Answers are
+#: written without waiting (:meth:`WireConnection.write_response`), so
+#: a read loop calls :meth:`WireConnection.drain_if_full` after each
+#: request and stops reading while a client that does not read holds
+#: more than this many unsent bytes.  It is also the transport's pause
+#: threshold (:meth:`WireConnection.limit_writes`), so ``drain()``
+#: does wait once the mark is passed.
+WRITE_HIGH_WATER = 64 * 1024
+
 _HEADER = struct.Struct(">BBI")   # magic, frame type, payload length
 _QREQ = struct.Struct(">QBB")     # id, flags, kind code
 _QRESP = struct.Struct(">QdB")    # id, latency_s, served code
 
 _QREQ_FLAG_DIRECT = 0x01
 _QREQ_FLAG_REDIRECT = 0x02
+
+#: The queryable work-unit kinds (the campaign decomposition's own).
+#: Their order is the QREQ kind-code table, so it is part of the
+#: ``binary1`` wire contract: append-only.
+UNIT_KINDS = ("sweep_base", "sweep_point", "fig6_point", "headline")
 
 #: Kind/served tables for the fast-path frames.  Indexes are part of
 #: the ``binary1`` wire contract: append-only.
@@ -381,6 +393,11 @@ class WireConnection:
     flips it to binary.  ``allow_binary=False`` makes :meth:`recv`
     never sniff — for servers that speak JSON only, and for client
     links whose mode is set explicitly after negotiation.
+
+    Every write chooses its framing and puts its bytes in the transport
+    buffer in one synchronous step, and the hello ack flips the mode in
+    the same step as its own bytes: so a frame's framing always matches
+    its place in the byte stream, with no lock and no await in between.
     """
 
     def __init__(
@@ -397,7 +414,6 @@ class WireConnection:
         self.binary = False
         self.encode_memo = encode_memo if encode_memo is not None else EncodeMemo()
         self.decode_memo = decode_memo if decode_memo is not None else DecodeMemo()
-        self._lock = asyncio.Lock()
         self._buf = bytearray()
         self._pos = 0  # consumed prefix of _buf (compacted lazily)
         self._sniffed = False
@@ -511,73 +527,86 @@ class WireConnection:
             )
         return encode_doc_frame(doc)
 
+    def _doc_bytes(self, doc: dict[str, Any]) -> bytes:
+        """One document in the connection's current framing."""
+        if self.binary:
+            return encode_doc_frame(doc)
+        return (json.dumps(doc, sort_keys=True) + "\n").encode()
+
     def write_request(self, doc: dict[str, Any]) -> None:
         """Synchronous buffered write (no drain) — for senders that
         manage their own flow control, like the multiplexed links."""
         self.writer.write(self._request_bytes(doc))
 
-    async def drain(self) -> None:
-        await self.writer.drain()
-
-    async def send(self, doc: dict[str, Any]) -> None:
-        """One document, whole-frame atomic, flow-controlled."""
-        if self.binary:
-            data = encode_doc_frame(doc)
-        else:
-            data = (json.dumps(doc, sort_keys=True) + "\n").encode()
-        async with self._lock:
-            self.writer.write(data)
-            await self.writer.drain()
-
-    async def send_query_response(
+    def write_query_response(
         self, rid: Any, value: Any, served: str, latency_s: float
     ) -> None:
-        """A query's success response; QRESP fast path when eligible."""
+        """A query's success response, buffered without waiting; the
+        QRESP fast path when eligible."""
         scode = SERVED_CODES.get(served)
         if self.binary and scode is not None and _is_frame_id(rid):
             blob = self.encode_memo.encode(value)
-            data = (
+            self.writer.write(
                 _HEADER.pack(MAGIC, FRAME_QRESP, _QRESP.size + len(blob))
                 + _QRESP.pack(rid, latency_s, scode)
                 + blob
             )
-            async with self._lock:
-                self.writer.write(data)
-                await self.writer.drain()
             return
-        await self.send({
+        self.writer.write(self._doc_bytes({
             "id": rid, "ok": True, "value": value,
             "served": served, "latency_s": latency_s,
-        })
+        }))
 
-    async def send_response(self, doc: dict[str, Any]) -> None:
-        """A response document of any shape; query successes take the
-        fast path (the router's proxy re-framing uses this)."""
+    def write_response(self, doc: dict[str, Any]) -> None:
+        """A response document of any shape, buffered without waiting:
+        the answer path of a read loop, which applies flow control
+        itself (:meth:`drain_if_full`).  Query successes take the fast
+        path (the router's proxy re-framing uses this).  A connection
+        already closing drops the answer: its client has gone."""
+        if self.writer.is_closing():
+            return
         if (
             self.binary
             and doc.get("ok") is True
             and len(doc) == 5
             and "value" in doc
             and "served" in doc
-            and "latency_s" in doc
             and isinstance(doc.get("latency_s"), float)
         ):
-            await self.send_query_response(
+            self.write_query_response(
                 doc.get("id"), doc["value"], doc["served"], doc["latency_s"]
             )
             return
-        await self.send(doc)
+        self.writer.write(self._doc_bytes(doc))
+
+    async def drain(self) -> None:
+        await self.writer.drain()
+
+    def limit_writes(self) -> None:
+        """Pause the transport at :data:`WRITE_HIGH_WATER`, so that
+        :meth:`drain_if_full` waits exactly when the mark is passed."""
+        self.writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+
+    async def drain_if_full(self) -> None:
+        """Wait for the client only while more than
+        :data:`WRITE_HIGH_WATER` bytes are unsent."""
+        if self.writer.transport.get_write_buffer_size() > WRITE_HIGH_WATER:
+            await self.writer.drain()
+
+    async def send(self, doc: dict[str, Any]) -> None:
+        """One document, whole-frame atomic, flow-controlled."""
+        self.writer.write(self._doc_bytes(doc))
+        await self.writer.drain()
 
     async def send_hello_ack(self, doc: dict[str, Any], enable: bool) -> None:
         """The hello ack must be the LAST JSON frame of the connection:
-        flipping to binary under the write lock guarantees no response
-        produced concurrently lands between the ack and the flip."""
-        data = (json.dumps(doc, sort_keys=True) + "\n").encode()
-        async with self._lock:
-            self.writer.write(data)
-            await self.writer.drain()
-            if enable:
-                self.binary = True
+        the mode flips in the same step that buffers the ack, so any
+        response written after it, even while the ack still drains, is
+        binary."""
+        self.writer.write((json.dumps(doc, sort_keys=True) + "\n").encode())
+        if enable:
+            self.binary = True
+        await self.writer.drain()
 
     # -- client-side negotiation -------------------------------------------
     async def negotiate(self) -> bool:

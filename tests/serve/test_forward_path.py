@@ -1,0 +1,362 @@
+"""The read-path answer paths: the router forwards a ``query``/``probe``
+from its client read loop with a reply callback on the backend link,
+and a backend answers a hot-LRU hit from its read loop.  Neither starts
+a task per request, so these tests pin what the tasks used to give:
+every forward is answered (link loss, timeout, drain), buffers stay
+bounded when a client stops reading, and an inline hot hit is the same
+answer, with the same counters, as the task path.
+"""
+
+import asyncio
+import json
+import re
+import socket
+import struct
+
+from repro.serve.frontend import CampaignFrontEnd, ServeConfig
+from repro.serve.router import ServeRouter
+from repro.serve.server import ServeServer
+from repro.serve.wire import (
+    FRAME_QRESP,
+    MAGIC,
+    WRITE_HIGH_WATER,
+    WireConnection,
+)
+
+POINT_A = {"mode": "single", "platform": "Tegra2", "freq": 1.0}
+
+_HEADER = struct.Struct(">BBI")
+
+
+def send(writer, doc):
+    writer.write((json.dumps(doc) + "\n").encode())
+
+
+async def recv(reader):
+    line = await asyncio.wait_for(reader.readline(), 10)
+    assert line, "connection closed unexpectedly"
+    return json.loads(line)
+
+
+class FakeBackend:
+    """A backend that holds every query until told to answer it, and
+    acks ``shutdown`` at once."""
+
+    def __init__(self):
+        self.held = []        # (request doc, writer), unanswered
+        self.writers = []
+        self.shutdown_with_held = None
+
+    async def start(self):
+        self.server = await asyncio.start_server(
+            self._handle, "127.0.0.1", 0
+        )
+        self.port = self.server.sockets[0].getsockname()[1]
+
+    async def _handle(self, reader, writer):
+        self.writers.append(writer)
+        while True:
+            line = await reader.readline()
+            if not line:
+                break
+            doc = json.loads(line)
+            if doc.get("op") == "shutdown":
+                self.shutdown_with_held = len(self.held)
+                send(writer, {"id": doc["id"], "ok": True})
+            else:
+                self.held.append((doc, writer))
+
+    async def wait_held(self, n):
+        for _ in range(500):
+            if len(self.held) >= n:
+                return
+            await asyncio.sleep(0.01)
+        raise AssertionError(f"backend saw {len(self.held)} of {n} requests")
+
+    def answer_all(self):
+        held, self.held = self.held, []
+        for doc, writer in held:
+            send(writer, {"id": doc["id"], "ok": True, "value": "v",
+                          "served": "cache", "latency_s": 0.001})
+
+    def drop_links(self):
+        for writer in self.writers:
+            writer.close()
+        self.writers = []
+
+    async def stop(self):
+        self.drop_links()
+        self.server.close()
+        await self.server.wait_closed()
+
+
+async def start_router(backend, **kw):
+    router = ServeRouter([("b0", "127.0.0.1", backend.port)], **kw)
+    await router.start()
+    return router, asyncio.ensure_future(router.serve_until_shutdown())
+
+
+async def stop_router(router, task, reader, writer):
+    send(writer, {"op": "shutdown", "id": "__bye__"})
+    await writer.drain()
+    while (await recv(reader)).get("id") != "__bye__":
+        pass
+    await asyncio.wait_for(task, 10)
+    writer.close()
+
+
+def query(rid, params=POINT_A):
+    return {"op": "query", "id": rid, "kind": "sweep_point",
+            "params": params}
+
+
+class TestForwardAnswersEveryRequest:
+    def test_link_loss_answers_every_forward_unavailable(self):
+        async def scenario():
+            backend = FakeBackend()
+            await backend.start()
+            router, task = await start_router(backend)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.port
+            )
+            ids = ["q-1", 2, None, [3]]
+            for rid in ids:
+                send(writer, query(rid))
+            await writer.drain()
+            await backend.wait_held(len(ids))
+            backend.drop_links()
+            docs = [await recv(reader) for _ in ids]
+            inflight = router._inflight
+            await stop_router(router, task, reader, writer)
+            await backend.stop()
+            return ids, docs, inflight, router.unavailable
+
+        ids, docs, inflight, unavailable = asyncio.run(scenario())
+        assert sorted(map(json.dumps, (d["id"] for d in docs))) == sorted(
+            map(json.dumps, ids)
+        )
+        for doc in docs:
+            assert doc["ok"] is False
+            assert doc["error"] == "unavailable"
+            assert doc["backend"] == "b0"
+            assert doc["detail"].startswith("ConnectionError")
+        assert unavailable == len(ids)
+        assert inflight == 0
+
+    def test_forward_timeout_fires_on_an_inline_forward(self):
+        async def scenario():
+            backend = FakeBackend()
+            await backend.start()
+            router, task = await start_router(
+                backend, forward_timeout_s=0.2
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.port
+            )
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            send(writer, query(5))
+            await writer.drain()
+            doc = await recv(reader)
+            waited = loop.time() - t0
+            pending = dict(router._links["b0"]._pending)
+            inflight = router._inflight
+            # A late answer must not produce a second response.
+            backend.answer_all()
+            send(writer, {"op": "ping", "id": 6})
+            await writer.drain()
+            after = await recv(reader)
+            await stop_router(router, task, reader, writer)
+            await backend.stop()
+            return doc, waited, pending, inflight, after
+
+        doc, waited, pending, inflight, after = asyncio.run(scenario())
+        assert doc["id"] == 5
+        assert doc["error"] == "unavailable"
+        assert doc["detail"].startswith("TimeoutError")
+        assert 0.2 <= waited < 5.0
+        assert pending == {} and inflight == 0
+        assert after == {"id": 6, "ok": True}
+
+    def test_drain_waits_for_inline_forwards(self):
+        async def scenario():
+            backend = FakeBackend()
+            await backend.start()
+            router, task = await start_router(backend)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.port
+            )
+            send(writer, query(1))
+            await writer.drain()
+            await backend.wait_held(1)
+            r2, w2 = await asyncio.open_connection("127.0.0.1", router.port)
+            send(w2, {"op": "shutdown", "id": 2})
+            await w2.drain()
+            assert (await recv(r2)) == {"id": 2, "ok": True}
+            await asyncio.sleep(0.1)
+            waiting = not task.done()
+            backend.answer_all()
+            doc = await recv(reader)
+            await asyncio.wait_for(task, 10)
+            writer.close()
+            w2.close()
+            await backend.stop()
+            return waiting, doc, backend.shutdown_with_held, router
+
+        waiting, doc, held_at_shutdown, router = asyncio.run(scenario())
+        assert waiting, "the drain finished with a forward in flight"
+        assert doc["id"] == 1 and doc["ok"] is True
+        # The backends are shut down only after the forward was answered.
+        assert held_at_shutdown == 0
+        assert router.forwarded == 1
+
+
+def big_runner(units):
+    return ["x" * 16384 for _ in units]
+
+
+class TestFlowControl:
+    def test_router_stops_reading_a_client_that_does_not_read(
+        self, tmp_path, monkeypatch
+    ):
+        n = 3000
+
+        async def scenario():
+            backend = ServeServer(CampaignFrontEnd(
+                ServeConfig(cache_dir=tmp_path / "b0", batch_window_s=0.001),
+                big_runner,
+            ))
+            await backend.start()
+            backend_task = asyncio.ensure_future(
+                backend.serve_until_shutdown()
+            )
+            router = ServeRouter([("b0", "127.0.0.1", backend.port)])
+            await router.start()
+            task = asyncio.ensure_future(router.serve_until_shutdown())
+            peak = [0]
+            write = WireConnection.write_response
+
+            def watched(self, doc):
+                write(self, doc)
+                if self.encode_memo is router._client_encode:
+                    peak[0] = max(
+                        peak[0], self.writer.transport.get_write_buffer_size()
+                    )
+
+            monkeypatch.setattr(WireConnection, "write_response", watched)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", router.port))
+            sock.setblocking(False)
+            reader, writer = await asyncio.open_connection(sock=sock)
+            writer.transport.set_write_buffer_limits(high=1 << 30)
+            # A client that keeps sending and never reads.
+            for start in range(0, n, 30):
+                writer.write(b"".join(
+                    (json.dumps(query(i)) + "\n").encode()
+                    for i in range(start, min(start + 30, n))
+                ))
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.5)
+            accepted_stalled = backend.frontend.stats.accepted
+            peak_stalled = peak[0]
+            docs = [await recv(reader) for _ in range(n)]
+            await stop_router(router, task, reader, writer)
+            await asyncio.wait_for(backend_task, 10)
+            return accepted_stalled, peak_stalled, docs
+
+        accepted_stalled, peak_stalled, docs = asyncio.run(scenario())
+        assert sorted(d["id"] for d in docs) == list(range(n))
+        assert all(d["ok"] and len(d["value"]) == 16384 for d in docs)
+        # Unbounded, the router would have read and forwarded all n
+        # and buffered ~n * 16 KiB = 48 MiB for the stalled client.
+        assert accepted_stalled < n // 2
+        assert WRITE_HIGH_WATER < peak_stalled < n * 16384 // 4
+
+
+def label_runner(units):
+    return [u.label() for u in units]
+
+
+async def _raw_response(reader, binary):
+    """One response's raw bytes with its latency masked out."""
+    if not binary:
+        line = await asyncio.wait_for(reader.readline(), 10)
+        return re.sub(rb'"latency_s": [^,}]+', b'"latency_s": 0', line)
+    header = await reader.readexactly(_HEADER.size)
+    magic, ftype, length = _HEADER.unpack(header)
+    assert magic == MAGIC and ftype == FRAME_QRESP
+    payload = await reader.readexactly(length)
+    return header + payload[:8] + bytes(8) + payload[16:]
+
+
+class TestInlineHotHit:
+    COUNTERS = ("accepted", "cache_hits", "hot_hits", "direct", "coalesced",
+                "computed")
+
+    def _run(self, tmp_path, inline):
+        async def scenario():
+            server = ServeServer(CampaignFrontEnd(
+                ServeConfig(cache_dir=tmp_path, batch_window_s=0.001),
+                label_runner,
+            ))
+            await server.start()
+            task = asyncio.ensure_future(server.serve_until_shutdown())
+            tasked = [0]
+            answer_query = server._answer_query
+
+            async def counted(*args):
+                tasked[0] += 1
+                await answer_query(*args)
+
+            server._answer_query = counted
+            if not inline:
+                server._answer_hot = lambda conn, rid, req: False
+            out = {}
+            for binary in (False, True):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                conn = WireConnection(reader, writer, allow_binary=False)
+                if binary:
+                    assert await conn.negotiate()
+                # Warm the key (a computed answer on the first pass).
+                conn.write_request(query(0))
+                await conn.drain()
+                await conn.recv()
+                before = server.frontend.stats.snapshot()
+                tasked[0] = 0
+                raw = []
+                for i in range(1, 5):
+                    doc = query(i)
+                    if i % 2:
+                        doc["via"] = "direct"
+                    conn.write_request(doc)
+                    await conn.drain()
+                    raw.append(await _raw_response(reader, binary))
+                after = server.frontend.stats.snapshot()
+                out[binary] = (
+                    raw,
+                    {k: after[k] - before[k] for k in self.COUNTERS},
+                    tasked[0],
+                )
+                writer.close()
+            server.request_shutdown()
+            await asyncio.wait_for(task, 10)
+            return out
+
+        return asyncio.run(scenario())
+
+    def test_same_bytes_and_counters_as_the_task_path(self, tmp_path):
+        inline = self._run(tmp_path / "inline", inline=True)
+        tasked = self._run(tmp_path / "tasked", inline=False)
+        for binary in (False, True):
+            raw_i, delta_i, tasks_i = inline[binary]
+            raw_t, delta_t, tasks_t = tasked[binary]
+            assert raw_i == raw_t, binary
+            assert delta_i == delta_t, binary
+            assert delta_i == {"accepted": 4, "cache_hits": 4, "hot_hits": 4,
+                               "direct": 2, "coalesced": 0, "computed": 0}
+            # The inline run answered every hot hit without a task.
+            assert tasks_i == 0 and tasks_t == 4
+        assert inline[True][0][0][:1] == bytes([MAGIC])

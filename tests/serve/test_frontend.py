@@ -449,3 +449,23 @@ class TestConfigAndHelpers:
         snap = stats.snapshot()
         assert snap["hit_ratio"] == 0.5
         assert snap["p50_latency_s"] == 0.25
+
+    def test_latency_window_keeps_the_most_recent_samples(self, monkeypatch):
+        """Past the window, new samples still move p50/p99: pre-fix the
+        list stopped recording at its bound and the percentiles froze."""
+        from repro.serve import frontend
+
+        monkeypatch.setattr(frontend, "LATENCY_WINDOW", 100)
+        stats = ServeStats()
+        for _ in range(100):
+            stats.record_latency(0.001)
+        assert stats.snapshot()["p99_latency_s"] == 0.001
+        for _ in range(50):
+            stats.record_latency(0.5)
+        snap = stats.snapshot()
+        assert len(stats.latencies_s) == 100
+        assert snap["p99_latency_s"] == 0.5
+        assert snap["p50_latency_s"] == 0.001
+        for _ in range(60):
+            stats.record_latency(0.5)
+        assert stats.snapshot()["p50_latency_s"] == 0.5

@@ -356,6 +356,19 @@ class TestByteIdentity:
         assert peer_served >= 1
 
 
+class _Transport:
+    """The transport face of :class:`_StallingWriter`: reports a full
+    buffer until the gate opens, so flow control waits on ``drain``."""
+
+    def __init__(self, writer):
+        self.writer = writer
+
+    def get_write_buffer_size(self):
+        from repro.serve.wire import WRITE_HIGH_WATER
+
+        return 0 if self.writer.gate.is_set() else WRITE_HIGH_WATER + 1
+
+
 class _StallingWriter:
     """A writer whose ``drain()`` blocks until released: simulates a
     backend whose socket is backpressured at flush time."""
@@ -363,6 +376,7 @@ class _StallingWriter:
     def __init__(self):
         self.writes = []
         self.gate = asyncio.Event()
+        self.transport = _Transport(self)
 
     def is_closing(self):
         return False
@@ -377,82 +391,101 @@ class _StallingWriter:
         pass
 
 
+def _stalled_link():
+    """A pre-connected link over a stalled writer, its replies fed
+    through a real ``StreamReader`` into the link's own read loop."""
+    from repro.serve.router import BackendLink
+    from repro.serve.wire import WireConnection
+
+    link = BackendLink("b0", "127.0.0.1", 1)
+    reader = asyncio.StreamReader()
+    writer = _StallingWriter()
+    conn = WireConnection(reader, writer, allow_binary=False)
+    link._conn = conn
+    link._read_task = asyncio.ensure_future(link._read_loop(conn))
+    return link, reader, writer
+
+
+def _answer_all(reader, writer):
+    """The backend's side: answer every request written so far."""
+    for data in writer.writes:
+        reader.feed_data(
+            (json.dumps({"id": json.loads(data)["id"], "ok": True}) + "\n")
+            .encode()
+        )
+
+
 class TestBackendLinkNoHeadOfLineBlocking:
-    """``BackendLink.request`` must not hold the link lock across
-    ``drain()``: pre-fix, one backpressured flush serialised every
-    concurrent request on the link at SEND time — the second request
-    could not even reach the write buffer until the first's drain
-    returned."""
+    """A stalled flush on a link must not hold back the next request:
+    pre-fix, one backpressured drain serialised every concurrent
+    request on the link at SEND time — the second request could not
+    even reach the write buffer until the first's drain returned."""
 
     def test_second_request_writes_while_first_drain_stalls(self):
-        from repro.serve.router import BackendLink
-        from repro.serve.wire import WireConnection
-
         async def scenario():
-            link = BackendLink("b0", "127.0.0.1", 1)
-            writer = _StallingWriter()
-            # Pre-connected link with a stalled transport: requests go
-            # through the real lock/write/drain path, no socket needed.
-            link._writer = writer
-            link._conn = WireConnection(None, writer, allow_binary=False)
-
+            link, reader, writer = _stalled_link()
             t1 = asyncio.ensure_future(
                 link.request({"op": "query", "kind": "sweep_base",
                               "params": {}})
             )
             await asyncio.sleep(0.01)
             assert len(writer.writes) == 1, "first request never sent"
+            assert not t1.done(), "the first drain did not stall"
             t2 = asyncio.ensure_future(
                 link.request({"op": "query", "kind": "sweep_base",
                               "params": {}})
             )
             await asyncio.sleep(0.01)
-            # THE regression assertion: with the drain stalled and the
-            # lock (pre-fix) held across it, the second request's bytes
-            # never reached the buffer.
+            # A read-path forward registers a callback instead.
+            replies = []
+            link.send({"op": "query", "kind": "sweep_base", "params": {}},
+                      lambda doc, exc: replies.append((doc, exc)))
+            await asyncio.sleep(0.01)
+            # THE regression assertion: with the first drain stalled,
+            # the later requests' bytes still reached the buffer.
             writes_while_stalled = len(writer.writes)
             writer.gate.set()
-            await asyncio.sleep(0)
-            for link_id, fut in list(link._waiting.items()):
-                if not fut.done():
-                    fut.set_result({"id": link_id, "ok": True})
+            _answer_all(reader, writer)
             r1, r2 = await asyncio.gather(t1, t2)
-            return writes_while_stalled, r1, r2
+            await link.close()
+            return writes_while_stalled, r1, r2, replies
 
-        writes_while_stalled, r1, r2 = asyncio.run(scenario())
-        assert writes_while_stalled == 2, (
+        writes_while_stalled, r1, r2, replies = asyncio.run(scenario())
+        assert writes_while_stalled == 3, (
             "a stalled drain head-of-line-blocked the link"
         )
         assert r1["ok"] is True and r2["ok"] is True
+        assert replies == [({"id": 3, "ok": True}, None)]
 
     def test_fix_does_not_reorder_ids(self):
-        """Narrowing the critical section must keep id allocation and
-        buffer writes atomic per request: ids on the wire appear in
-        allocation order even under concurrency."""
-        from repro.serve.router import BackendLink
-        from repro.serve.wire import WireConnection
-
+        """Writing without waiting must keep id allocation and buffer
+        writes atomic per request: ids on the wire appear in allocation
+        order even under concurrency, and each answer reaches the
+        request that carried its id."""
         async def scenario():
-            link = BackendLink("b0", "127.0.0.1", 1)
-            writer = _StallingWriter()
-            link._writer = writer
-            link._conn = WireConnection(None, writer, allow_binary=False)
+            link, reader, writer = _stalled_link()
             tasks = [
                 asyncio.ensure_future(link.request(
                     {"op": "query", "kind": "sweep_base", "params": {}}
                 ))
-                for _ in range(8)
+                for _ in range(4)
             ]
+            replies, assigned = [], []
+            for _ in range(4):
+                assigned.append(link.send(
+                    {"op": "query", "kind": "sweep_base", "params": {}},
+                    lambda doc, exc: replies.append(doc["id"]),
+                ))
             await asyncio.sleep(0.02)
             sent_ids = [json.loads(w)["id"] for w in writer.writes]
             writer.gate.set()
-            await asyncio.sleep(0)
-            for link_id, fut in list(link._waiting.items()):
-                if not fut.done():
-                    fut.set_result({"id": link_id, "ok": True})
-            await asyncio.gather(*tasks)
-            return sent_ids
+            _answer_all(reader, writer)
+            answers = await asyncio.gather(*tasks)
+            await link.close()
+            return sent_ids, [a["id"] for a in answers], replies, assigned
 
-        sent_ids = asyncio.run(scenario())
+        sent_ids, answer_ids, replies, assigned = asyncio.run(scenario())
         assert sent_ids == sorted(sent_ids)
         assert len(set(sent_ids)) == 8
+        assert replies == assigned
+        assert sorted(answer_ids + replies) == sent_ids

@@ -7,6 +7,7 @@ answer travels.  The oracle tests below close the loop against the
 run-unit results the serve tier actually ships.
 """
 
+import asyncio
 import json
 import math
 import struct
@@ -26,6 +27,7 @@ from repro.serve.wire import (
     BadFrame,
     DecodeMemo,
     EncodeMemo,
+    WireConnection,
     decode_frame,
     decode_value,
     encode_doc_frame,
@@ -186,6 +188,69 @@ class TestFrames:
     def test_oversized_doc_payload_rejected_at_encode(self):
         with pytest.raises(ValueError):
             encode_doc_frame({"blob": "x" * (MAX_FRAME_LEN + 16)})
+
+
+class _StalledWriter:
+    """A writer whose ``drain()`` blocks until released: a client that
+    is slow to read the hello ack."""
+
+    def __init__(self):
+        self.writes = []
+        self.gate = asyncio.Event()
+
+    def is_closing(self):
+        return False
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        await self.gate.wait()
+
+
+class TestFramingChosenAtWriteTime:
+    """Every byte after the hello ack is binary, also for a response
+    produced while the ack is still draining.  Pre-fix, ``send`` encoded
+    before taking the write lock, so a response built during the ack's
+    drain reached the socket as JSON after the flip to binary and the
+    client's connection died with ``WireError``."""
+
+    def test_responses_written_while_the_ack_drains_are_binary(self):
+        async def scenario():
+            writer = _StalledWriter()
+            conn = WireConnection(None, writer, allow_binary=True)
+            before = asyncio.ensure_future(conn.send({"id": 0, "ok": True}))
+            await asyncio.sleep(0)
+            ack = asyncio.ensure_future(conn.send_hello_ack(
+                {"id": 1, "ok": True, "wire": "binary1"}, True
+            ))
+            await asyncio.sleep(0)
+            assert not ack.done(), "the ack's drain did not stall"
+            sent = asyncio.ensure_future(conn.send({"id": 2, "ok": True}))
+            conn.write_response({"id": 3, "ok": True, "value": [1.5],
+                                 "served": "cache", "latency_s": 0.25})
+            conn.write_response({"id": 4, "ok": False, "error": "x"})
+            await asyncio.sleep(0)
+            writer.gate.set()
+            await asyncio.gather(before, ack, sent)
+            return writer.writes
+
+        writes = asyncio.run(scenario())
+        assert [json.loads(w) for w in writes[:2]] == [
+            {"id": 0, "ok": True}, {"id": 1, "ok": True, "wire": "binary1"},
+        ]
+        frames = {}
+        for data in writes[2:]:
+            magic, ftype, length = _HEADER.unpack_from(data)
+            assert magic == MAGIC and length == len(data) - _HEADER.size
+            doc = decode_frame(ftype, data[_HEADER.size:], DecodeMemo())
+            frames[doc["id"]] = (ftype, doc)
+        assert sorted(frames) == [2, 3, 4]
+        assert frames[3] == (FRAME_QRESP, {
+            "id": 3, "ok": True, "value": [1.5], "served": "cache",
+            "latency_s": 0.25,
+        })
+        assert frames[2][0] == frames[4][0] == FRAME_DOC
 
 
 class TestMemos:
