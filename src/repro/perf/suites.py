@@ -431,8 +431,8 @@ def serve_suite_with_ref(
 
     ``serve.cluster{1,2,4}`` run the same saturation probe through the
     shipped ``repro cluster-serve`` CLI (router + N backend
-    subprocesses, cache peer-fill on), recording per-backend hit
-    ratios, peer fills and ``scaling_vs_1``.  The proxied scaling
+    subprocesses), recording per-backend hit ratios and
+    ``scaling_vs_1``.  The proxied scaling
     factor is recorded honestly, not gated: the single-process router
     is itself on the data path, so ``scaling_vs_1`` sits near 1.0 by
     construction.  ``serve.cluster4_direct`` is the entry that *is*
@@ -764,7 +764,6 @@ def _cluster_saturation_result(
         "hit_ratio": warm["hit_ratio"],
         "aggregate_hit_ratio": agg.get("hit_ratio", 0.0),
         "per_backend_hit_ratio": agg.get("per_backend_hit_ratio", {}),
-        "peer_fills": agg.get("peer_fills", 0),
         "saturated": saturation["saturated"],
     }
     if direct:

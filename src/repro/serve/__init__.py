@@ -45,10 +45,8 @@ Horizontal scale comes from the **cluster tier**
 serve processes plus a :class:`~repro.serve.router.ServeRouter` front
 door that consistent-hashes every query's ``(kind, params)`` key to its
 home shard, so each backend's cache and single-flight table see only
-their slice of the hot set.  Backends cross-fill from each other's
-caches via the compute-free ``probe`` op
-(:class:`~repro.serve.router.CachePeerFill`), and cluster shutdown
-drains router-then-backends in boot order.  The protocol through the
+their slice of the hot set, and cluster shutdown drains
+router-then-backends in boot order.  The protocol through the
 router is byte-identical to a single backend's.
 
 The router proxies by default, but it is a single process and caps
@@ -75,7 +73,6 @@ protocol across backends; :mod:`~repro.serve.cli` is the
 #: (PEP 562): ``repro cluster-serve``'s router process imports only the
 #: router and the wire, not the front end, its cache and the simulator.
 _EXPORTS = {
-    "CachePeerFill": "repro.serve.router",
     "CampaignFrontEnd": "repro.serve.frontend",
     "HashRing": "repro.serve.router",
     "Job": "repro.serve.jobs",

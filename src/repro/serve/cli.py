@@ -101,18 +101,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--name", default="serve",
-        help="this backend's cluster shard name (default: serve); only "
-        "meaningful with --peers",
-    )
-    parser.add_argument(
-        "--peers", default=None, metavar="NAME=HOST:PORT,...",
-        help="cluster peer map for cache peer-fill, e.g. "
-        "'b0=127.0.0.1:7001,b1=127.0.0.1:7002'; must include this "
-        "backend's own --name",
-    )
-    parser.add_argument(
-        "--peer-timeout", type=float, default=2.0, metavar="S",
-        help="cache peer-fill probe budget in seconds (default: 2.0)",
+        help="this backend's cluster shard name, as locate answers "
+        "name it (default: serve)",
     )
     parser.add_argument(
         "--journal-dir", type=Path, default=DEFAULT_JOURNAL_DIR,
@@ -175,12 +165,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             batch_units=args.job_batch,
             seed=args.seed,
         )
-        peers = parse_peers(args.peers) if args.peers else None
-        if peers is not None and args.name not in peers:
-            raise ValueError(
-                f"--peers must include this backend's own name "
-                f"({args.name!r}); got {sorted(peers)}"
-            )
     except ValueError as exc:
         parser.error(str(exc))
     sys.setswitchinterval(SWITCH_INTERVAL_S)
@@ -191,35 +175,10 @@ def serve_main(argv: list[str] | None = None) -> int:
             jobs_config=jobs_config,
             drain_timeout_s=args.drain_timeout,
             name=args.name,
-            peers=peers,
-            peer_timeout_s=args.peer_timeout,
             binary_wire=args.wire != "json",
             advertise_host=args.advertise_host,
         )
     )
-
-
-def parse_peers(spec: str) -> dict[str, tuple[str, int]]:
-    """Parse ``'b0=127.0.0.1:7001,b1=127.0.0.1:7002'`` into
-    ``{name: (host, port)}``."""
-    peers: dict[str, tuple[str, int]] = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, addr = item.partition("=")
-        host, sep2, port = addr.rpartition(":")
-        if not sep or not sep2 or not name or not host:
-            raise ValueError(
-                f"bad peer {item!r}: expected NAME=HOST:PORT"
-            )
-        try:
-            peers[name] = (host, int(port))
-        except ValueError:
-            raise ValueError(f"bad peer port in {item!r}") from None
-    if not peers:
-        raise ValueError("--peers given but no peers parsed")
-    return peers
 
 
 async def _serve(
@@ -230,21 +189,10 @@ async def _serve(
     jobs_config: JobsConfig | None = None,
     drain_timeout_s: float | None = None,
     name: str = "serve",
-    peers: dict[str, tuple[str, int]] | None = None,
-    peer_timeout_s: float = 2.0,
     binary_wire: bool = True,
     advertise_host: str | None = None,
 ) -> int:
     frontend = CampaignFrontEnd(config)
-    if peers is not None:
-        # Cluster shard: a local cache miss asks the key's home shard
-        # (compute-free probe) before paying for the computation.
-        from repro.serve.router import CachePeerFill, HashRing
-
-        frontend.peer_fill = CachePeerFill(
-            HashRing(sorted(peers)), name, peers,
-            probe_timeout_s=peer_timeout_s,
-        )
     manager = None
     if journal_dir is not None:
         # The job tier checkpoints into the SAME cache directory the
@@ -274,16 +222,13 @@ async def _serve(
             f" — recovered {server.recovered['restored']} job(s), "
             f"{server.recovered['resumed_units']} unit(s) from cache"
         )
-    shard = ""
-    if peers is not None:
-        shard = f", shard={name}/{len(peers)}"
     print(
         f"repro serve: listening on {server.host}:{server.port} "
         f"(queue_limit={config.queue_limit}, "
         f"cache={'off' if config.cache_dir is None else config.cache_dir}, "
         f"journal={'off' if journal_dir is None else journal_dir}, "
         f"wire={'json+binary1' if binary_wire else 'json'}"
-        f"{shard}){recovered}",
+        f"){recovered}",
         flush=True,
     )
     await server.serve_until_shutdown()

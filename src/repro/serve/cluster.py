@@ -5,16 +5,16 @@ Usage::
     python -m repro cluster-serve --backends 2 --port 7660
 
 One command brings up N backend ``repro serve`` processes (each a
-cluster shard with its own cache directory and a peer map for cache
-peer-fill) plus the in-process :class:`~repro.serve.router.ServeRouter`
-front door.  Readiness is one flushed line naming every address::
+cluster shard with its own cache directory) plus the in-process
+:class:`~repro.serve.router.ServeRouter` front door.  Readiness is one
+flushed line naming every address::
 
     repro cluster-serve: listening on 127.0.0.1:7660 \
         (backends: b0=127.0.0.1:34001 b1=127.0.0.1:34002) \
         (epoch: 3f2a9c41d07b)
 
 CI and scripts wait for it, point ``repro loadtest`` at the router
-port, and (for peer-fill tests) talk to the backend ports directly.
+port, and may talk to the backend ports directly.
 The trailing ``epoch`` is the cluster's topology version (see
 :func:`~repro.serve.router.topology_epoch`) — ring-aware clients
 learn it via the ``locate`` op and use it to detect stale rings.
@@ -58,10 +58,10 @@ BACKEND_EXIT_TIMEOUT_S = 30.0
 def free_port(host: str = "127.0.0.1") -> int:
     """An ephemeral port that was free a moment ago.
 
-    Backends need their peer map at boot, and the peer map needs every
-    backend's port — pre-picking ports breaks that chicken-and-egg.
-    The tiny reuse race is acceptable for a dev/CI cluster; a backend
-    that loses it fails to bind and the boot aborts loudly.
+    Backends start on ports picked here, not on port 0: that cost the
+    ``serve_cluster`` router 12–25% more CPU per request (DESIGN.md
+    §14).  The tiny reuse race is acceptable for a dev/CI cluster; a
+    backend that loses it fails to bind and the boot aborts loudly.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.bind((host, 0))
@@ -168,7 +168,7 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--advertise-host", default=None, metavar="HOST",
-        help="address the peer map and locate/redirect answers carry "
+        help="address the readiness line and locate/redirect answers carry "
         "(default: the bind address, or this machine's primary "
         "address when binding a wildcard)",
     )
@@ -176,15 +176,11 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
     if args.backends < 1:
         parser.error("--backends must be at least 1")
 
-    # The peer map travels to every backend and back out to ring
-    # clients via locate — it must carry a connectable address even
-    # when the bind host is a wildcard.
+    # Backend addresses travel out to ring clients via locate: they
+    # must be connectable even when the bind host is a wildcard.
     adv = advertised_host(args.host, args.advertise_host)
     names = [f"b{i}" for i in range(args.backends)]
     ports = [free_port(args.host) for _ in names]
-    peers_spec = ",".join(
-        f"{name}={adv}:{port}" for name, port in zip(names, ports)
-    )
     backends: list[_Backend] = []
     for name, port in zip(names, ports):
         backend_argv = [
@@ -192,7 +188,6 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
             "--host", args.host,
             "--port", str(port),
             "--name", name,
-            "--peers", peers_spec,
             "--queue-limit", str(args.queue_limit),
             "--cache-dir", str(args.cache_dir / name),
             "--seed", str(args.seed),

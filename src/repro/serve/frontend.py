@@ -86,7 +86,6 @@ INLINE_KINDS = frozenset(("sweep_base", "sweep_point"))
 SERVED_CACHE = "cache"
 SERVED_COALESCED = "coalesced"
 SERVED_COMPUTED = "computed"
-SERVED_PEER = "peer"  # filled from the key's home shard's cache
 
 #: Latency samples :class:`ServeStats` keeps: the most recent ones, so
 #: a long-lived server's p50/p99 describe its recent traffic.
@@ -95,13 +94,17 @@ LATENCY_WINDOW = 1_000_000
 
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile (``q`` in [0, 1]) of ``values``."""
+    return percentiles(values, (q,))[0]
+
+
+def percentiles(values: list[float], qs: tuple[float, ...]) -> list[float]:
+    """Nearest-rank percentiles of ``values`` for ``qs``, one sort."""
     if not values:
         raise ValueError("percentile of an empty sequence is undefined")
-    if not 0.0 <= q <= 1.0:
+    if not all(0.0 <= q <= 1.0 for q in qs):
         raise ValueError("q must be in [0, 1]")
     ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return [ordered[max(1, math.ceil(q * len(ordered))) - 1] for q in qs]
 
 
 class Overloaded(RuntimeError):
@@ -155,8 +158,6 @@ class ServeStats:
     cache_hits: int = 0    #: served straight from the result cache
     hot_hits: int = 0      #: cache_hits answered by the in-memory LRU
     coalesced: int = 0     #: shared an identical in-flight computation
-    peer_fills: int = 0    #: filled from the key's home shard's cache
-    peer_serves: int = 0   #: probe hits answered TO peers (home-shard side)
     computed: int = 0      #: required fresh work-unit execution
     failed: int = 0        #: admitted but failed in execution
     direct: int = 0        #: queries tagged via="direct" by a ring client
@@ -169,12 +170,10 @@ class ServeStats:
     @property
     def hit_ratio(self) -> float:
         """Fraction of admitted requests served without fresh work —
-        the coalesce+cache(+peer) ratio the acceptance gate reads."""
+        the coalesce+cache ratio the acceptance gate reads."""
         if not self.accepted:
             return 0.0
-        return (
-            self.cache_hits + self.coalesced + self.peer_fills
-        ) / self.accepted
+        return (self.cache_hits + self.coalesced) / self.accepted
 
     @property
     def mean_batch_size(self) -> float:
@@ -191,8 +190,6 @@ class ServeStats:
             "cache_hits": self.cache_hits,
             "hot_hits": self.hot_hits,
             "coalesced": self.coalesced,
-            "peer_fills": self.peer_fills,
-            "peer_serves": self.peer_serves,
             "computed": self.computed,
             "failed": self.failed,
             "direct": self.direct,
@@ -201,8 +198,9 @@ class ServeStats:
             "hit_ratio": self.hit_ratio,
         }
         if self.latencies_s:
-            doc["p50_latency_s"] = percentile(self.latencies_s, 0.50)
-            doc["p99_latency_s"] = percentile(self.latencies_s, 0.99)
+            doc["p50_latency_s"], doc["p99_latency_s"] = percentiles(
+                self.latencies_s, (0.50, 0.99)
+            )
         return doc
 
 
@@ -266,11 +264,6 @@ class CampaignFrontEnd:
             OrderedDict()
             if cfg.cache_dir is not None and cfg.hot_values > 0 else None
         )
-        #: Optional cluster hook (duck-typed; see repro.serve.router's
-        #: CachePeerFill): ``await peer_fill.probe(kind, params)``
-        #: returns a cached value from the key's home shard or MISS.
-        #: Strictly an optimisation — any failure must surface as MISS.
-        self.peer_fill = None
         self._inflight: dict[tuple[str, str], _Pending] = {}
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
         self._pending_units = 0  # queued + executing distinct units
@@ -445,26 +438,6 @@ class CampaignFrontEnd:
                 self.stats.record_latency(time.perf_counter() - t_in)
                 return hit, SERVED_CACHE
 
-        if self.peer_fill is not None and self._probe_cache is not None:
-            # Cluster peer-fill: before paying for a computation, ask
-            # the key's home shard whether it already holds the value.
-            # A hit is written through to the local cache (so the next
-            # request is a plain local hit) and served without worker
-            # time — which is also why it skips admission control, like
-            # the cache path above.
-            value = await self.peer_fill.probe(kind, params)
-            if value is not MISS:
-                self._probe_cache.put(
-                    unit_key(kind, params, self.config.seed), value, kind=kind
-                )
-                self._remember(key, value)
-                self.stats.accepted += 1
-                self.stats.peer_fills += 1
-                if rec is not None:
-                    rec.bump("serve.peer_fill")
-                self.stats.record_latency(time.perf_counter() - t_in)
-                return value, SERVED_PEER
-
         # A genuine miss needs worker time: admission control applies.
         if self._draining:
             self.stats.rejected += 1
@@ -514,23 +487,6 @@ class CampaignFrontEnd:
         hot.move_to_end(key)
         if len(hot) > self.config.hot_values:
             hot.popitem(last=False)
-
-    def cache_peek(self, kind: str, params: dict[str, Any]) -> Any:
-        """Local-cache-only read for the cluster ``probe`` op: the
-        cached value or :data:`MISS`.  Never computes, never coalesces,
-        never consults ``peer_fill`` — the home shard answering a
-        peer's probe with another probe would recurse across the ring.
-        """
-        self._check_kind(kind)
-        if self._probe_cache is None:
-            return MISS
-        value = self._probe_cache.get(unit_key(kind, params, self.config.seed))
-        if value is not MISS:
-            self.stats.peer_serves += 1
-            rec = _obs_current()
-            if rec is not None:
-                rec.bump("serve.peer_serve")
-        return value
 
     def _retry_after(self) -> float:
         """A drain-time estimate for the 429 hint: the current backlog

@@ -164,9 +164,7 @@ def _tally(
 ) -> dict[str, Any]:
     """Fold raw per-request outcomes into one report dict."""
     completed = rejected = errors = 0
-    served: dict[str, int] = {
-        "cache": 0, "coalesced": 0, "computed": 0, "peer": 0,
-    }
+    served: dict[str, int] = {"cache": 0, "coalesced": 0, "computed": 0}
     latencies: list[float] = []
     for doc in responses:
         if isinstance(doc, Exception):
@@ -344,9 +342,7 @@ async def run_loadtest_fleet(
     if shutdown_after:
         await request_shutdown(host, port)
 
-    served: dict[str, int] = {
-        "cache": 0, "coalesced": 0, "computed": 0, "peer": 0,
-    }
+    served: dict[str, int] = {"cache": 0, "coalesced": 0, "computed": 0}
     latencies: list[float] = []
     merged: dict[str, Any] = {
         "requests": 0, "completed": 0, "rejected": 0, "errors": 0,
@@ -375,8 +371,7 @@ async def run_loadtest_fleet(
         offered_rate_rps=rate,
         throughput_rps=completed / wall_s if wall_s > 0 else 0.0,
         hit_ratio=(
-            (served["cache"] + served["coalesced"] + served["peer"])
-            / completed
+            (served["cache"] + served["coalesced"]) / completed
             if completed else 0.0
         ),
         answered_ratio=(

@@ -1,4 +1,4 @@
-"""Sharded cluster serving: consistent-hash router + cache peer-fill.
+"""Sharded cluster serving: the consistent-hash router.
 
 The cluster tier scales ``repro serve`` horizontally without giving up
 the single-process tier's cache economics:
@@ -15,33 +15,23 @@ the single-process tier's cache economics:
   the same per-connection ``binary1`` negotiation
   (:mod:`repro.serve.wire`) on both its faces: clients may go binary
   towards the router, and the router's backend links may go binary
-  towards the shards, independently.  ``query`` and
-  ``probe`` ops forward to the key's home shard over one multiplexed
-  connection per backend (:class:`BackendLink`), straight from the
-  client connection's read loop, and the link's read loop writes the
-  answer back through a reply callback; the backend's response
-  is proxied verbatim (only the ``id`` is remapped, and the framing
-  re-encoded for the client's negotiated wire), so the serving
-  skin — values, ``served``, error shapes, ``retry_after_s`` — is
-  byte-identical to talking to the backend directly.  ``stats``
-  fans in per-backend snapshots plus an ``aggregate`` rollup;
-  ``shutdown`` drains the whole cluster: the router stops admitting
-  (``overloaded``/``reason="draining"``), awaits its in-flight
-  forwards, then shuts each backend down in boot order.
+  towards the shards, independently.  A ``query`` forwards to the
+  key's home shard over one multiplexed connection per backend
+  (:class:`BackendLink`), straight from the client connection's read
+  loop, and the link's read loop writes the answer back through a
+  reply callback; the backend's response is proxied verbatim (only
+  the ``id`` is remapped, and the framing re-encoded for the client's
+  negotiated wire), so the serving skin — values, ``served``, error
+  shapes, ``retry_after_s`` — is byte-identical to talking to the
+  backend directly.  ``stats`` fans in per-backend snapshots plus an
+  ``aggregate`` rollup; ``shutdown`` drains the whole cluster: the
+  router stops admitting (``overloaded``/``reason="draining"``),
+  awaits its in-flight forwards, then shuts each backend down in boot
+  order.
 
-* :class:`CachePeerFill` — the backend-side half.  A backend that
-  misses its local cache (a query that arrived *not* via the router —
-  direct clients, or a ring reshape) asks the key's home shard via the
-  compute-free ``probe`` op before paying for the computation, and
-  writes a hit through to its own cache.  Strictly an optimisation:
-  any probe failure (peer down, timeout, malformed reply) degrades to
-  a local MISS and the value is computed exactly as before.  Peers on
-  cooldown after a failure are skipped entirely, so one dead shard
-  cannot add per-request latency cluster-wide.
-
-Nothing here touches values: both the router's forward path and the
-peer-fill path move the backend's JSON through unchanged, which is what
-the byte-identity acceptance tests pin down.
+Nothing here touches values: the forward path moves the backend's
+answer through unchanged, which is what the byte-identity acceptance
+tests pin down.
 """
 
 from __future__ import annotations
@@ -52,11 +42,10 @@ import contextlib
 import hashlib
 import json
 import socket
-import time
 from typing import Any, Callable
 
-from repro.parallel.cache import MISS
 from repro.serve.wire import (
+    MAX_UNANSWERED,
     BadFrame,
     DecodeMemo,
     EncodeMemo,
@@ -69,13 +58,9 @@ from repro.serve.wire import (
 #: share within ~20% for small clusters while hashing stays negligible.
 DEFAULT_VNODES = 64
 
-#: Peer probe budget: long enough for a loaded event loop to answer a
-#: cache read, far shorter than computing the value locally would take
-#: to matter.
-DEFAULT_PROBE_TIMEOUT_S = 2.0
-
-#: After a probe failure the peer is skipped for this long — a dead
-#: shard must not put a connect-timeout on every request's path.
+#: After a failure a shard is skipped for this long — a dead shard
+#: must not put a connect-timeout on every request's path.  Also the
+#: retry hint of a ``job_home_down`` answer.
 DEFAULT_DOWN_COOLDOWN_S = 1.0
 
 
@@ -409,124 +394,6 @@ class BackendLink:
         self._fail_outstanding(ConnectionError(f"backend {self.name}: closed"))
 
 
-class CachePeerFill:
-    """The backend-side peer-fill hook (duck-typed for
-    ``CampaignFrontEnd.peer_fill``).
-
-    ``await probe(kind, params)`` returns the home shard's cached value
-    or :data:`~repro.parallel.cache.MISS`.  MISS is also the answer
-    whenever this backend *is* the home shard (its own cache already
-    missed), the peer is on failure cooldown, or anything at all goes
-    wrong — peer-fill must never make a request fail that local
-    computation would have served.
-    """
-
-    def __init__(
-        self,
-        ring: HashRing,
-        self_name: str,
-        peers: dict[str, tuple[str, int]],
-        probe_timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
-        down_cooldown_s: float = DEFAULT_DOWN_COOLDOWN_S,
-        wire: str = "json",
-    ) -> None:
-        if self_name not in ring.nodes:
-            raise ValueError(f"{self_name!r} is not on the ring: {ring.nodes}")
-        self.ring = ring
-        self.self_name = self_name
-        self.probe_timeout_s = probe_timeout_s
-        self.down_cooldown_s = down_cooldown_s
-        self._links = {
-            name: BackendLink(name, host, port, wire=wire)
-            for name, (host, port) in peers.items()
-            if name != self_name
-        }
-        self._down_until: dict[str, float] = {}
-        # Monotonic timestamp of the last successful probe per peer: a
-        # probe failure only (re-)stamps the cooldown when no probe has
-        # succeeded since it STARTED — a slow failure racing a fresh
-        # success must not re-declare a provably live peer dead.
-        self._last_success: dict[str, float] = {}
-        self._inflight: dict[str, asyncio.Future] = {}
-        self.probes = 0  #: probes actually sent to a peer
-        self.fills = 0   #: probes that came back as hits
-
-    async def probe(self, kind: str, params: dict[str, Any]) -> Any:
-        key = route_key(kind, params)
-        home = self.ring.home(key)
-        if home == self.self_name:
-            return MISS  # we ARE the home shard; a local miss is final
-        link = self._links.get(home)
-        if link is None:
-            return MISS
-        if self._down_until.get(home, 0.0) > time.monotonic():
-            return MISS  # peer on cooldown: don't queue behind a corpse
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            # Coalesce concurrent probes for one key, mirroring the
-            # front end's single-flight table.
-            try:
-                return await asyncio.shield(inflight)
-            except asyncio.CancelledError:
-                raise  # THIS waiter was cancelled, not the leader
-            except Exception:  # noqa: BLE001 - optimisation only
-                return MISS
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        fut.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None
-        )
-        self._inflight[key] = fut
-        try:
-            value = await self._probe_home(link, kind, params)
-        except BaseException:
-            # The leader died (typically cancelled mid-probe).  Its own
-            # caller sees the failure, but every coalesced waiter must
-            # degrade to MISS — peer-fill may never fail a request that
-            # local compute would have served.
-            if not fut.done():
-                fut.set_result(MISS)
-            raise
-        else:
-            if not fut.done():
-                fut.set_result(value)
-            return value
-        finally:
-            self._inflight.pop(key, None)
-
-    async def _probe_home(
-        self, link: BackendLink, kind: str, params: dict[str, Any]
-    ) -> Any:
-        self.probes += 1
-        t_start = time.monotonic()
-        try:
-            doc = await link.request(
-                {"op": "probe", "kind": kind, "params": params},
-                timeout_s=self.probe_timeout_s,
-            )
-        except Exception:  # noqa: BLE001 - peer-fill is an optimisation
-            if self._last_success.get(link.name, float("-inf")) <= t_start:
-                self._down_until[link.name] = (
-                    time.monotonic() + self.down_cooldown_s
-                )
-            return MISS
-        # Any response at all proves the peer alive: clear the cooldown
-        # (a stale entry otherwise outlives its expiry forever) and
-        # record the success so racing failures cannot re-stamp it.
-        self._last_success[link.name] = time.monotonic()
-        self._down_until.pop(link.name, None)
-        if doc.get("ok") and doc.get("hit") and "value" in doc:
-            self.fills += 1
-            return doc["value"]
-        return MISS
-
-    def snapshot(self) -> dict[str, int]:
-        return {"probes": self.probes, "fills": self.fills}
-
-    async def close(self) -> None:
-        for link in self._links.values():
-            await link.close()
-
-
 class ServeRouter:
     """The cluster front door; see the module docstring.
 
@@ -589,7 +456,7 @@ class ServeRouter:
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        self.forwarded = 0       #: query/probe ops forwarded to a shard
+        self.forwarded = 0       #: queries and job ops forwarded to a shard
         self.unavailable = 0     #: forwards that died on a link failure
         self.rejected_draining = 0
         self.located = 0         #: locate ops answered
@@ -668,7 +535,7 @@ class ServeRouter:
                     break
                 op = req.get("op")
                 rid = req.get("id")
-                if op in ("query", "probe"):
+                if op == "query":
                     # Forwarded from the read path: the home shard's
                     # answer is written by the link's read loop, so one
                     # slow shard does not serialise this connection.
@@ -685,6 +552,9 @@ class ServeRouter:
                         else:
                             self._forward_inline(client, rid, req, link)
                             await link.drain_if_full()
+                    # Stop reading while this client holds too many
+                    # unanswered forwards or too many unsent answers.
+                    await client.wait_below(MAX_UNANSWERED)
                     await conn.drain_if_full()
                 elif op == "stats":
                     await self._send(conn, await self._answer_stats(rid))
@@ -716,7 +586,7 @@ class ServeRouter:
                          "detail": f"unknown op {op!r}"},
                     )
             # Answer what was read before EOF, then close.
-            await client.settled()
+            await client.wait_below(1)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -735,16 +605,16 @@ class ServeRouter:
     def _route(
         self, conn: WireConnection, rid: Any, req: dict[str, Any]
     ) -> BackendLink | None:
-        """The link a ``query``/``probe`` goes to, or ``None`` once it
-        has been answered here: a malformed request, a draining router
-        or an opt-in redirect."""
+        """The link a ``query`` goes to, or ``None`` once it has been
+        answered here: a malformed request, a draining router or an
+        opt-in redirect."""
         kind = req.get("kind")
         params = req.get("params")
         if not isinstance(kind, str) or not isinstance(params, dict):
             conn.write_response(
                 {"id": rid, "ok": False, "error": "bad_request",
-                 "detail": f"{req.get('op')} needs a string 'kind' "
-                 "and object 'params'"},
+                 "detail": "query needs a string 'kind' and object "
+                 "'params'"},
             )
             return None
         if self._draining:
@@ -755,7 +625,7 @@ class ServeRouter:
             )
             return None
         home = self.ring.home(route_key(kind, params))
-        if req.get("op") == "query" and req.get("redirect"):
+        if req.get("redirect"):
             # Opt-in client redirect: answer with the home shard's
             # address instead of proxying — the client connects direct
             # and the router's single process leaves the data path.
@@ -868,8 +738,7 @@ class ServeRouter:
         per_backend: dict[str, Any] = {}
         agg = {
             "accepted": 0, "rejected": 0, "cache_hits": 0,
-            "coalesced": 0, "peer_fills": 0, "peer_serves": 0,
-            "computed": 0, "failed": 0, "direct": 0,
+            "coalesced": 0, "computed": 0, "failed": 0, "direct": 0,
         }
         hit_ratios: dict[str, float] = {}
         for name, _, _ in self.backends:
@@ -889,8 +758,7 @@ class ServeRouter:
             for field in agg:
                 agg[field] += stats.get(field, 0)
         agg["hit_ratio"] = (
-            (agg["cache_hits"] + agg["coalesced"] + agg["peer_fills"])
-            / agg["accepted"]
+            (agg["cache_hits"] + agg["coalesced"]) / agg["accepted"]
             if agg["accepted"] else 0.0
         )
         agg["per_backend_hit_ratio"] = hit_ratios
@@ -925,23 +793,31 @@ def _unavailable_doc(rid: Any, backend: str, exc: Exception) -> dict[str, Any]:
 
 
 class _Client:
-    """One client connection's forwards still waiting for a reply, so
-    that the connection closes only after answering them."""
+    """One client connection's forwards still waiting for a reply: the
+    read loop waits on their count before reading more, and the
+    connection closes only after answering them."""
 
-    __slots__ = ("conn", "inflight", "_settled")
+    __slots__ = ("conn", "inflight", "_below", "_waiter")
 
     def __init__(self, conn: WireConnection) -> None:
         self.conn = conn
         self.inflight = 0
-        self._settled: asyncio.Future | None = None
+        self._below = 0
+        self._waiter: asyncio.Future | None = None
 
     def done(self) -> None:
         self.inflight -= 1
-        if not self.inflight and self._settled is not None:
-            if not self._settled.done():
-                self._settled.set_result(None)
+        waiter = self._waiter
+        if waiter is not None and self.inflight < self._below:
+            if not waiter.done():
+                waiter.set_result(None)
 
-    async def settled(self) -> None:
-        if self.inflight:
-            self._settled = asyncio.get_running_loop().create_future()
-            await self._settled
+    async def wait_below(self, limit: int) -> None:
+        """Return once fewer than ``limit`` forwards await a reply."""
+        if self.inflight >= limit:
+            self._below = limit
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None

@@ -13,14 +13,6 @@ Protocol (one JSON object per line, both directions)::
     -> {"op": "ping", "id": 3}
     <- {"id": 3, "ok": true}
 
-    -> {"op": "probe", "id": 9, "kind": "sweep_point", "params": {...}}
-    <- {"id": 9, "ok": true, "hit": true, "value": {...}}   # or hit: false
-
-``probe`` is the cluster peer-fill read (see :mod:`repro.serve.router`):
-a local-cache-only lookup that never computes, so a shard can ask a
-key's home shard for an already-computed value without risking
-recursive work amplification.
-
     -> {"op": "shutdown", "id": 4}
     <- {"id": 4, "ok": true}          # then: graceful drain, server exit
 
@@ -72,10 +64,10 @@ import contextlib
 import time
 from typing import Any
 
-from repro.parallel.cache import MISS
 from repro.serve.frontend import CampaignFrontEnd, Overloaded
 from repro.serve.jobs import JobManager, JobNotReady, campaign_job_units
 from repro.serve.wire import (
+    MAX_UNANSWERED,
     BadFrame,
     EncodeMemo,
     WireConnection,
@@ -166,9 +158,6 @@ class ServeServer:
         await self.frontend.drain(self.drain_timeout_s)
         if self.jobs is not None:
             self.jobs.close()
-        peer_fill = getattr(self.frontend, "peer_fill", None)
-        if peer_fill is not None:
-            await peer_fill.close()
         for task in list(self._conn_tasks):
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -220,6 +209,10 @@ class ServeServer:
                         )
                         pending.add(sub)
                         sub.add_done_callback(pending.discard)
+                        while len(pending) >= MAX_UNANSWERED:
+                            await asyncio.wait(
+                                pending, return_when=asyncio.FIRST_COMPLETED
+                            )
                     # Hot answers are buffered without waiting: stop
                     # reading while a client that does not read holds
                     # the buffer over its mark.
@@ -234,8 +227,6 @@ class ServeServer:
                     if self.jobs is not None:
                         doc["jobs"] = dict(self.jobs.totals)
                     await self._send(conn, doc)
-                elif op == "probe":
-                    await self._send(conn, self._answer_probe(rid, req))
                 elif op == "locate":
                     await self._send(conn, self._answer_locate(rid, req))
                 elif op in ("submit", "status", "result", "cancel"):
@@ -380,26 +371,6 @@ class ServeServer:
                         "object 'params' (or neither)"}
             doc.update(backend=self.name, host=host, port=self.port)
         return doc
-
-    def _answer_probe(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
-        """Cluster peer-fill read: the LOCAL cache's answer for a key,
-        or a clean miss.  Never computes and never probes further —
-        this is the home-shard end of the peer-fill protocol, so any
-        recursion here would ripple across the whole ring.
-        """
-        kind = req.get("kind")
-        params = req.get("params")
-        if not isinstance(kind, str) or not isinstance(params, dict):
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": "probe needs a string 'kind' and object 'params'"}
-        try:
-            value = self.frontend.cache_peek(kind, params)
-        except ValueError as exc:
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": str(exc)}
-        if value is MISS:
-            return {"id": rid, "ok": True, "hit": False}
-        return {"id": rid, "ok": True, "hit": True, "value": value}
 
     def _answer_hot(
         self, conn: WireConnection, rid: Any, req: dict[str, Any]

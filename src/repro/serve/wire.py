@@ -97,6 +97,12 @@ READ_CHUNK = 65536
 #: does wait once the mark is passed.
 WRITE_HIGH_WATER = 64 * 1024
 
+#: Unanswered requests at which a read loop stops reading: the mark
+#: above bounds nothing for a burst read before any answer exists.  It
+#: sits above the default ``queue_limit`` (256), so a one-connection
+#: burst of misses still reaches admission control (``overloaded``).
+MAX_UNANSWERED = 512
+
 _HEADER = struct.Struct(">BBI")   # magic, frame type, payload length
 _QREQ = struct.Struct(">QBB")     # id, flags, kind code
 _QRESP = struct.Struct(">QdB")    # id, latency_s, served code
@@ -110,7 +116,9 @@ _QREQ_FLAG_REDIRECT = 0x02
 UNIT_KINDS = ("sweep_base", "sweep_point", "fig6_point", "headline")
 
 #: Kind/served tables for the fast-path frames.  Indexes are part of
-#: the ``binary1`` wire contract: append-only.
+#: the ``binary1`` wire contract: append-only.  Served code 3
+#: (``"peer"``) is reserved: it named the removed cache peer-fill tier,
+#: and no server sends it any more.
 KIND_CODES = {kind: i for i, kind in enumerate(UNIT_KINDS)}
 SERVED_ORDER = ("cache", "coalesced", "computed", "peer")
 SERVED_CODES = {served: i for i, served in enumerate(SERVED_ORDER)}
@@ -277,7 +285,7 @@ class EncodeMemo:
 
     The serve tier's values are content-addressed and treated as
     immutable, and hot values are stable objects (the front end's hot
-    memo, the cache peer-fill path), so ``id(value)`` is a sound key as
+    memo), so ``id(value)`` is a sound key as
     long as the entry pins the object alive — a strong reference in the
     entry guarantees the id cannot be recycled, and the stored object
     is identity-checked on every hit anyway.

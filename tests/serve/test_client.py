@@ -8,12 +8,7 @@ import pytest
 
 from repro.serve.client import RingClient, request_once
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
-from repro.serve.router import (
-    CachePeerFill,
-    HashRing,
-    ServeRouter,
-    route_key,
-)
+from repro.serve.router import ServeRouter, route_key
 from repro.serve.server import ServeServer
 
 POINT_A = {"mode": "single", "platform": "Tegra2", "freq": 1.0}
@@ -44,10 +39,6 @@ async def start_cluster(tmp_path, n=2):
         server, task = await start_backend(tmp_path / name, name=name)
         servers.append(server)
         tasks.append(task)
-    peers = {nm: ("127.0.0.1", s.port) for nm, s in zip(names, servers)}
-    ring = HashRing(names)
-    for nm, s in zip(names, servers):
-        s.frontend.peer_fill = CachePeerFill(ring, nm, peers)
     router = ServeRouter(
         [(nm, "127.0.0.1", s.port) for nm, s in zip(names, servers)]
     )
@@ -162,8 +153,7 @@ class TestRingClient:
 
     def test_dead_home_falls_back_to_router(self, tmp_path):
         """Kill one shard: its keys fall back to the proxied path (the
-        router answers ``unavailable`` or serves via the other shard's
-        peer-fill-less compute — either way the client doesn't hang),
+        router answers ``unavailable`` — the client doesn't hang),
         the home goes on cooldown, and keys homed elsewhere still flow
         direct."""
 

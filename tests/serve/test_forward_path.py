@@ -1,9 +1,10 @@
-"""The read-path answer paths: the router forwards a ``query``/``probe``
-from its client read loop with a reply callback on the backend link,
+"""The read-path answer paths: the router forwards a ``query`` from
+its client read loop with a reply callback on the backend link,
 and a backend answers a hot-LRU hit from its read loop.  Neither starts
 a task per request, so these tests pin what the tasks used to give:
 every forward is answered (link loss, timeout, drain), buffers stay
-bounded when a client stops reading, and an inline hot hit is the same
+bounded when a client stops reading or sends more than it waits for,
+and an inline hot hit is the same
 answer, with the same counters, as the task path.
 """
 
@@ -12,6 +13,9 @@ import json
 import re
 import socket
 import struct
+import threading
+
+import pytest
 
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
 from repro.serve.router import ServeRouter
@@ -19,6 +23,7 @@ from repro.serve.server import ServeServer
 from repro.serve.wire import (
     FRAME_QRESP,
     MAGIC,
+    MAX_UNANSWERED,
     WRITE_HIGH_WATER,
     WireConnection,
 )
@@ -272,6 +277,65 @@ class TestFlowControl:
         # and buffered ~n * 16 KiB = 48 MiB for the stalled client.
         assert accepted_stalled < n // 2
         assert WRITE_HIGH_WATER < peak_stalled < n * 16384 // 4
+
+    @pytest.mark.parametrize("endpoint", ["server", "router"])
+    def test_a_burst_read_at_once_stops_at_max_unanswered(
+        self, tmp_path, endpoint
+    ):
+        """2,000 pipelined queries in one ``write``, never read, while
+        the backend's computation is held: the write-buffer mark sees
+        no answers, so only the unanswered-request bound stops the
+        read loop.  Unbounded, the backend accepts all 2,000."""
+        n = 2000
+        gate = threading.Event()
+
+        def gated_runner(units):
+            gate.wait(30)
+            return [u.label() for u in units]
+
+        async def scenario():
+            backend = ServeServer(CampaignFrontEnd(
+                ServeConfig(cache_dir=tmp_path / "b0", batch_window_s=0.001,
+                            queue_limit=4 * n),
+                gated_runner,
+            ))
+            await backend.start()
+            tasks = [asyncio.ensure_future(backend.serve_until_shutdown())]
+            port = backend.port
+            if endpoint == "router":
+                router = ServeRouter([("b0", "127.0.0.1", backend.port)])
+                await router.start()
+                tasks.append(
+                    asyncio.ensure_future(router.serve_until_shutdown())
+                )
+                port = router.port
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"".join(
+                (json.dumps(query(i)) + "\n").encode() for i in range(n)
+            ))
+            # Wait until the backend stops admitting.
+            stats = backend.frontend.stats
+            seen = -1
+            while stats.accepted != seen:
+                seen = stats.accepted
+                await asyncio.sleep(0.3)
+            accepted_stalled = stats.accepted
+            gate.set()
+            docs = [await recv(reader) for _ in range(n)]
+            send(writer, {"op": "shutdown", "id": "__bye__"})
+            await writer.drain()
+            assert (await recv(reader))["id"] == "__bye__"
+            await asyncio.wait_for(asyncio.gather(*tasks), 10)
+            writer.close()
+            return accepted_stalled, docs
+
+        try:
+            accepted_stalled, docs = asyncio.run(scenario())
+        finally:
+            gate.set()
+        assert accepted_stalled <= MAX_UNANSWERED
+        assert sorted(d["id"] for d in docs) == list(range(n))
+        assert all(d["ok"] for d in docs)
 
 
 def label_runner(units):

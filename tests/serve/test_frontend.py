@@ -469,3 +469,25 @@ class TestConfigAndHelpers:
         for _ in range(60):
             stats.record_latency(0.5)
         assert stats.snapshot()["p50_latency_s"] == 0.5
+
+    def test_snapshot_sorts_the_window_once(self, monkeypatch):
+        """A ``stats`` call runs on the event loop: p50 and p99 come
+        from one sort of the window, not one sort each."""
+        import builtins
+
+        from repro.serve import frontend
+
+        sorts = []
+
+        def counting_sorted(values, *args, **kwargs):
+            sorts.append(len(values))
+            return builtins.sorted(values, *args, **kwargs)
+
+        monkeypatch.setattr(frontend, "sorted", counting_sorted, raising=False)
+        stats = ServeStats()
+        for i in range(1, 101):
+            stats.record_latency(i / 1000)
+        snap = stats.snapshot()
+        assert sorts == [100]
+        assert snap["p50_latency_s"] == 0.050
+        assert snap["p99_latency_s"] == 0.099

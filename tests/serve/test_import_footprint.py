@@ -63,7 +63,7 @@ def test_all_is_unchanged():
     import repro.serve
 
     assert repro.serve.__all__ == [
-        "CachePeerFill", "CampaignFrontEnd", "HashRing", "Job", "JobJournal",
+        "CampaignFrontEnd", "HashRing", "Job", "JobJournal",
         "JobManager", "JobsConfig", "Overloaded", "RingClient",
         "ServeConfig", "ServeRouter", "ServeStats", "percentile",
         "request_once", "route_key", "topology_epoch",

@@ -15,7 +15,6 @@ import pytest
 from repro.parallel.units import execute_unit as run_unit
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
 from repro.serve.router import (
-    CachePeerFill,
     HashRing,
     ServeRouter,
     route_key,
@@ -77,10 +76,6 @@ async def boot_endpoint(
     if kind == "server":
         return Endpoint(kind, servers[0].port, tasks, servers)
     names = [f"b{i}" for i in range(n)]
-    peers = {nm: ("127.0.0.1", s.port) for nm, s in zip(names, servers)}
-    ring = HashRing(names)
-    for nm, s in zip(names, servers):
-        s.frontend.peer_fill = CachePeerFill(ring, nm, peers)
     router = ServeRouter(
         [(nm, "127.0.0.1", s.port) for nm, s in zip(names, servers)],
         binary_wire=binary_wire,
@@ -139,19 +134,25 @@ class TestWireContract:
             assert doc["id"] is None
 
     def test_unknown_op_echoes_id(self, tmp_path, kind):
+        """``probe``, the deleted cache peer-fill read, is an unknown op
+        too, and computes nothing."""
         async def scenario():
             ep = await boot_endpoint(kind, tmp_path)
             reader, writer = await connect(ep.port)
             send(writer, {"op": "frobnicate", "id": 17})
+            send(writer, {"op": "probe", "id": 18, "kind": "sweep_point",
+                          "params": POINT_A})
             await writer.drain()
-            doc = await recv(reader)
+            docs = [await recv(reader), await recv(reader)]
+            accepted = sum(s.frontend.stats.accepted for s in ep.servers)
             await shutdown_endpoint(ep, reader, writer)
-            return doc
+            return docs, accepted
 
-        doc = asyncio.run(scenario())
-        assert doc["id"] == 17
-        assert doc["error"] == "bad_request"
-        assert "frobnicate" in doc["detail"]
+        docs, accepted = asyncio.run(scenario())
+        for doc, (rid, op) in zip(docs, [(17, "frobnicate"), (18, "probe")]):
+            assert doc == {"id": rid, "ok": False, "error": "bad_request",
+                           "detail": f"unknown op {op!r}"}
+        assert accepted == 0
 
     def test_query_missing_fields(self, tmp_path, kind):
         async def scenario():

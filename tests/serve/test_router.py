@@ -1,6 +1,7 @@
 """The cluster router: hash ring, forwarding, stats fan-in, drain —
 and the byte-identity contract that values through the router (and
-through peer-fill) are the exact bytes a single-process server serves.
+from any backend queried directly) are the exact bytes a
+single-process server serves.
 """
 
 import asyncio
@@ -11,7 +12,6 @@ import pytest
 from repro.parallel.units import execute_unit as run_unit
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
 from repro.serve.router import (
-    CachePeerFill,
     HashRing,
     ServeRouter,
     route_key,
@@ -37,7 +37,7 @@ async def start_backend(cache_dir, runner=label_runner, **config_kw):
 
 
 async def start_cluster(tmp_path, n=2, runner=label_runner, **config_kw):
-    """N peer-filling backends + a router; returns
+    """N backends + a router; returns
     (router, backends, tasks) — exactly the shape ``repro
     cluster-serve`` boots, minus the subprocess plumbing."""
     backends, tasks = [], []
@@ -48,12 +48,6 @@ async def start_cluster(tmp_path, n=2, runner=label_runner, **config_kw):
         backends.append(server)
         tasks.append(task)
     names = [f"b{i}" for i in range(n)]
-    peers = {
-        name: ("127.0.0.1", s.port) for name, s in zip(names, backends)
-    }
-    ring = HashRing(names)
-    for name, server in zip(names, backends):
-        server.frontend.peer_fill = CachePeerFill(ring, name, peers)
     router = ServeRouter(
         [(name, "127.0.0.1", s.port) for name, s in zip(names, backends)]
     )
@@ -288,9 +282,10 @@ class TestRouterForwarding:
 
 
 class TestByteIdentity:
-    """The acceptance contract: values served via the router (and via
-    peer-fill) are byte-for-byte the single-process answer, for the
-    unit kinds behind figure3, figure4 and figure6."""
+    """The acceptance contract: values served via the router (and by
+    every backend queried directly) are byte-for-byte the
+    single-process answer, for the unit kinds behind figure3, figure4
+    and figure6."""
 
     CASES = [
         ("sweep_point", POINT_A),    # figure3 (single-core sweep)
@@ -302,9 +297,9 @@ class TestByteIdentity:
     def canon(value):
         return json.dumps(value, sort_keys=True)
 
-    def test_router_and_peer_fill_serve_identical_bytes(self, tmp_path):
-        """REAL units, served four ways — direct run_unit, single-process server,
-        through the router, and via a peer's cache_peek+probe fill —
+    def test_router_and_direct_backends_serve_identical_bytes(self, tmp_path):
+        """REAL units, served three ways — direct run_unit, through the
+        router, and by every backend queried directly, home or not —
         must all canonicalise to identical bytes."""
 
         async def scenario():
@@ -320,9 +315,9 @@ class TestByteIdentity:
                 doc = await recv(reader)
                 assert doc["ok"], doc
                 via_router[(kind, self.canon(params))] = doc["value"]
-            # Ask every backend DIRECTLY: the non-home shard must
-            # peer-fill and serve the same bytes.
-            via_peer = {}
+            # Ask every backend DIRECTLY: the non-home shard computes
+            # the value itself and must serve the same bytes.
+            via_backend = {}
             for backend in backends:
                 r2, w2 = await connect(backend.port)
                 for i, (kind, params) in enumerate(self.CASES):
@@ -331,7 +326,7 @@ class TestByteIdentity:
                     await w2.drain()
                     doc = await recv(r2)
                     assert doc["ok"], doc
-                    via_peer.setdefault(
+                    via_backend.setdefault(
                         (kind, self.canon(params)), []
                     ).append((doc["served"], doc["value"]))
                 w2.close()
@@ -340,20 +335,22 @@ class TestByteIdentity:
             await recv(reader)
             await asyncio.gather(*tasks)
             writer.close()
-            return via_router, via_peer
+            return via_router, via_backend
 
-        via_router, via_peer = asyncio.run(scenario())
-        peer_served = 0
+        via_router, via_backend = asyncio.run(scenario())
+        computed_off_home = 0
         for kind, params in self.CASES:
             case = (kind, self.canon(params))
             oracle = self.canon(run_unit(kind, params))
             assert self.canon(via_router[case]) == oracle
-            for served, value in via_peer[case]:
+            assert len(via_backend[case]) == 2
+            for served, value in via_backend[case]:
                 assert self.canon(value) == oracle, (case, served)
-                peer_served += served == "peer"
-        # At least one direct backend query was served by peer-fill
-        # (with 2 shards and 3 keys, some backend is not home).
-        assert peer_served >= 1
+                assert served in ("cache", "computed"), served
+                computed_off_home += served == "computed"
+        # Each key's non-home shard computed it locally (the home shard
+        # answers from its cache after the routed query).
+        assert computed_off_home == len(self.CASES)
 
 
 class _Transport:
