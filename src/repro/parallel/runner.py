@@ -16,9 +16,11 @@ Execution model
    :meth:`MobileSoCStudy.run_all`, the serial oracle.
 
 The cheap artefacts (figures 1/2/5/7, the tables, the outlooks) are
-computed directly by the study — they cost microseconds and some carry
-non-JSON-serialisable points, so caching them would buy nothing and
-complicate the cache contract.
+computed directly by the study and are not units.  They are cached
+only as part of ``repro all``'s whole rendered output, one more cache
+object that the CLI (:func:`repro.cli._all_cmd`) stores after this
+runner's campaign.  A run that finds that object prints it without
+importing this module, the study or numpy.
 
 :func:`run_units` is also the serve front end's execution path for
 its simulation and job batches (DESIGN.md section 11).  Nothing in
@@ -171,7 +173,7 @@ def _merge_campaign(
     """Assemble the ``run_all``-shaped dict from unit values, in the
     exact order and with the exact arithmetic of the serial path."""
     from repro.apps import APPLICATIONS, ScalingStudy
-    from repro.core.study import figure6_counts
+    from repro.core.study import HEADLINE_KEYS, figure6_counts
 
     by: dict[tuple[str, tuple], Any] = {
         (u.kind, tuple(sorted(u.params.items()))): v
@@ -212,7 +214,8 @@ def _merge_campaign(
             )
         figure6[name] = scaling.speedups()
 
-    headline = lookup("headline", n_nodes=96)
+    cached_headline = lookup("headline", n_nodes=96)
+    headline = {key: cached_headline[key] for key in HEADLINE_KEYS}
 
     # Pre-seed the study's memos so rendering after the campaign reuses
     # the merged results instead of recomputing them.

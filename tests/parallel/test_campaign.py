@@ -7,6 +7,8 @@ are module-scoped fixtures — every test after them rides the warm
 cache.
 """
 
+import contextlib
+import io
 import json
 import multiprocessing.pool
 
@@ -120,6 +122,23 @@ class TestCampaignByteIdentity:
         assert warm.cache_stats.hit_rate > 0.9  # the acceptance bar
         for key in ORACLE_KEYS:
             assert canon(warm.results[key]) == canon(serial_results[key]), key
+
+    def test_warm_artefact_text_matches_uncached(self, cold_report, cache_dir):
+        """Artefacts rendered from unit-level cache hits print exactly
+        what the uncached run prints.  The cache stores values
+        key-sorted, so this pins the headline's key order too."""
+        from repro.cli import ARTEFACTS, run_artefact
+
+        def rendered(**kwargs) -> str:
+            study = MobileSoCStudy()
+            report = run_campaign(quick=True, study=study, **kwargs)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                for name in ARTEFACTS:
+                    run_artefact(name, study, report.results)
+            return out.getvalue()
+
+        assert rendered(cache_dir=cache_dir) == rendered()
 
     def test_report_describe_mentions_cache(self, cold_report):
         text = cold_report.describe()

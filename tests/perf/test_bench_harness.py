@@ -344,14 +344,15 @@ class TestSuitesAndCli:
 
     def test_warm_cpu_ms_times_one_all_hit_process(self, tmp_path):
         """``campaign.warm_cpu_ms`` is the CPU of a ``repro all --quick``
-        process whose every unit hits the cache, with a unit and a
-        direction per extra; a cache that misses is refused."""
-        from repro.parallel.runner import run_campaign
+        process that finds its whole output in the cache, with a unit
+        and a direction per extra; a cache that misses is refused."""
+        from repro.cli import main
         from repro.perf.suites import _warm_cpu_result
 
         with pytest.raises(RuntimeError, match="missed the cache"):
             _warm_cpu_result(str(tmp_path / "empty"), runs=1)
-        run_campaign(quick=True, cache_dir=tmp_path / "cache")
+        assert main(["all", "--quick", "--cache-dir",
+                     str(tmp_path / "cache")]) == 0
         result = _warm_cpu_result(str(tmp_path / "cache"), runs=2)
         assert result.name == "campaign.warm_cpu_ms" and result.repeats == 2
         extras = result.extras
