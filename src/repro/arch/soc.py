@@ -117,25 +117,29 @@ class SoC:
 
     def l2_bandwidth_gbs(self, freq_ghz: float, cores: int = 1) -> float:
         """Aggregate on-chip cache bandwidth at ``freq_ghz`` for ``cores``
-        active cores (GB/s).  A shared LLC saturates; private per-core
-        levels (Sandy Bridge) scale linearly.  The scaling constants live
-        in :mod:`repro.timing.calibration`."""
-        from repro.timing import calibration
-
+        active cores (GB/s)."""
         if freq_ghz <= 0:
             raise ValueError("frequency must be positive")
         if not (1 <= cores <= self.n_cores):
             raise ValueError("cores out of range")
+        scale = self.l2_core_scale(cores)
+        return self.l2_bw_bytes_per_cycle * freq_ghz * scale
+
+    def l2_core_scale(self, cores: int) -> float:
+        """How the on-chip bandwidth scales with ``cores`` active cores:
+        a shared LLC saturates; private per-core levels (Sandy Bridge)
+        scale linearly.  The scaling constants live in
+        :mod:`repro.timing.calibration`."""
+        from repro.timing import calibration
+
         if cores == 1:
-            scale = 1.0
-        elif self.l2_shared:
-            scale = min(
+            return 1.0
+        if self.l2_shared:
+            return min(
                 1.0 + calibration.SHARED_L2_CORE_SCALING * (cores - 1),
                 calibration.SHARED_L2_SCALING_CAP,
             )
-        else:
-            scale = float(cores)
-        return self.l2_bw_bytes_per_cycle * freq_ghz * scale
+        return float(cores)
 
 
 @dataclass(frozen=True)

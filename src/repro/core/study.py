@@ -8,6 +8,8 @@ of series) that the benchmark harness prints and EXPERIMENTS.md records;
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import os
 from typing import Any
 
@@ -25,11 +27,7 @@ from repro.mpi.benchmarks import bandwidth_curve, latency_curve
 from repro.net.nic import PCIE, USB3
 from repro.net.protocol import OPEN_MX, TCP_IP, ProtocolStack
 from repro.timing.executor import SimulatedExecutor
-from repro.timing.measurement import (
-    PowerMeter,
-    measure_kernel,
-    measure_kernel_batch,
-)
+from repro.timing.measurement import PowerMeter, measure_kernel
 
 
 def _scalar_sweep() -> bool:
@@ -77,6 +75,21 @@ def figure6_counts(
             return None
         counts = (floor,)  # at least the anchor point
     return counts
+
+
+def _check_sweep_freq(freq: Any) -> None:
+    """``ValueError`` unless ``freq`` is a finite, positive real number
+    (a bool or a string is a client error, not a frequency)."""
+    if isinstance(freq, bool) or not isinstance(freq, numbers.Real):
+        raise ValueError(f"frequency must be a number, not {freq!r}")
+    try:
+        finite = math.isfinite(freq)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"frequency must be finite, not {freq!r}")
+    if freq <= 0:
+        raise ValueError("frequency must be positive")
 
 
 def _geomean(xs: list[float]) -> float:
@@ -189,18 +202,45 @@ class MobileSoCStudy:
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
+    def _sweep_platform(self, name: Any):
+        """The platform a sweep point names; ``ValueError`` (a client
+        error, not a crash) for anything but a known platform name."""
+        platform = self.platforms.get(name) if isinstance(name, str) else None
+        if platform is None:
+            raise ValueError(
+                f"unknown platform {name!r} "
+                f"(one of: {', '.join(self.platforms)})"
+            )
+        return platform
+
+    def _suite_energy(
+        self, platform, freq_ghz: float, cores: int, meter: PowerMeter,
+        time_s: list[float], mem_util: np.ndarray,
+    ) -> float:
+        """Mean metered energy of the kernel suite at one operating
+        point, from its kernel column of
+        :meth:`SimulatedExecutor.time_suite_batch`: what
+        :func:`measure_kernel` meters per kernel, drawn from ``meter``
+        in kernel order in one batched draw."""
+        powers = platform.soc.power.platform_powers(
+            freq_ghz, cores, platform.soc.n_cores, mem_util
+        )
+        metered = meter.integrate_batch(powers.tolist(), time_s)
+        return float(np.mean([energy for energy, _n in metered]))
+
     def sweep_base_energy(self) -> float:
         """Mean per-kernel energy of Tegra 2 @1 GHz serial — the
         denominator of every ``energy_norm`` in Figures 3/4."""
         if _scalar_sweep():
             return self._sweep_base_energy_scalar()
         meter = PowerMeter(seed=self._meter_seed("sweep:base"))
-        base_ex = self._executor(self.baseline)
-        measured = measure_kernel_batch(
-            self.baseline, self.kernels, 1.0, cores=1,
-            meter=meter, executor=base_ex,
+        time_s, mem_s = self._executor(self.baseline).time_suite_batch(
+            self.kernels, [1.0], cores=1
         )
-        return float(np.mean([m.energy_j for _run, m in measured]))
+        mem_util = np.minimum(1.0, mem_s[:, 0] / time_s[:, 0])
+        return self._suite_energy(
+            self.baseline, 1.0, 1, meter, time_s[:, 0].tolist(), mem_util
+        )
 
     def _sweep_base_energy_scalar(self) -> float:
         """Scalar reference oracle for :meth:`sweep_base_energy` (one
@@ -245,7 +285,8 @@ class MobileSoCStudy:
         against."""
         if mode not in ("single", "multi"):
             raise ValueError(f"unknown sweep mode {mode!r}")
-        platform = self.platforms[platform_name]
+        platform = self._sweep_platform(platform_name)
+        _check_sweep_freq(freq_ghz)
         cores = 1 if mode == "single" else platform.soc.n_cores
         ex = self._executor(platform)
         base_times = self.baseline_times()
@@ -280,50 +321,50 @@ class MobileSoCStudy:
         """Batched Figure 3/4 evaluation over many operating points.
 
         ``points`` defaults to the full :meth:`sweep_plan` grid.  Points
-        are grouped by platform and each kernel is timed once per group
-        with :meth:`SimulatedExecutor.time_kernel_batch` — NumPy array
-        ops over the operating-point (frequency) axis.  Energy keeps the
-        per-point sha256-seeded meter streams exactly: each point owns
-        its own :class:`PowerMeter`, which draws the whole kernel batch
-        in one call.  Results are bit-identical to the scalar
+        are grouped by platform, and each group times the whole kernel
+        suite at all its frequencies in one
+        :meth:`SimulatedExecutor.time_suite_batch` pass (NumPy over the
+        kernel x frequency axes).  Energy keeps the per-point
+        sha256-seeded meter streams exactly: each point owns its own
+        :class:`PowerMeter`, which draws the whole kernel batch in one
+        call.  Results are bit-identical to the scalar
         :meth:`sweep_point` loop, in ``points`` order (enforced by
-        tests/timing/test_sweep_equivalence.py).
+        tests/timing/test_sweep_equivalence.py).  A point that names an
+        unknown platform, or a frequency that is not a finite positive
+        number, raises ``ValueError``.
         """
         if mode not in ("single", "multi"):
             raise ValueError(f"unknown sweep mode {mode!r}")
         if points is None:
             points = self.sweep_plan()
         base_times = self.baseline_times()
+        base = [base_times[k.tag] for k in self.kernels]
         groups: dict[str, list[int]] = {}
-        for i, (name, _freq) in enumerate(points):
+        for i, (name, freq) in enumerate(points):
+            self._sweep_platform(name)
+            _check_sweep_freq(freq)
             groups.setdefault(name, []).append(i)
         out: list[dict[str, float] | None] = [None] * len(points)
         for name, idxs in groups.items():
             platform = self.platforms[name]
             cores = 1 if mode == "single" else platform.soc.n_cores
-            ex = self._executor(platform)
             freqs = [points[i][1] for i in idxs]
-            runs_by_kernel = {
-                k.tag: ex.time_kernel_batch(k, freqs, cores=cores)
-                for k in self.kernels
-            }
+            time_s, mem_s = self._executor(platform).time_suite_batch(
+                self.kernels, freqs, cores=cores
+            )
+            mem_util = np.minimum(1.0, mem_s / time_s)
             for j, i in enumerate(idxs):
+                # The seed and the reported frequency keep the caller's
+                # value as given: 1 and 1.0 name different meters.
                 freq = freqs[j]
-                sp = _geomean(
-                    [
-                        base_times[k.tag]
-                        / runs_by_kernel[k.tag][j].time_s
-                        for k in self.kernels
-                    ]
-                )
+                times = time_s[:, j].tolist()
+                sp = _geomean([b / t for b, t in zip(base, times)])
                 meter = PowerMeter(
                     seed=self._meter_seed(f"sweep:{mode}:{name}:{freq!r}")
                 )
-                measured = measure_kernel_batch(
-                    platform, self.kernels, freq, cores=cores,
-                    meter=meter, executor=ex,
+                energy = self._suite_energy(
+                    platform, freq, cores, meter, times, mem_util[:, j]
                 )
-                energy = float(np.mean([m.energy_j for _run, m in measured]))
                 out[i] = {
                     "freq_ghz": freq, "speedup": sp, "energy_j": energy,
                 }

@@ -121,13 +121,22 @@ def _cluster_for(max_nodes: int):
     return tibidabo(max_nodes)
 
 
+def _sweep_args(params: dict[str, Any]) -> tuple[Any, Any, Any]:
+    """A ``sweep_point``'s ``(mode, platform, freq)``; a missing one is
+    a client error (``ValueError``), like a malformed value."""
+    try:
+        return params["mode"], params["platform"], params["freq"]
+    except KeyError as exc:
+        raise ValueError(f"sweep_point needs {exc.args[0]!r}") from None
+
+
 def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
     """Run one work unit and return its JSON-serialisable value."""
     study = _plan_study(seed)
     if kind == "sweep_base":
         return study.sweep_base_energy()
     if kind == "sweep_point":
-        return study.sweep_point(params["mode"], params["platform"], params["freq"])
+        return study.sweep_point(*_sweep_args(params))
     if kind == "fig6_point":
         app = APPLICATIONS[params["app"]]
         result = app.simulate(_cluster_for(params["max_nodes"]), params["n"])
@@ -171,18 +180,18 @@ def execute_batch(
         except Exception as exc:  # noqa: BLE001 - per-unit containment
             return UnitFailure(f"{type(exc).__name__}: {exc}", exc)
 
-    by_mode: dict[Any, list[int]] = {}
+    by_mode: dict[str | None, list[int]] = {}
     for i, unit in enumerate(batch):
         if unit.kind == "sweep_point" and not _scalar_sweep():
-            by_mode.setdefault(unit.params.get("mode"), []).append(i)
+            mode = unit.params.get("mode")
+            by_mode.setdefault(
+                mode if isinstance(mode, str) else None, []
+            ).append(i)
         else:
             yield i, one(unit)
     for mode, idxs in by_mode.items():
         try:
-            points = [
-                (batch[i].params["platform"], batch[i].params["freq"])
-                for i in idxs
-            ]
+            points = [_sweep_args(batch[i].params)[1:] for i in idxs]
             values = _plan_study(seed).sweep_points(mode, points)
         except Exception:
             values = [one(batch[i]) for i in idxs]

@@ -253,24 +253,57 @@ def _figure7() -> int:
     )
 
 
-def _vs_des(name: str, body: Callable[[], int], repeats: int) -> BenchResult:
-    """``body`` on the default (event-free) path, then under the
-    discrete-event oracle (``REPRO_SCALAR_SWEEP=1``) in the same
-    process: ``speedup_vs_des`` is a same-run ratio, not a comparison
-    with a stored baseline.  The oracle pass is several times slower,
-    so it gets a single timed run."""
+def _sweep_point_cold() -> int:
+    """Single-point ``sweep_point`` calls on a fresh study (cold memos
+    and plans) at seeded off-grid frequencies, the unit a cold serve
+    miss computes; returns the number of points."""
+    import random
+
+    from repro.core.study import MobileSoCStudy
+
+    study = MobileSoCStudy()
+    rng = random.Random(0)
+    names = sorted(study.platforms)
+    n = 200
+    for _ in range(n):
+        name = rng.choice(names)
+        dvfs = study.platforms[name].soc.dvfs.frequencies()
+        study.sweep_point(
+            rng.choice(("single", "multi")), name,
+            rng.uniform(min(dvfs), max(dvfs)),
+        )
+    return n
+
+
+def _vs_oracle(
+    name: str, body: Callable[[], int], repeats: int, oracle: str = "des"
+) -> BenchResult:
+    """``body`` on the default (fast) path, then under the reference
+    oracle (``REPRO_SCALAR_SWEEP=1``: the discrete-event engine for the
+    apps, the scalar walk for the sweep) in the same process:
+    ``speedup_vs_<oracle>`` is a same-run ratio, not a comparison with
+    a stored baseline.  The oracle pass is several times slower, so it
+    gets a single timed run."""
     import os
     from unittest import mock
 
     fast = run_bench(name, body, repeats)
     with mock.patch.dict(os.environ, REPRO_SCALAR_SWEEP="1"):
-        des = run_bench(f"{name}_des", body, 1, warmup=False)
-    fast.extras.update(
-        des_wall_s=des.wall_s,
-        speedup_vs_des=des.wall_s / fast.wall_s,
-        host_cpus=float(os.cpu_count() or 1),
-    )
+        ref = run_bench(f"{name}_{oracle}", body, 1, warmup=False)
+    fast.extras.update({
+        f"{oracle}_wall_s": ref.wall_s,
+        f"speedup_vs_{oracle}": ref.wall_s / fast.wall_s,
+        "host_cpus": float(os.cpu_count() or 1),
+    })
     return fast
+
+
+def _sweep_point_cold_result(repeats: int) -> BenchResult:
+    result = _vs_oracle(
+        "apps.sweep_point_cold", _sweep_point_cold, repeats, "scalar"
+    )
+    result.extras["us_per_point"] = result.wall_s / result.ops * 1e6
+    return result
 
 
 def _apps_bodies(
@@ -280,8 +313,10 @@ def _apps_bodies(
 
     The HPL run dominates; a fresh study per call keeps the executor
     memo cold across repeats (what a user's first run experiences).
-    The sweep bench is cheap, so it keeps real repeats even in quick
-    mode — best-of-1 wall clock is not comparable to best-of-N.
+    The sweep benches are cheap, so they keep real repeats even in
+    quick mode — best-of-1 wall clock is not comparable to best-of-N.
+    ``apps.sweep_point_cold`` records ``us_per_point`` for one
+    off-grid point and its same-run ``speedup_vs_scalar``.
     """
     hpl_reps = 1 if quick else max(1, repeats - 1)
     return [
@@ -290,9 +325,11 @@ def _apps_bodies(
         ("apps.fig3_sweep",
          lambda: run_bench("apps.fig3_sweep", _fig3_sweep, max(repeats, 3))),
         ("apps.fig6_grid",
-         lambda: _vs_des("apps.fig6_grid", _fig6_grid, max(repeats, 2))),
+         lambda: _vs_oracle("apps.fig6_grid", _fig6_grid, max(repeats, 2))),
         ("apps.figure7",
-         lambda: _vs_des("apps.figure7", _figure7, max(repeats, 3))),
+         lambda: _vs_oracle("apps.figure7", _figure7, max(repeats, 3))),
+        ("apps.sweep_point_cold",
+         lambda: _sweep_point_cold_result(max(repeats, 3))),
     ]
 
 

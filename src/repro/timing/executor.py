@@ -19,6 +19,7 @@ kernel iteration it computes
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from repro.arch.soc import Platform
 from repro.kernels.base import Kernel, OperationProfile
 from repro.timing import calibration
-from repro.timing.roofline import Roofline, RooflineBatch
+from repro.timing.roofline import Roofline
 
 #: Per-executor bound on memoized runs (LRU).  The full campaign keeps
 #: at most ~130 runs per platform (frequencies x kernels x 2 core
@@ -65,47 +66,56 @@ class SimulatedRun:
 
 
 @dataclass(frozen=True, slots=True)
-class _BandwidthTerms:
-    """The frequency-independent terms of a kernel's memory roof at one
-    core count: resident kernels scale on-chip bandwidth with the clock,
-    streaming ones see a fixed, derated DRAM bandwidth."""
+class _KernelPlan:
+    """The frequency-independent terms of one kernel at one core count,
+    default size and pass count: each field is the value the scalar
+    model computes before it first touches the frequency, so the suite
+    pass that consumes them performs the scalar path's IEEE operations
+    in the scalar path's order."""
 
-    resident: bool
-    l2_bytes_per_cycle: float  #: resident: the SoC's L2 bytes per cycle
-    l2_scale: float            #: resident: core-contention L2 scale
-    l2_factor: float           #: resident: L2 pattern derate
-    dram_bw: float             #: streaming: derated DRAM bandwidth (GB/s)
-
-    def at(self, f: np.ndarray) -> np.ndarray:
-        """The roof's bandwidth (GB/s) at each frequency of ``f``
-        (mirrors ``SoC.l2_bandwidth_gbs`` inline so the resident roof
-        stays one scalar-by-array multiply chain)."""
-        if self.resident:
-            bw = self.l2_bytes_per_cycle * f * self.l2_scale
-            return bw * self.l2_factor
-        return np.full(f.shape, self.dram_bw)
+    flops: float            #: FP work of one pass
+    eff: float              #: achieved fraction of peak
+    issue_cycles: float
+    par_scale: float | None  #: Amdahl + imbalance factor; None = 1 core
+    resident: bool          #: working set fits the last-level cache
+    l2_factor: float        #: resident: L2 pattern derate
+    dram_bw: float          #: streaming: derated DRAM bandwidth (GB/s)
+    traffic: float          #: bytes per pass from the roof's memory level
+    barriers: float         #: barriers per iteration
+    reps: int
 
 
 @dataclass(frozen=True, slots=True)
-class _KernelPlan:
-    """The frequency-independent terms of one kernel at one core count
-    (and size/passes): everything :meth:`SimulatedExecutor.
-    time_kernel_batch` would otherwise recompute per call.  Each field
-    is the value the scalar model computes before it first touches the
-    frequency, so the batch arithmetic that consumes them performs the
-    scalar path's IEEE operations in the scalar path's order."""
+class _SuitePlan:
+    """A kernel suite's :class:`_KernelPlan` fields at one core count as
+    ``(kernel, 1)`` columns (and the terms every kernel shares as
+    scalars), so :meth:`SimulatedExecutor.time_suite_batch` broadcasts
+    them against a ``(1, frequency)`` row in one pass."""
 
-    flops: float            #: FP work of one pass
-    total_flops: float      #: ``flops * reps``
-    eff: float              #: achieved fraction of peak
-    issue_cycles: float
+    flops: np.ndarray
+    eff: np.ndarray
+    issue_cycles: np.ndarray
+    par_scale: np.ndarray | None
+    resident: np.ndarray
+    l2_factor: np.ndarray
+    dram_bw: np.ndarray
+    traffic: np.ndarray
+    barriers: np.ndarray
+    reps: np.ndarray
     abi_penalty: float
-    par_scale: float | None  #: Amdahl + imbalance factor; None = 1 core
-    bandwidth: _BandwidthTerms
-    traffic: float          #: bytes per pass from the roof's memory level
-    barrier_cores: float    #: ``BARRIER_US_PER_THREAD_AT_1GHZ * cores``
-    barriers: float         #: barriers per iteration
-    reps: int
+    l2_bytes_per_cycle: float  #: the SoC's L2 bytes per cycle
+    l2_scale: float            #: core-contention L2 scale
+    barrier_cores: float       #: ``BARRIER_US_PER_THREAD_AT_1GHZ * cores``
+
+    def bandwidth_gbs(self, f: np.ndarray) -> np.ndarray:
+        """The memory roof (GB/s) of every kernel at every frequency of
+        the ``(1, n)`` row ``f``: :meth:`SimulatedExecutor.
+        effective_bandwidth_gbs` with ``SoC.l2_bandwidth_gbs`` inlined
+        (same product order),
+        on-chip bandwidth scaling with the clock where resident and the
+        fixed DRAM bandwidth elsewhere."""
+        l2 = self.l2_bytes_per_cycle * f * self.l2_scale
+        return np.where(self.resident, l2 * self.l2_factor, self.dram_bw)
 
 
 class SimulatedExecutor:
@@ -129,12 +139,13 @@ class SimulatedExecutor:
         # safe when a serving process times sweeps from two threads.
         self._memo: OrderedDict[tuple, SimulatedRun] = OrderedDict()
         self._memo_lock = threading.Lock()
-        # (kernel, cores, size, passes) -> _KernelPlan: the frequency-
-        # independent terms of time_kernel_batch, built once.
+        # (kernel, cores) -> _KernelPlan and (kernel tuple, cores) ->
+        # _SuitePlan: the frequency-independent terms of
+        # time_suite_batch, built once.  A plan is stored only once it
+        # is complete, so a sweep on another thread never sees half of
+        # one.
         self._plans: dict[tuple, _KernelPlan] = {}
-        # Per-µarch efficiency tables: kernel-tag tuple -> fp-efficiency
-        # array, built once per executor (see :meth:`efficiency_table`).
-        self._eff_tables: dict[tuple[str, ...], np.ndarray] = {}
+        self._suite_plans: dict[tuple, _SuitePlan] = {}
 
     # ------------------------------------------------------------------
     def _abi_penalty(self) -> float:
@@ -182,84 +193,6 @@ class SimulatedExecutor:
         peak = soc.core.peak_gflops(freq_ghz) * cores * eff
         return Roofline(
             peak, self.effective_bandwidth_gbs(freq_ghz, cores, profile)
-        )
-
-    # ------------------------------------------------------------------
-    # Batched (operating-point-axis) evaluation.  Every method below is
-    # the elementwise twin of its scalar counterpart: identical IEEE
-    # operations applied in the identical order, so entry ``i`` of every
-    # array equals the scalar result at ``freqs[i]`` bit-for-bit.  The
-    # sweep-equivalence suite (tests/timing/test_sweep_equivalence.py)
-    # enforces the contract; REPRO_SCALAR_SWEEP=1 forces callers back to
-    # the scalar oracle.
-    # ------------------------------------------------------------------
-    def efficiency_table(self, kernels: Sequence[Kernel]) -> np.ndarray:
-        """Per-kernel achieved-fraction-of-peak of this µarch as one
-        array, computed once per executor and kernel set — the per-µarch
-        efficiency table the batched sweep indexes instead of re-walking
-        the scalar lookup at every operating point."""
-        key = tuple(k.tag for k in kernels)
-        cached = self._eff_tables.get(key)
-        if cached is None:
-            core = self.platform.soc.core.name
-            cached = self._eff_tables[key] = np.array(
-                [
-                    calibration.fp_efficiency(
-                        core, k.profile(k.default_size()).characteristics
-                    )
-                    for k in kernels
-                ]
-            )
-        return cached
-
-    def _bandwidth_terms(
-        self, cores: int, profile: OperationProfile
-    ) -> _BandwidthTerms:
-        """The frequency-independent half of
-        :meth:`effective_bandwidth_gbs`, for the batched twins."""
-        soc = self.platform.soc
-        if not self.is_resident(profile):
-            bw = soc.memory.effective_bandwidth_gbs(cores, soc.core.mlp)
-            return _BandwidthTerms(
-                False, 0.0, 0.0, 0.0,
-                bw * calibration.pattern_bandwidth_factor(profile.pattern),
-            )
-        if cores == 1:
-            scale = 1.0
-        elif soc.l2_shared:
-            scale = min(
-                1.0 + calibration.SHARED_L2_CORE_SCALING * (cores - 1),
-                calibration.SHARED_L2_SCALING_CAP,
-            )
-        else:
-            scale = float(cores)
-        return _BandwidthTerms(
-            True, soc.l2_bw_bytes_per_cycle, scale,
-            calibration.PATTERN_L2_FACTOR[profile.pattern], 0.0,
-        )
-
-    def effective_bandwidth_gbs_batch(
-        self, freqs: Sequence[float], cores: int, profile: OperationProfile
-    ) -> np.ndarray:
-        """Elementwise twin of :meth:`effective_bandwidth_gbs` over a
-        frequency array."""
-        f = np.asarray(freqs, dtype=float)
-        if np.any(f <= 0):
-            raise ValueError("frequency must be positive")
-        if not (1 <= cores <= self.platform.soc.n_cores):
-            raise ValueError("cores out of range")
-        return self._bandwidth_terms(cores, profile).at(f)
-
-    def roofline_batch(
-        self, freqs: Sequence[float], cores: int, profile: OperationProfile
-    ) -> RooflineBatch:
-        """The rooflines this kernel sees across a frequency batch."""
-        soc = self.platform.soc
-        f = np.asarray(freqs, dtype=float)
-        eff = calibration.fp_efficiency(soc.core.name, profile.characteristics)
-        peak = soc.core.fp64_flops_per_cycle * f * cores * eff
-        return RooflineBatch(
-            peak, self.effective_bandwidth_gbs_batch(f, cores, profile)
         )
 
     # ------------------------------------------------------------------
@@ -330,13 +263,16 @@ class SimulatedExecutor:
             )
 
         t_pass = max(t_comp, t_mem) + t_over
+        time_s = t_pass * reps
+        if not 0.0 < time_s < math.inf:
+            raise ValueError(f"no finite, positive time at {freq_ghz!r} GHz")
         bound = "memory" if t_mem > t_comp else "compute"
         run = SimulatedRun(
             kernel=kernel.tag,
             platform=self.platform.name,
             freq_ghz=freq_ghz,
             cores=cores,
-            time_s=t_pass * reps,
+            time_s=time_s,
             compute_time_s=t_comp * reps,
             memory_time_s=t_mem * reps,
             overhead_time_s=t_over * reps,
@@ -346,88 +282,61 @@ class SimulatedExecutor:
         self._memo_put(key, run)
         return run
 
-    def time_kernel_batch(
+    def time_suite_batch(
         self,
-        kernel: Kernel,
+        kernels: Sequence[Kernel],
         freqs: Sequence[float],
         cores: int = 1,
-        size: int | None = None,
-        passes: int | None = None,
-    ) -> list[SimulatedRun]:
-        """:meth:`time_kernel` over a whole frequency batch at once.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every kernel of ``kernels`` at every frequency of ``freqs``
+        in one ``(kernel, frequency)`` NumPy pass, at each kernel's
+        default size and pass count.
 
-        Already-memoized points are served from the executor memo;
-        missing points are computed as NumPy array ops over the
-        operating-point axis, replaying the scalar model's operation
-        order element by element so every returned run is bit-identical
-        to the scalar path.  Computed points are stored into the memo,
-        so a later scalar ``time_kernel`` call returns the very same
-        frozen run object (the property the measurement path and the
-        on-disk result cache rely on).
+        Returns ``(time_s, memory_time_s)``, two arrays of shape
+        ``(len(kernels), len(freqs))``.  Entry ``[i, j]`` equals
+        ``time_kernel(kernels[i], freqs[j], cores)``'s ``time_s`` and
+        ``memory_time_s`` bit for bit: the pass broadcasts the suite's
+        plan columns against the frequency row and performs the scalar
+        model's IEEE operations in the scalar model's order (enforced
+        by tests/timing/test_sweep_equivalence.py).  It neither reads
+        nor fills the run memo.
         """
-        freqs = [float(f) for f in freqs]
-        out: list[SimulatedRun | None] = [
-            self._memo_get((kernel, f, cores, size, passes)) for f in freqs
-        ]
-        missing = [i for i, run in enumerate(out) if run is None]
-        if not missing:
-            return out
-        soc = self.platform.soc
-        f = np.array([freqs[i] for i in missing], dtype=float)
-        if np.any(f <= 0):
+        f = np.array(freqs, dtype=float)[None, :]
+        if not (f > 0).all():
             raise ValueError("frequency must be positive")
-        plan = self._plan(kernel, cores, size, passes)
-
-        # --- single-core compute time (cf. time_kernel) ----------------
-        achieved_gflops_1 = soc.core.fp64_flops_per_cycle * f * plan.eff
-        t_fp = plan.flops / (achieved_gflops_1 * 1e9)
-        t_issue = plan.issue_cycles / (f * 1e9)
-        t_comp = np.maximum(t_fp, t_issue) * plan.abi_penalty
-
-        # --- parallel compute time -------------------------------------
-        if plan.par_scale is not None:
-            t_comp = t_comp * plan.par_scale
-
-        # --- memory time -----------------------------------------------
-        t_mem = plan.traffic / (plan.bandwidth.at(f) * 1e9)
-
-        # --- synchronisation overhead ----------------------------------
-        if cores > 1:
-            per_barrier = (plan.barrier_cores / f) * 1e-6
-            t_over = (
-                plan.barriers * per_barrier
-                + calibration.FORK_JOIN_US_AT_1GHZ / f * 1e-6
+        plan = self._suite_plan(kernels, cores)
+        # An extreme frequency over- or underflows to a time of 0 or
+        # inf, which the check below rejects; the warnings add nothing.
+        with np.errstate(all="ignore"):
+            # --- compute time (cf. time_kernel) -----------------------
+            fp64_per_cycle = self.platform.soc.core.fp64_flops_per_cycle
+            achieved_gflops_1 = fp64_per_cycle * f * plan.eff
+            t_fp = plan.flops / (achieved_gflops_1 * 1e9)
+            t_issue = plan.issue_cycles / (f * 1e9)
+            t_comp = np.maximum(t_fp, t_issue) * plan.abi_penalty
+            if plan.par_scale is not None:
+                t_comp = t_comp * plan.par_scale
+            # --- memory time ------------------------------------------
+            t_mem = plan.traffic / (plan.bandwidth_gbs(f) * 1e9)
+            # --- synchronisation overhead -----------------------------
+            t_pass = np.maximum(t_comp, t_mem)
+            if cores > 1:
+                per_barrier = (plan.barrier_cores / f) * 1e-6
+                t_pass = t_pass + (
+                    plan.barriers * per_barrier
+                    + calibration.FORK_JOIN_US_AT_1GHZ / f * 1e-6
+                )
+            time_s = t_pass * plan.reps
+        if not (time_s.min() > 0.0 and time_s.max() < math.inf):
+            raise ValueError(
+                f"no finite, positive time at {list(freqs)!r} GHz"
             )
-        else:
-            t_over = np.zeros_like(f)
+        return time_s, t_mem * plan.reps
 
-        t_pass = np.maximum(t_comp, t_mem) + t_over
-        reps = plan.reps
-        for i, tp, tc, tm, to in zip(
-            missing, t_pass.tolist(), t_comp.tolist(), t_mem.tolist(),
-            t_over.tolist(),
-        ):
-            out[i] = run = SimulatedRun(
-                kernel=kernel.tag,
-                platform=self.platform.name,
-                freq_ghz=freqs[i],
-                cores=cores,
-                time_s=tp * reps,
-                compute_time_s=tc * reps,
-                memory_time_s=tm * reps,
-                overhead_time_s=to * reps,
-                flops=plan.total_flops,
-                bound="memory" if tm > tc else "compute",
-            )
-            self._memo_put((kernel, freqs[i], cores, size, passes), run)
-        return out
-
-    def _plan(
-        self, kernel: Kernel, cores: int, size: int | None, passes: int | None
-    ) -> _KernelPlan:
+    def _plan(self, kernel: Kernel, cores: int) -> _KernelPlan:
         """The cached :class:`_KernelPlan` of ``kernel`` at ``cores``;
         validates ``cores`` on first build."""
-        key = (kernel, cores, size, passes)
+        key = (kernel, cores)
         plan = self._plans.get(key)
         if plan is not None:
             return plan
@@ -436,33 +345,65 @@ class SimulatedExecutor:
             raise ValueError(
                 f"cores must be in [1, {soc.n_cores}] for {self.platform.name}"
             )
-        n = kernel.default_size() if size is None else size
-        reps = calibration.passes_for(kernel.tag) if passes is None else passes
-        profile = kernel.profile(n)
+        profile = kernel.profile(kernel.default_size())
         ch = profile.characteristics
         pf = ch.parallel_fraction
-        bandwidth = self._bandwidth_terms(cores, profile)
+        resident = self.is_resident(profile)
         plan = self._plans[key] = _KernelPlan(
             flops=profile.flops,
-            total_flops=profile.flops * reps,
             eff=calibration.fp_efficiency(soc.core.name, ch),
             issue_cycles=soc.core.issue_cycles(profile.mix),
-            abi_penalty=self._abi_penalty(),
             par_scale=(
                 None if cores == 1
                 else (1.0 - pf) + pf * ch.load_imbalance / cores
             ),
-            bandwidth=bandwidth,
-            traffic=(
-                profile.cache_traffic
-                if bandwidth.resident
-                else profile.bytes_from_dram
+            resident=resident,
+            l2_factor=(
+                calibration.PATTERN_L2_FACTOR[profile.pattern]
+                if resident else 0.0
             ),
-            barrier_cores=calibration.BARRIER_US_PER_THREAD_AT_1GHZ * cores,
+            dram_bw=(
+                0.0 if resident
+                else soc.memory.effective_bandwidth_gbs(cores, soc.core.mlp)
+                * calibration.pattern_bandwidth_factor(profile.pattern)
+            ),
+            traffic=(
+                profile.cache_traffic if resident else profile.bytes_from_dram
+            ),
             barriers=ch.barriers_per_iteration,
-            reps=reps,
+            reps=calibration.passes_for(kernel.tag),
         )
         return plan
+
+    def _suite_plan(self, kernels: Sequence[Kernel], cores: int) -> _SuitePlan:
+        """The cached :class:`_SuitePlan` of ``kernels`` at ``cores``."""
+        key = (tuple(kernels), cores)
+        suite = self._suite_plans.get(key)
+        if suite is not None:
+            return suite
+        plans = [self._plan(k, cores) for k in kernels]
+
+        def column(field: str, dtype: type = float) -> np.ndarray:
+            return np.array([getattr(p, field) for p in plans], dtype)[:, None]
+
+        suite = _SuitePlan(
+            flops=column("flops"),
+            eff=column("eff"),
+            issue_cycles=column("issue_cycles"),
+            par_scale=None if cores == 1 else column("par_scale"),
+            resident=column("resident", bool),
+            l2_factor=column("l2_factor"),
+            dram_bw=column("dram_bw"),
+            traffic=column("traffic"),
+            barriers=column("barriers"),
+            reps=column("reps"),
+            abi_penalty=self._abi_penalty(),
+            l2_bytes_per_cycle=self.platform.soc.l2_bw_bytes_per_cycle,
+            l2_scale=self.platform.soc.l2_core_scale(cores),
+            barrier_cores=calibration.BARRIER_US_PER_THREAD_AT_1GHZ * cores,
+        )
+        self._suite_plans[key] = suite
+        return suite
 
     def _memo_get(self, key: tuple) -> SimulatedRun | None:
         with self._memo_lock:
@@ -479,23 +420,26 @@ class SimulatedExecutor:
                 self._memo.popitem(last=False)
 
     def evict_kernel(self, kernel_or_tag: Kernel | str) -> int:
-        """Drop every memoized run (and kernel plan) of one kernel, by
-        object or by tag.
+        """Drop every memoized run, kernel plan and suite plan of one
+        kernel, by object or by tag.
 
         The memo keys kernels by identity, so re-registering a kernel
         implementation under an existing tag would otherwise keep this
         executor serving runs of the replaced object forever.  Returns
-        the number of entries dropped."""
+        the number of memoized runs dropped."""
         if isinstance(kernel_or_tag, str):
-            def doomed(key: tuple) -> bool:
-                return key[0].tag == kernel_or_tag
+            def doomed(kernel: Kernel) -> bool:
+                return kernel.tag == kernel_or_tag
         else:
-            def doomed(key: tuple) -> bool:
-                return key[0] is kernel_or_tag
-        for key in [key for key in self._plans if doomed(key)]:
+            def doomed(kernel: Kernel) -> bool:
+                return kernel is kernel_or_tag
+        for key in [key for key in list(self._plans) if doomed(key[0])]:
             del self._plans[key]
+        for key in list(self._suite_plans):
+            if any(map(doomed, key[0])):
+                del self._suite_plans[key]
         with self._memo_lock:
-            keys = [key for key in self._memo if doomed(key)]
+            keys = [key for key in self._memo if doomed(key[0])]
             for key in keys:
                 del self._memo[key]
         return len(keys)

@@ -99,10 +99,13 @@ class PowerMeter:
                 raise ValueError("duration must be positive")
             counts.append(max(1, int(round(duration * self.sample_hz))))
         noise = self._rng.normal(0.0, self.precision, sum(counts))
+        # Every sample scaled in one elementwise pass (the same IEEE
+        # products as sample_trace), then one mean per interval.
+        traces = np.repeat(powers_watts, counts) * (1.0 + noise)
         out: list[tuple[float, int]] = []
         offset = 0
-        for power, duration, n in zip(powers_watts, durations_s, counts):
-            trace = power * (1.0 + noise[offset : offset + n])
+        for duration, n in zip(durations_s, counts):
+            trace = traces[offset : offset + n]
             offset += n
             out.append((float(trace.mean() * duration), n))
         return out
@@ -145,56 +148,3 @@ def measure_kernel(
     )
     return run, measurement
 
-
-def measure_kernel_batch(
-    platform: Platform,
-    kernels: list[Kernel],
-    freq_ghz: float,
-    cores: int = 1,
-    iterations: int = 1,
-    meter: PowerMeter | None = None,
-    executor: SimulatedExecutor | None = None,
-) -> list[tuple[SimulatedRun, EnergyMeasurement]]:
-    """:func:`measure_kernel` over a kernel batch with one meter draw.
-
-    Runs and power levels come from the same models the scalar procedure
-    consults (the executor memo makes re-timing free), and the meter
-    integrates every interval out of a single batched draw via
-    :meth:`PowerMeter.integrate_batch` — so each returned pair is
-    bit-identical to calling :func:`measure_kernel` on the same meter in
-    the same kernel order.
-    """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    meter = meter or PowerMeter()
-    executor = executor or SimulatedExecutor(platform)
-    runs = [executor.time_kernel(k, freq_ghz, cores=cores) for k in kernels]
-    powers = [
-        platform.soc.power.platform_power(
-            freq_ghz,
-            active_cores=cores,
-            total_cores=platform.soc.n_cores,
-            mem_bw_utilisation=run.memory_bw_utilisation,
-        )
-        for run in runs
-    ]
-    durations = [run.time_s * iterations for run in runs]
-    integrated = meter.integrate_batch(powers, durations)
-    out: list[tuple[SimulatedRun, EnergyMeasurement]] = []
-    for kernel, run, duration, (energy, n_samples) in zip(
-        kernels, runs, durations, integrated
-    ):
-        out.append(
-            (
-                run,
-                EnergyMeasurement(
-                    platform=platform.name,
-                    kernel=kernel.tag,
-                    duration_s=duration,
-                    energy_j=energy,
-                    mean_power_w=energy / duration,
-                    n_samples=n_samples,
-                ),
-            )
-        )
-    return out

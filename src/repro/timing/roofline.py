@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Roofline:
@@ -51,64 +49,3 @@ class Roofline:
         t_mem = dram_bytes / (self.bandwidth_gbs * 1e9)
         return max(t_comp, t_mem)
 
-
-@dataclass(frozen=True)
-class RooflineBatch:
-    """A two-roof model over a whole batch of operating points.
-
-    Elementwise twin of :class:`Roofline`: entry ``i`` of every result
-    is bit-identical to the scalar model built from
-    ``(peak_gflops[i], bandwidth_gbs[i])`` — same IEEE operations in the
-    same order — which is what lets the vectorized frequency sweep
-    replace the scalar one without perturbing the golden figures
-    (enforced by ``tests/timing/test_sweep_equivalence.py``).
-
-    :param peak_gflops: compute roof per point (GFLOP/s), 1-D array.
-    :param bandwidth_gbs: memory roof slope per point (GB/s), same shape.
-    """
-
-    peak_gflops: np.ndarray
-    bandwidth_gbs: np.ndarray
-
-    def __post_init__(self) -> None:
-        peak = np.asarray(self.peak_gflops, dtype=float)
-        bw = np.asarray(self.bandwidth_gbs, dtype=float)
-        if peak.shape != bw.shape or peak.ndim != 1:
-            raise ValueError("roof arrays must be 1-D with matching shapes")
-        if peak.size == 0:
-            raise ValueError("batch needs at least one operating point")
-        if np.any(peak <= 0) or np.any(bw <= 0):
-            raise ValueError("roofs must be positive")
-        object.__setattr__(self, "peak_gflops", peak)
-        object.__setattr__(self, "bandwidth_gbs", bw)
-
-    def __len__(self) -> int:
-        return int(self.peak_gflops.shape[0])
-
-    def at(self, i: int) -> Roofline:
-        """The scalar roofline of point ``i``."""
-        return Roofline(
-            float(self.peak_gflops[i]), float(self.bandwidth_gbs[i])
-        )
-
-    @property
-    def ridge_intensity(self) -> np.ndarray:
-        """Per-point FLOPs/byte at which kernels stop being memory-bound."""
-        return self.peak_gflops / self.bandwidth_gbs
-
-    def attainable_gflops(self, intensity: float) -> np.ndarray:
-        """Per-point attainable GFLOP/s at one arithmetic intensity."""
-        if intensity < 0:
-            raise ValueError("intensity must be non-negative")
-        return np.minimum(self.peak_gflops, self.bandwidth_gbs * intensity)
-
-    def is_memory_bound(self, intensity: float) -> np.ndarray:
-        return intensity < self.ridge_intensity
-
-    def time_seconds(self, flops: float, dram_bytes: float) -> np.ndarray:
-        """Per-point execution time of one phase (roofline overlap)."""
-        if flops < 0 or dram_bytes < 0:
-            raise ValueError("work must be non-negative")
-        t_comp = flops / (self.peak_gflops * 1e9)
-        t_mem = dram_bytes / (self.bandwidth_gbs * 1e9)
-        return np.maximum(t_comp, t_mem)

@@ -1,7 +1,9 @@
 """Tests for the platform power model."""
 
+import numpy as np
 import pytest
 
+from repro.arch.catalog import PLATFORMS
 from repro.arch.power import PowerModel
 
 
@@ -88,6 +90,27 @@ class TestPlatformPower:
     def test_utilisation_validated(self):
         with pytest.raises(ValueError):
             model().platform_power(1.0, 1, 2, mem_bw_utilisation=1.5)
+
+    @pytest.mark.parametrize("name", sorted(PLATFORMS))
+    def test_platform_powers_prices_each_utilisation_exactly(self, name):
+        """The hoisted frequency terms plus each memory term equal the
+        scalar sum, bit for bit, over the DVFS range and every split of
+        active and idle cores."""
+        m = PLATFORMS[name].soc.power
+        utils = [0.0, 0.013, 0.5, 0.97, 1.0]
+        freqs = np.linspace(m.fmin_ghz, m.fmax_ghz, 37).tolist() + [1]
+        for freq in freqs:
+            for total in (2, 4):
+                for active in range(total + 1):
+                    got = m.platform_powers(
+                        freq, active, total, np.array(utils)
+                    )
+                    assert got.tolist() == [
+                        m.platform_power(freq, active, total, u)
+                        for u in utils
+                    ]
+        with pytest.raises(ValueError):
+            m.platform_powers(1.0, 3, 2, np.array(utils))
 
 
 class TestEnergyEfficiencyShape:

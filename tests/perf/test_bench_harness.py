@@ -329,6 +329,38 @@ class TestSuitesAndCli:
         )
         validate_bench_doc(suite_doc("apps", [result]))
 
+    def test_sweep_point_cold_times_the_scalar_oracle_in_the_same_run(
+        self, monkeypatch
+    ):
+        """``apps.sweep_point_cold`` prices single off-grid points on a
+        fresh study, then once under the scalar oracle, and records
+        microseconds per point beside the same-run ratio."""
+        import os
+
+        from repro.perf import suites
+
+        monkeypatch.delenv("REPRO_SCALAR_SWEEP", raising=False)
+        seen = []
+        real = suites._sweep_point_cold
+
+        def points():
+            seen.append(os.environ.get("REPRO_SCALAR_SWEEP"))
+            return real()
+
+        monkeypatch.setattr(suites, "_sweep_point_cold", points)
+        result = dict(suites._apps_bodies(1, True))["apps.sweep_point_cold"]()
+        assert seen == [None, None, None, None, "1"]  # warm-up, 3 timed
+        assert "REPRO_SCALAR_SWEEP" not in os.environ
+        assert result.ops == 200
+        assert result.extras["us_per_point"] == pytest.approx(
+            result.wall_s / 200 * 1e6
+        )
+        assert result.extras["speedup_vs_scalar"] == pytest.approx(
+            result.extras["scalar_wall_s"] / result.wall_s
+        )
+        assert result.extras["host_cpus"] == float(os.cpu_count() or 1)
+        validate_bench_doc(suite_doc("apps", [result]))
+
     def test_campaign_suite_runs_serial_cold_and_warm(self):
         from repro.perf.suites import campaign_suite_with_ref
 

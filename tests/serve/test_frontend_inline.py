@@ -52,7 +52,8 @@ class TestFailureIsolation:
         assert good == (execute_unit("sweep_point", GOOD), "computed")
         assert isinstance(negative, ValueError)
         assert "frequency must be positive" in str(negative)
-        assert isinstance(unknown, KeyError)
+        assert isinstance(unknown, ValueError)
+        assert "unknown platform 'NoSuch'" in str(unknown)
         assert stats.batches == 1  # all three shared one micro-batch
         assert (stats.computed, stats.failed) == (1, 2)
 
@@ -81,6 +82,88 @@ class TestFailureIsolation:
         ]
         assert isinstance(bad, KeyError)
         assert stats.batches == 1
+
+
+#: Malformed ``sweep_point`` params: each is the client's error and
+#: fails alone.  Unknown platforms and missing keys used to surface as
+#: KeyError, string frequencies as TypeError and a frequency so high
+#: that every time underflows as ZeroDivisionError, all answered as
+#: ``internal``; an unhashable mode failed its whole micro-batch.
+MALFORMED_SWEEPS = [
+    {**GOOD, "platform": "NoSuch"},
+    {"platform": "Tegra2", "freq": 0.777},
+    {"mode": "single", "platform": "Tegra2"},
+    {**GOOD, "freq": "0.777"},
+    {**GOOD, "freq": 1e308},
+    {**GOOD, "freq": True},
+    {**GOOD, "platform": ["Tegra2"]},
+    {**GOOD, "mode": ["single"]},
+]
+
+
+class TestMalformedSweepParams:
+    def test_submit_raises_value_error(self):
+        """Beside a good query in the same micro-batch, each malformed
+        one fails alone with ValueError (non-finite frequencies too)."""
+        bad = MALFORMED_SWEEPS + [
+            {**GOOD, "freq": float("inf")},
+            {**GOOD, "freq": float("nan")},
+            {**GOOD, "freq": 10**400},
+        ]
+
+        async def scenario():
+            fe = frontend(batch_window_s=0.2)
+            await fe.start()
+            try:
+                return await asyncio.gather(
+                    fe.submit("sweep_point", GOOD),
+                    *(fe.submit("sweep_point", p) for p in bad),
+                    return_exceptions=True,
+                )
+            finally:
+                await fe.drain()
+
+        good, *failures = run_async(scenario())
+        assert good == (execute_unit("sweep_point", GOOD), "computed")
+        for params, exc in zip(bad, failures):
+            assert isinstance(exc, ValueError), (params, exc)
+
+    @pytest.mark.parametrize("wire", ["json", "binary1"])
+    def test_server_answers_bad_request(self, wire):
+        """Over either wire, through the real execution path."""
+        from repro.serve.server import ServeServer
+        from repro.serve.wire import WireConnection
+
+        async def scenario():
+            server = ServeServer(frontend(batch_window_s=0.005))
+            await server.start()
+            run_task = asyncio.ensure_future(server.serve_until_shutdown())
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            conn = WireConnection(reader, writer, allow_binary=False)
+            if wire == "binary1":
+                assert await conn.negotiate()
+            docs = []
+            for rid, params in enumerate([GOOD] + MALFORMED_SWEEPS):
+                conn.write_request({"op": "query", "id": rid,
+                                    "kind": "sweep_point", "params": params})
+                await conn.drain()
+                docs.append(await conn.recv())
+            conn.write_request({"op": "shutdown", "id": "bye"})
+            await conn.drain()
+            await conn.recv()
+            await run_task
+            writer.close()
+            return conn.wire, docs
+
+        used, (good, *docs) = run_async(scenario())
+        assert used == wire
+        assert good["ok"] is True
+        assert good["value"] == execute_unit("sweep_point", GOOD)
+        for params, doc in zip(MALFORMED_SWEEPS, docs):
+            assert doc["ok"] is False, params
+            assert doc["error"] == "bad_request", (params, doc)
 
 
 class TestExecutionSplit:

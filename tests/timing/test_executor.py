@@ -233,25 +233,33 @@ class TestMemoEviction:
         assert ex.evict_kernel(vecop) == 0  # idempotent
         assert any(key[0].tag == "dmmm" for key in ex._memo)
 
-    def test_batch_repopulates_after_eviction(self, t2):
-        """time_kernel_batch and time_kernel agree across an eviction."""
+    def test_batch_repopulates_after_eviction(self, t2, kernels):
+        """time_suite_batch rebuilds the evicted kernel's plans and
+        agrees with itself and with time_kernel across an eviction."""
         ex = SimulatedExecutor(t2)
         k = get_kernel("vecop")
-        before = ex.time_kernel_batch(k, [0.456, 1.0])
+        before = ex.time_suite_batch(kernels, [0.456, 1.0])
+        plan = ex._suite_plan(kernels, 1)
         ex.evict_kernel("vecop")
-        after = ex.time_kernel_batch(k, [0.456, 1.0])
-        assert after == before
-        assert after[0] is not before[0]
+        after = ex.time_suite_batch(kernels, [0.456, 1.0])
+        assert ex._suite_plan(kernels, 1) is not plan  # rebuilt
+        assert [a.tolist() for a in after] == [b.tolist() for b in before]
+        i = kernels.index(k)
+        assert after[0][i].tolist() == [
+            ex.time_kernel(k, f).time_s for f in (0.456, 1.0)
+        ]
 
-    def test_evict_drops_the_kernel_plan(self, t2):
+    def test_evict_drops_the_kernel_plan(self, t2, kernels):
         ex = SimulatedExecutor(t2)
         vecop = get_kernel("vecop")
         dmmm = get_kernel("dmmm")
-        ex.time_kernel_batch(vecop, [0.5, 1.0], cores=2)
-        ex.time_kernel_batch(dmmm, [0.5], cores=2)
+        ex.time_suite_batch(kernels, [0.5, 1.0], cores=2)
+        ex.time_suite_batch([dmmm], [0.5], cores=2)
         ex.evict_kernel("vecop")
         assert not any(key[0] is vecop for key in ex._plans)
         assert any(key[0] is dmmm for key in ex._plans)
+        # The suite plan that held vecop goes too; dmmm's own stays.
+        assert list(ex._suite_plans) == [((dmmm,), 2)]
 
 
 class TestMemoBound:
@@ -265,12 +273,12 @@ class TestMemoBound:
         ex = SimulatedExecutor(t2)
         k = get_kernel("vecop")
         freqs = list(np.linspace(0.25, 1.0, 90))
-        batch = ex.time_kernel_batch(k, freqs, cores=2)
+        first = [ex.time_kernel(k, f, cores=2) for f in freqs]
         assert len(ex._memo) <= 40
-        scalar = [ex.time_kernel(k, f, cores=2) for f in freqs]
+        again = [ex.time_kernel(k, f, cores=2) for f in freqs]
         assert len(ex._memo) <= 40
         reference = SimulatedExecutor(t2)
-        assert batch == scalar == [
+        assert first == again == [
             reference.time_kernel(k, f, cores=2) for f in freqs
         ]
 
