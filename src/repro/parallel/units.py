@@ -130,6 +130,23 @@ def _sweep_args(params: dict[str, Any]) -> tuple[Any, Any, Any]:
         raise ValueError(f"sweep_point needs {exc.args[0]!r}") from None
 
 
+def _fig6_args(params: dict[str, Any]) -> tuple[Any, int, int]:
+    """A ``fig6_point``'s ``(app, n, max_nodes)``; a missing or unknown
+    app and a missing, bool or non-int node count are client errors
+    (``ValueError``).  The ranges are checked where they are used."""
+    name = params.get("app")
+    if not isinstance(name, str) or name not in APPLICATIONS:
+        raise ValueError(
+            f"fig6_point needs 'app' (one of: {', '.join(APPLICATIONS)}), "
+            f"got {name!r}"
+        )
+    n, max_nodes = params.get("n"), params.get("max_nodes")
+    for key, count in (("n", n), ("max_nodes", max_nodes)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"fig6_point needs an int {key!r}, got {count!r}")
+    return APPLICATIONS[name], n, max_nodes
+
+
 def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
     """Run one work unit and return its JSON-serialisable value."""
     study = _plan_study(seed)
@@ -138,8 +155,8 @@ def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
     if kind == "sweep_point":
         return study.sweep_point(*_sweep_args(params))
     if kind == "fig6_point":
-        app = APPLICATIONS[params["app"]]
-        result = app.simulate(_cluster_for(params["max_nodes"]), params["n"])
+        app, n, max_nodes = _fig6_args(params)
+        result = app.simulate(_cluster_for(max_nodes), n)
         return {
             "app": result.app,
             "n_nodes": result.n_nodes,

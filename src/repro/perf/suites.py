@@ -306,6 +306,75 @@ def _sweep_point_cold_result(repeats: int) -> BenchResult:
     return result
 
 
+def _cache_roundtrip(n: int = 200) -> dict[str, float]:
+    """Microseconds per ``ResultCache`` put, hit and miss for a
+    ``sweep_point`` value, on a fresh directory: ``n`` puts of distinct
+    keys, a get of each, then gets of ``n`` keys never written."""
+    import tempfile
+    import time
+
+    from repro.core.study import MobileSoCStudy
+    from repro.parallel.cache import ResultCache, unit_key
+
+    value = MobileSoCStudy().sweep_point("single", "Tegra2", 0.777)
+    keys = [
+        unit_key("sweep_point",
+                 {"mode": "single", "platform": "Tegra2", "freq": 0.5 + i / 1e4})
+        for i in range(2 * n)
+    ]
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as td:
+        cache = ResultCache(td)
+        t0 = time.perf_counter()
+        for key in keys[:n]:
+            cache.put(key, value, kind="sweep_point")
+        t1 = time.perf_counter()
+        for key in keys[:n]:
+            cache.get(key)
+        t2 = time.perf_counter()
+        for key in keys[n:]:
+            cache.get(key)
+        t3 = time.perf_counter()
+    return {"put_us": (t1 - t0) / n * 1e6, "hit_us": (t2 - t1) / n * 1e6,
+            "miss_us": (t3 - t2) / n * 1e6}
+
+
+def _cache_roundtrip_result(repeats: int) -> BenchResult:
+    """``apps.cache_roundtrip``: what keeping a sweep point on disk
+    costs beside what recomputing it costs, both in this run.  Each
+    operation's best of ``repeats`` fresh directories;
+    ``cost_vs_compute`` is ``(put_us + miss_us) / us_per_point``: the
+    disk work a written miss adds, per point of compute a later disk
+    hit would save.  Gated by no floor."""
+    import os
+
+    rounds = [_cache_roundtrip() for _ in range(repeats)]
+    best = {op: min(r[op] for r in rounds) for op in rounds[0]}
+    points = run_bench("apps.sweep_point_cold", _sweep_point_cold, repeats)
+    us_per_point = points.wall_s / points.ops * 1e6
+    wall_s = sum(best.values()) * 1e-6
+    extras: dict[str, Any] = {
+        **best,
+        "us_per_point": us_per_point,
+        "cost_vs_compute": (best["put_us"] + best["miss_us"]) / us_per_point,
+        "host_cpus": float(os.cpu_count() or 1),
+        "units": {"put_us": "us", "hit_us": "us", "miss_us": "us",
+                  "us_per_point": "us", "cost_vs_compute": "ratio",
+                  "host_cpus": "count"},
+        "better": {"put_us": "lower", "hit_us": "lower", "miss_us": "lower",
+                   "us_per_point": "lower", "cost_vs_compute": "lower",
+                   "host_cpus": "higher"},
+    }
+    return BenchResult(
+        name="apps.cache_roundtrip",
+        ops=3,
+        wall_s=wall_s,
+        ops_per_s=3 / wall_s,
+        repeats=repeats,
+        peak_rss_bytes=peak_rss_bytes(),
+        extras=extras,
+    )
+
+
 def _apps_bodies(
     repeats: int, quick: bool
 ) -> list[tuple[str, Callable[[], BenchResult]]]:
@@ -316,7 +385,8 @@ def _apps_bodies(
     The sweep benches are cheap, so they keep real repeats even in
     quick mode — best-of-1 wall clock is not comparable to best-of-N.
     ``apps.sweep_point_cold`` records ``us_per_point`` for one
-    off-grid point and its same-run ``speedup_vs_scalar``.
+    off-grid point and its same-run ``speedup_vs_scalar``;
+    ``apps.cache_roundtrip`` sets a result-cache round trip beside it.
     """
     hpl_reps = 1 if quick else max(1, repeats - 1)
     return [
@@ -330,6 +400,8 @@ def _apps_bodies(
          lambda: _vs_oracle("apps.figure7", _figure7, max(repeats, 3))),
         ("apps.sweep_point_cold",
          lambda: _sweep_point_cold_result(max(repeats, 3))),
+        ("apps.cache_roundtrip",
+         lambda: _cache_roundtrip_result(max(repeats, 3))),
     ]
 
 

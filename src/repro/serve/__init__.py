@@ -57,7 +57,7 @@ path.  A ``locate`` op returns the full topology plus a deterministic
 home shard itself with the very same ring, falling back to the router
 (and re-learning the topology) only on failure.  ``repro loadtest
 --direct`` drives this path; ``serve.cluster4_direct`` in
-``BENCH_serve.json`` records the scaling it buys.
+``BENCH_serve.json`` records its ceiling (DESIGN.md section 15).
 
 Layering: :mod:`~repro.serve.frontend` is transport-independent pure
 asyncio; :mod:`~repro.serve.jobs` adds the durable queue on top of the

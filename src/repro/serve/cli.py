@@ -196,8 +196,9 @@ async def _serve(
     manager = None
     if journal_dir is not None:
         # The job tier checkpoints into the SAME cache directory the
-        # query path serves hits from: a unit computed for a job
-        # answers later queries, and vice versa.
+        # query path serves hits from: a simulation unit computed for
+        # a job answers later queries, and vice versa.  Sweep answers
+        # stay in the query path's memory.
         manager = JobManager(
             JobJournal(journal_dir),
             ResultCache(config.cache_dir)

@@ -7,31 +7,35 @@ funnel, cheapest mechanism first:
 
 1. **single-flight** — an identical request already in flight shares
    its future; one computation serves every concurrent duplicate;
-2. **result cache** — the content-addressed on-disk store answers
-   anything any previous run (or process) already computed; a bounded
-   in-memory LRU (``hot_values``) fronts it, so the hot set skips the
-   disk read *and* hands the transport the same value object every
-   time (which is what makes the binary wire's encode memo hit).  The
-   LRU is looked up first, by the synchronous
-   :meth:`CampaignFrontEnd.submit_nowait`, which the transport calls
-   on its read path;
+2. **result cache** — a bounded in-memory LRU (``hot_values``) answers
+   every key this front end has computed or read, handing the
+   transport the same value object every time (which is what makes the
+   binary wire's encode memo hit).  It is looked up first, by the
+   synchronous :meth:`CampaignFrontEnd.submit_nowait`, which the
+   transport calls on its read path.  Behind it, the content-addressed
+   on-disk store answers the simulation kinds (``fig6_point``,
+   ``headline``) that any previous run or process computed.  The sweep
+   kinds (:data:`INLINE_KINDS`) never touch the disk on this path: a
+   point is cheap to recompute, its repeats are LRU hits, and the
+   writes cost more than they saved (DESIGN.md section 11);
 3. **micro-batch** — the distinct misses that remain are collected for
    ``batch_window_s`` (up to ``max_batch``) and executed with per-unit
    failure isolation, so a bad query fails only itself.  The sweep
    kinds run inline on the event-loop thread, grouped into one
    vectorized ``sweep_points`` call per mode
    (:func:`repro.parallel.units.execute_batch`): a point costs well
-   under a millisecond, less than handing it to another thread.  Their
-   cache writes go to the executor thread.  The Figure 6 and headline
-   simulations — milliseconds to seconds each — run through
-   :func:`repro.parallel.runner.run_units` on the one executor thread,
-   so the loop keeps answering hits while they compute.  ``repro
+   under a millisecond, less than handing it to another thread.  The
+   Figure 6 and headline simulations — milliseconds to seconds each —
+   run through :func:`repro.parallel.runner.run_units` on the one
+   executor thread, which writes each value through to the disk
+   store, so the loop keeps answering hits while they compute.  ``repro
    serve`` shortens the interpreter's GIL switch interval so that the
    loop gets the GIL back quickly (DESIGN.md section 11).
 
 The durable job tier's batches (:meth:`CampaignFrontEnd.execute_units`)
 run on the same executor thread, in process, one at a time with the
-query path's simulation batches.
+query path's simulation batches, and write every kind through: a
+job's cached unit is its restart checkpoint.
 
 Admission control bounds the miss backlog: once ``queue_limit``
 distinct computations are pending, further misses are rejected with
@@ -63,9 +67,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import sys
 import time
-import traceback
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -78,8 +80,9 @@ from repro.parallel.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, unit_key
 from repro.parallel.units import UnitFailure, WorkUnit, execute_batch
 from repro.serve.wire import UNIT_KINDS
 
-#: Kinds a query batch computes inline on the event-loop thread; the
-#: rest (simulations) go to the executor thread.
+#: Kinds a query batch computes inline on the event-loop thread and
+#: keeps in memory only; the rest (simulations) go to the executor
+#: thread and through the disk store.
 INLINE_KINDS = frozenset(("sweep_base", "sweep_point"))
 
 #: How a request was served.
@@ -213,15 +216,6 @@ class _Pending:
     future: asyncio.Future
 
 
-def _report_write_failure(future) -> None:
-    """Done-callback of a write-through nobody awaits: a failed write
-    costs a recomputation later, never an answer, but it is reported."""
-    exc = future.exception()
-    if exc is not None:
-        print("repro serve: cache write-through failed:", file=sys.stderr)
-        traceback.print_exception(type(exc), exc, exc.__traceback__)
-
-
 class CampaignFrontEnd:
     """See the module docstring.  Lifecycle::
 
@@ -269,8 +263,8 @@ class CampaignFrontEnd:
         self._pending_units = 0  # queued + executing distinct units
         self._draining = False
         self._batcher_task: asyncio.Task | None = None
-        # One executor thread: simulation batches, job batches and
-        # cache writes run strictly one at a time.
+        # One executor thread: simulation batches and job batches, with
+        # their cache writes, run strictly one at a time.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
@@ -427,7 +421,7 @@ class CampaignFrontEnd:
             self.stats.record_latency(time.perf_counter() - t_in)
             return value, SERVED_COALESCED
 
-        if self._probe_cache is not None:
+        if self._probe_cache is not None and kind not in INLINE_KINDS:
             hit = self._probe_cache.get(unit_key(kind, params, self.config.seed))
             if hit is not MISS:
                 self._remember(key, hit)
@@ -545,24 +539,16 @@ class CampaignFrontEnd:
                 [e.unit for e in offload], self.config.seed,
             ) if offload else None
             if inline:
-                # The funnel has just probed these keys: compute them
-                # without a second cache read.
-                units = [e.unit for e in inline]
-                values = [None] * len(units)
+                # Memory only: the hot LRU keeps what these resolve to.
+                values = [None] * len(inline)
                 try:
                     for i, value in execute_batch(
-                        units, self.config.seed, safe=True
+                        [e.unit for e in inline], self.config.seed, safe=True
                     ):
                         values[i] = value
                 except Exception as exc:
                     values = exc
                 self._resolve(inline, values)
-                if not isinstance(values, Exception):
-                    # Written behind the answers, on the executor thread:
-                    # a put can scan or evict the whole store.
-                    self._executor.submit(
-                        self._write_through, units, values, self.config.seed
-                    ).add_done_callback(_report_write_failure)
             if pending is not None:
                 try:
                     values = await pending
@@ -605,8 +591,8 @@ class CampaignFrontEnd:
     def _run_batch(self, units: list[WorkUnit], seed: int) -> list[Any]:
         """Executor-thread entry for query and job batches alike: the
         injected runner, or ``run_units`` in this process.  Either way
-        results are written through to the cache — the hit-path
-        contract must not depend on which runner computed the value.
+        results are written through to the cache, every kind — a job's
+        checkpoint must not depend on which runner computed the value.
 
         Unit failures come back as :class:`UnitFailure` slots.  An
         injected runner that raises fails the whole batch: every query
@@ -618,22 +604,14 @@ class CampaignFrontEnd:
                 units, cache=self._batch_cache, seed=seed, safe=True
             )
         values = self._runner(units)
-        self._write_through(units, values, seed)
+        if self._batch_cache is not None:
+            for unit, value in zip(units, values):
+                if not isinstance(value, UnitFailure):  # never cached
+                    self._batch_cache.put(
+                        unit_key(unit.kind, unit.params, seed), value,
+                        kind=unit.kind,
+                    )
         return values
-
-    def _write_through(
-        self, units: list[WorkUnit], values: list[Any], seed: int
-    ) -> None:
-        """Executor thread only: store each computed value (failures
-        are never cached)."""
-        if self._batch_cache is None:
-            return
-        for unit, value in zip(units, values):
-            if not isinstance(value, UnitFailure):
-                self._batch_cache.put(
-                    unit_key(unit.kind, unit.params, seed), value,
-                    kind=unit.kind,
-                )
 
     # -- job-tier execution ------------------------------------------------
     async def execute_units(

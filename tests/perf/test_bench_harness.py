@@ -361,6 +361,26 @@ class TestSuitesAndCli:
         assert result.extras["host_cpus"] == float(os.cpu_count() or 1)
         validate_bench_doc(suite_doc("apps", [result]))
 
+    def test_cache_roundtrip_sets_disk_cost_beside_compute(self):
+        """``apps.cache_roundtrip`` records put, hit and miss
+        microseconds with a unit and a direction each, and the same-run
+        ratio of a miss's disk work to a point's compute."""
+        import os
+
+        from repro.perf import suites
+
+        result = dict(suites._apps_bodies(1, True))["apps.cache_roundtrip"]()
+        x = result.extras
+        assert result.repeats == 3 and result.ops == 3
+        for op in ("put_us", "hit_us", "miss_us", "us_per_point"):
+            assert x[op] > 0 and x["units"][op] == "us", op
+            assert x["better"][op] == "lower", op
+        assert x["cost_vs_compute"] == pytest.approx(
+            (x["put_us"] + x["miss_us"]) / x["us_per_point"]
+        )
+        assert x["host_cpus"] == float(os.cpu_count() or 1)
+        validate_bench_doc(suite_doc("apps", [result]))
+
     def test_campaign_suite_runs_serial_cold_and_warm(self):
         from repro.perf.suites import campaign_suite_with_ref
 

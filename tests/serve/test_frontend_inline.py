@@ -1,8 +1,8 @@
 """The front end's real execution path (no injected runner): sweep
-misses are computed inline on the event-loop thread with their cache
-writes on the executor thread, Figure 6 and headline simulations and
-job batches run in process on the executor thread, every query fails
-only on its own error, and nothing forks a worker."""
+misses are computed inline on the event-loop thread and kept in memory
+only, Figure 6 and headline simulations and job batches run in process
+on the executor thread and are written through to the result cache,
+every query fails only on its own error, and nothing forks a worker."""
 
 import asyncio
 import multiprocessing.pool
@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.apps import APPLICATIONS
 from repro.core.study import MobileSoCStudy
 from repro.parallel import runner as runner_mod
 from repro.parallel import units as units_mod
@@ -80,7 +81,7 @@ class TestFailureIsolation:
         assert [v for v, _ in good] == [
             execute_unit("fig6_point", p) for p in goods
         ]
-        assert isinstance(bad, KeyError)
+        assert isinstance(bad, ValueError)
         assert stats.batches == 1
 
 
@@ -131,39 +132,102 @@ class TestMalformedSweepParams:
     @pytest.mark.parametrize("wire", ["json", "binary1"])
     def test_server_answers_bad_request(self, wire):
         """Over either wire, through the real execution path."""
-        from repro.serve.server import ServeServer
-        from repro.serve.wire import WireConnection
+        assert_answers_bad_request(wire, "sweep_point", GOOD, MALFORMED_SWEEPS)
 
-        async def scenario():
-            server = ServeServer(frontend(batch_window_s=0.005))
-            await server.start()
-            run_task = asyncio.ensure_future(server.serve_until_shutdown())
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            conn = WireConnection(reader, writer, allow_binary=False)
-            if wire == "binary1":
-                assert await conn.negotiate()
-            docs = []
-            for rid, params in enumerate([GOOD] + MALFORMED_SWEEPS):
-                conn.write_request({"op": "query", "id": rid,
-                                    "kind": "sweep_point", "params": params})
-                await conn.drain()
-                docs.append(await conn.recv())
-            conn.write_request({"op": "shutdown", "id": "bye"})
+
+def assert_answers_bad_request(wire, kind, good, malformed):
+    """One server, one connection on ``wire``: ``good`` is answered
+    with the oracle's value and each of ``malformed`` ``bad_request``."""
+    from repro.serve.server import ServeServer
+    from repro.serve.wire import WireConnection
+
+    async def scenario():
+        server = ServeServer(frontend(batch_window_s=0.005))
+        await server.start()
+        run_task = asyncio.ensure_future(server.serve_until_shutdown())
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        conn = WireConnection(reader, writer, allow_binary=False)
+        if wire == "binary1":
+            assert await conn.negotiate()
+        docs = []
+        for rid, params in enumerate([good] + malformed):
+            conn.write_request({"op": "query", "id": rid,
+                                "kind": kind, "params": params})
             await conn.drain()
-            await conn.recv()
-            await run_task
-            writer.close()
-            return conn.wire, docs
+            docs.append(await conn.recv())
+        conn.write_request({"op": "shutdown", "id": "bye"})
+        await conn.drain()
+        await conn.recv()
+        await run_task
+        writer.close()
+        return conn.wire, docs
 
-        used, (good, *docs) = run_async(scenario())
-        assert used == wire
-        assert good["ok"] is True
-        assert good["value"] == execute_unit("sweep_point", GOOD)
-        for params, doc in zip(MALFORMED_SWEEPS, docs):
-            assert doc["ok"] is False, params
-            assert doc["error"] == "bad_request", (params, doc)
+    used, (good_doc, *docs) = run_async(scenario())
+    assert used == wire
+    assert good_doc["ok"] is True
+    assert good_doc["value"] == execute_unit(kind, good)
+    for params, doc in zip(malformed, docs):
+        assert doc["ok"] is False, params
+        assert doc["error"] == "bad_request", (params, doc)
+
+
+#: Malformed ``fig6_point`` params.  An unknown app and a missing key
+#: used to surface as KeyError and a string node count as TypeError,
+#: all answered as ``internal``; a bool count was simulated as 1 node.
+MALFORMED_FIG6 = [
+    {**FIG6, "app": "NoSuch"},
+    {"n": 1, "max_nodes": 8},
+    {**FIG6, "app": ["HPL"]},
+    {"app": "HPL", "max_nodes": 8},
+    {**FIG6, "n": "1"},
+    {**FIG6, "n": True},
+    {**FIG6, "n": 1.0},
+    {"app": "HPL", "n": 1},
+    {**FIG6, "max_nodes": "8"},
+    {**FIG6, "max_nodes": True},
+]
+
+
+class TestMalformedFig6Params:
+    def test_submit_raises_value_error(self):
+        async def scenario():
+            fe = frontend(batch_window_s=0.2)
+            await fe.start()
+            try:
+                return await asyncio.gather(
+                    fe.submit("fig6_point", FIG6),
+                    *(fe.submit("fig6_point", p) for p in MALFORMED_FIG6),
+                    return_exceptions=True,
+                )
+            finally:
+                await fe.drain()
+
+        good, *failures = run_async(scenario())
+        assert good == (execute_unit("fig6_point", FIG6), "computed")
+        for params, exc in zip(MALFORMED_FIG6, failures):
+            assert isinstance(exc, ValueError), (params, exc)
+
+    @pytest.mark.parametrize("wire", ["json", "binary1"])
+    def test_server_answers_bad_request(self, wire):
+        assert_answers_bad_request(wire, "fig6_point", FIG6, MALFORMED_FIG6)
+
+    @pytest.mark.parametrize("app", sorted(APPLICATIONS))
+    def test_valid_points_are_the_simulation(self, app):
+        """The checks change no value: a unit is its app's simulation."""
+        from repro.cluster.cluster import tibidabo
+
+        for n, max_nodes in ((1, 8), (4, 16)):
+            result = APPLICATIONS[app].simulate(tibidabo(max_nodes), n)
+            value = execute_unit(
+                "fig6_point", {"app": app, "n": n, "max_nodes": max_nodes}
+            )
+            assert value == {
+                "app": result.app, "n_nodes": result.n_nodes,
+                "time_s": result.time_s, "flops": result.flops,
+                "steps": result.steps, "comm_fraction": result.comm_fraction,
+            }
 
 
 class TestExecutionSplit:
@@ -344,76 +408,6 @@ class TestExecutionSplit:
             for u in units
         ]
 
-    def test_inline_cache_writes_stay_off_the_loop(
-        self, monkeypatch, tmp_path
-    ):
-        """A put can scan or evict the whole store; it must never hold
-        the loop, so a hit is answered while one is stuck."""
-        warm = ResultCache(tmp_path)
-        hot = {**GOOD, "freq": 1.0}
-        warm.put(unit_key("sweep_point", hot, 0),
-                 execute_unit("sweep_point", hot), kind="sweep_point")
-        entered, release = threading.Event(), threading.Event()
-        put_threads = []
-        put = ResultCache.put
-
-        def slow_put(self, key, value, kind=""):
-            put_threads.append(threading.current_thread().name)
-            entered.set()
-            assert release.wait(10.0)
-            return put(self, key, value, kind=kind)
-
-        monkeypatch.setattr(ResultCache, "put", slow_put)
-
-        async def scenario():
-            fe = frontend(cache_dir=tmp_path)
-            await fe.start()
-            try:
-                miss = await asyncio.wait_for(
-                    fe.submit("sweep_point", GOOD), 5.0
-                )
-                while not entered.is_set():
-                    await asyncio.sleep(0.005)
-                hit = await asyncio.wait_for(fe.submit("sweep_point", hot), 5.0)
-                release.set()
-                return miss, hit
-            finally:
-                release.set()
-                await fe.drain()
-
-        (_v, miss_served), (_h, hit_served) = run_async(scenario())
-        assert (miss_served, hit_served) == ("computed", "cache")
-        assert put_threads and all(
-            name.startswith("repro-serve-batch") for name in put_threads
-        )
-        monkeypatch.undo()
-        assert ResultCache(tmp_path).get(
-            unit_key("sweep_point", GOOD, 0)
-        ) == execute_unit("sweep_point", GOOD)
-
-    def test_failed_inline_cache_write_is_reported_not_raised(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        def broken_put(self, key, value, kind=""):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(ResultCache, "put", broken_put)
-
-        async def scenario():
-            fe = frontend(cache_dir=tmp_path)
-            await fe.start()
-            try:
-                return await fe.submit("sweep_point", GOOD)
-            finally:
-                await fe.drain()
-
-        assert run_async(scenario()) == (
-            execute_unit("sweep_point", GOOD), "computed"
-        )
-        err = capsys.readouterr().err
-        assert "cache write-through failed" in err
-        assert "OSError: disk full" in err
-
     def test_inline_batch_honours_the_scalar_oracle(self, monkeypatch):
         calls = []
         sweep_points = MobileSoCStudy.sweep_points
@@ -445,29 +439,105 @@ class TestExecutionSplit:
         ]
 
 
+def refuse_result_cache(monkeypatch):
+    """Make every ``ResultCache.get`` and ``put`` fail the test."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an inline kind touched the result cache")
+
+    monkeypatch.setattr(ResultCache, "get", refused)
+    monkeypatch.setattr(ResultCache, "put", refused)
+
+
+INLINE_QUERIES = [("sweep_base", {})] + [
+    ("sweep_point", {"mode": mode, "platform": platform, "freq": freq})
+    for mode in ("single", "multi")
+    for platform, freq in (("Tegra3", 0.613), ("Exynos5250", 1.47))
+]
+
+
 @pytest.mark.parametrize("cache", [False, True])
-def test_inline_values_match_the_oracle(tmp_path, cache):
-    points = [
-        {"mode": mode, "platform": platform, "freq": freq}
-        for mode in ("single", "multi")
-        for platform, freq in (("Tegra3", 0.613), ("Exynos5250", 1.47))
-    ]
+def test_inline_values_match_the_oracle(tmp_path, monkeypatch, cache):
+    """With a cache directory too, the inline kinds never read or write
+    the disk store on the query path (DESIGN.md section 11)."""
+    if cache:
+        refuse_result_cache(monkeypatch)
 
     async def scenario():
         fe = frontend(cache_dir=tmp_path if cache else None)
         await fe.start()
         try:
             return await asyncio.gather(
-                *(fe.submit("sweep_point", p) for p in points)
+                *(fe.submit(kind, p) for kind, p in INLINE_QUERIES)
             )
         finally:
             await fe.drain()
 
     results = run_async(scenario())
-    expected = [execute_unit("sweep_point", p) for p in points]
-    assert [v for v, _ in results] == expected
-    if cache:  # written through by the time drain returns
+    assert results == [
+        (execute_unit(kind, p), "computed") for kind, p in INLINE_QUERIES
+    ]
+    assert not (tmp_path / "objects").exists()
+
+
+class TestCacheTiers:
+    def test_inline_repeat_is_a_hot_hit(self, tmp_path, monkeypatch):
+        refuse_result_cache(monkeypatch)
+
+        async def scenario():
+            fe = frontend(cache_dir=tmp_path)
+            await fe.start()
+            try:
+                first = [await fe.submit(k, p) for k, p in INLINE_QUERIES]
+                again = [await fe.submit(k, p) for k, p in INLINE_QUERIES]
+                return first, again, fe.stats
+            finally:
+                await fe.drain()
+
+        first, again, stats = run_async(scenario())
+        assert {served for _, served in first} == {"computed"}
+        assert again == [(value, "cache") for value, _ in first]
+        assert all(a[0] is f[0] for a, f in zip(again, first))
+        assert stats.hot_hits == len(INLINE_QUERIES)
+
+    def test_simulation_is_written_through_and_read_back(self, tmp_path):
+        """A second front end on the same directory answers a Figure 6
+        point from disk without computing it."""
+
+        async def serve_once():
+            fe = frontend(cache_dir=tmp_path)
+            await fe.start()
+            try:
+                return await fe.submit("fig6_point", FIG6), fe.stats
+            finally:
+                await fe.drain()
+
+        (value, served), _ = run_async(serve_once())
+        assert served == "computed"
+        assert ResultCache(tmp_path).get(
+            unit_key("fig6_point", FIG6, 0)
+        ) == value
+        (again, served_again), stats = run_async(serve_once())
+        assert (again, served_again) == (value, "cache")
+        assert (stats.computed, stats.cache_hits, stats.hot_hits) == (0, 1, 0)
+
+    def test_job_checkpoints_its_sweep_units(self, tmp_path):
+        """The job tier keeps writing every kind: a cached unit is its
+        restart checkpoint."""
+        units = [WorkUnit("sweep_point", GOOD), WorkUnit("sweep_base", {}),
+                 WorkUnit("fig6_point", FIG6)]
+
+        async def scenario():
+            fe = frontend(cache_dir=tmp_path)
+            await fe.start()
+            try:
+                return await fe.execute_units(units)
+            finally:
+                await fe.drain()
+
+        values = run_async(scenario())
+        assert values == [execute_unit(u.kind, u.params) for u in units]
         stored = ResultCache(tmp_path)
         assert [
-            stored.get(unit_key("sweep_point", p, 0)) for p in points
-        ] == expected
+            stored.get(unit_key(u.kind, u.params, 0)) for u in units
+        ] == values
