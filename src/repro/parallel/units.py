@@ -147,6 +147,15 @@ def _fig6_args(params: dict[str, Any]) -> tuple[Any, int, int]:
     return APPLICATIONS[name], n, max_nodes
 
 
+def _headline_args(params: dict[str, Any]) -> int:
+    """A ``headline``'s ``n_nodes``; a missing, bool or non-int count
+    is a client error (``ValueError``)."""
+    n_nodes = params.get("n_nodes")
+    if not isinstance(n_nodes, int) or isinstance(n_nodes, bool):
+        raise ValueError(f"headline needs an int 'n_nodes', got {n_nodes!r}")
+    return n_nodes
+
+
 def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
     """Run one work unit and return its JSON-serialisable value."""
     study = _plan_study(seed)
@@ -166,7 +175,7 @@ def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
             "comm_fraction": result.comm_fraction,
         }
     if kind == "headline":
-        return study.headline_hpl(params["n_nodes"])
+        return study.headline_hpl(_headline_args(params))
     raise ValueError(f"unknown work-unit kind {kind!r}")
 
 

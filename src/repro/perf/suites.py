@@ -553,8 +553,8 @@ def serve_suite_with_ref(
     factor is recorded honestly, not gated: the single-process router
     is itself on the data path, so ``scaling_vs_1`` sits near 1.0 by
     construction.  ``serve.cluster4_direct`` is the entry that *is*
-    gated: the same 4-backend cluster probed over the redirect
-    protocol's direct data path (``run_saturation(direct=True)`` —
+    gated: the same 4-backend cluster probed over the ring client's
+    direct data path (``run_saturation(direct=True)`` —
     ring-aware clients, router off the query path), whose
     ``scaling_vs_1`` against the 1-backend proxied ceiling must clear
     the 1.5x floor baked into benchmarks/perf/baseline.json.
@@ -833,7 +833,7 @@ def _cluster_saturation_result(
     the warm-up still flows through the router (identical shard cache
     state either way), but the saturation probe runs ring-aware
     clients that route every query straight to its home shard — the
-    redirect protocol's data path, whose ceiling is what the
+    ring client's data path, whose ceiling is what the
     ``scaling_vs_1 >= 1.5`` baseline gate checks.  ``wire="binary"``
     additionally negotiates the binary1 framing on every shard link
     (the ``_binary`` entry names), probing the same path minus the

@@ -50,7 +50,7 @@ router-then-backends in boot order.  The protocol through the
 router is byte-identical to a single backend's.
 
 The router proxies by default, but it is a single process and caps
-cluster throughput; the **redirect protocol** takes it off the data
+cluster throughput; routing on the client takes it off the data
 path.  A ``locate`` op returns the full topology plus a deterministic
 **topology epoch** (:func:`~repro.serve.router.topology_epoch`), and a
 :class:`~repro.serve.client.RingClient` then routes every query to its
@@ -63,7 +63,8 @@ Layering: :mod:`~repro.serve.frontend` is transport-independent pure
 asyncio; :mod:`~repro.serve.jobs` adds the durable queue on top of the
 front end's executor; :mod:`~repro.serve.server` puts a JSON-lines TCP
 protocol in front of both; :mod:`~repro.serve.router` shards that
-protocol across backends; :mod:`~repro.serve.cli` is the
+protocol across backends, and both serve it through the one connection
+loop of :class:`~repro.serve.wire.WireEndpoint`; :mod:`~repro.serve.cli` is the
 ``repro serve`` / ``repro loadtest`` argument surface,
 :mod:`~repro.serve.cluster` the ``repro cluster-serve`` one and
 :mod:`~repro.serve.jobs_cli` the ``repro jobs`` one.

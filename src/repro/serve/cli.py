@@ -145,7 +145,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--advertise-host", default=None, metavar="HOST",
-        help="address locate/redirect answers hand to clients "
+        help="address locate answers hand to clients "
         "(default: the bind address, or this machine's primary "
         "address when binding a wildcard)",
     )

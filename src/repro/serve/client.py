@@ -1,24 +1,17 @@
-"""Ring-aware cluster client: the redirect protocol's consumer.
+"""Ring-aware cluster client: the consumer of ``locate``.
 
 The PR-8 cluster tier measured its own ceiling honestly: every byte
 flowed through the single-process router, so four backends scaled like
-one (``scaling_vs_1`` ~ 1.0 in BENCH_serve.json).  The redirect
-protocol takes the router off the data path the way ARM-server HPC
+one (``scaling_vs_1`` ~ 1.0 in BENCH_serve.json).  Routing on the
+client takes the router off the data path the way ARM-server HPC
 front ends keep thin cores off theirs — the router stays the *control*
 plane (topology discovery, fallback, job ops) while queries flow
-client -> home shard directly:
-
-* ``locate`` — one op returns the whole topology: every backend's
-  ``(host, port)`` plus the **topology epoch** (a deterministic hash of
-  the backend set, see :func:`~repro.serve.router.topology_epoch`).
-  A bare ``repro serve`` answers the same op as a one-node topology,
-  so the client degenerates cleanly when pointed at a single server.
-
-* ``redirect`` — a thin client that does not hold the ring can send
-  ``{"op": "query", ..., "redirect": true}``: instead of proxying, the
-  router answers ``error: "redirect"`` naming the key's home shard and
-  the epoch.  One extra round-trip on a cold key, then the client talks
-  to the shard directly.
+client -> home shard directly.  ``locate`` returns the whole topology:
+every backend's ``(host, port)`` plus the **topology epoch** (a
+deterministic hash of the backend set, see
+:func:`~repro.serve.router.topology_epoch`).  A bare ``repro serve``
+answers the same op as a one-node topology, so the client degenerates
+cleanly when pointed at a single server.
 
 :class:`RingClient` holds the ring itself: it learns the topology once,
 routes ``route_key(kind, params)`` placement with the very
@@ -43,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import socket
 import time
 from typing import Any
@@ -74,19 +66,10 @@ def request_once(
     leaves the exchange on JSON-lines).
     """
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
+        client = SyncWireClient(sock)
         if wire == "binary":
-            client = SyncWireClient(sock)
             client.negotiate()
-            return client.request({**doc, "id": 1})
-        sock.sendall((json.dumps({**doc, "id": 1}) + "\n").encode())
-        with sock.makefile("r", encoding="utf-8") as fh:
-            line = fh.readline()
-    if not line:
-        raise ConnectionError("server closed the connection mid-request")
-    resp = json.loads(line)
-    if not isinstance(resp, dict):
-        raise ValueError(f"malformed response: {line!r}")
-    return resp
+        return client.request({**doc, "id": 1})
 
 
 class RingClient:

@@ -168,7 +168,7 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--advertise-host", default=None, metavar="HOST",
-        help="address the readiness line and locate/redirect answers carry "
+        help="address the readiness line and locate answers carry "
         "(default: the bind address, or this machine's primary "
         "address when binding a wildcard)",
     )

@@ -8,7 +8,7 @@ Usage::
 
     python -m repro jobs submit --port 7653 --campaign quick
     python -m repro jobs submit --port 7653 --tenant alice \\
-        --units '[{"kind": "headline", "params": {}}]'
+        --units '[{"kind": "headline", "params": {"n_nodes": 96}}]'
     python -m repro jobs status --port 7653            # all jobs
     python -m repro jobs status --port 7653 JOB_ID
     python -m repro jobs watch  --port 7653 JOB_ID     # poll to terminal

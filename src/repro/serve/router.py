@@ -42,16 +42,17 @@ import contextlib
 import hashlib
 import json
 import socket
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
 from repro.serve.wire import (
-    MAX_UNANSWERED,
+    JOB_OPS,
     BadFrame,
     DecodeMemo,
     EncodeMemo,
+    Unanswered,
     WireConnection,
+    WireEndpoint,
     WireError,
-    hello_ack_doc,
 )
 
 #: Virtual nodes per backend on the ring.  64 keeps the max/min key
@@ -79,7 +80,7 @@ def advertised_host(bind_host: str, override: str | None = None) -> str:
 
     A concrete bind address advertises itself.  A wildcard bind
     (``0.0.0.0``/``::``/empty) is *never* connectable — pre-fix, locate
-    and redirect answers handed ring clients ``0.0.0.0:<port>`` — so it
+    answers handed ring clients ``0.0.0.0:<port>`` — so it
     resolves to this machine's primary outbound address via a
     connected UDP socket (no packet is sent), falling back to loopback
     on machines with no route at all.  ``override`` (the
@@ -110,7 +111,7 @@ def topology_epoch(backends: list[tuple[str, str, int]]) -> str:
     """A version tag for one cluster topology.
 
     Deterministic over the backend set (order-independent, like ring
-    placement): every ``locate``/redirect answer carries it, so a
+    placement): every ``locate`` answer carries it, so a
     client holding a stale ring can detect the mismatch and re-learn
     the topology instead of querying the wrong home shard forever.
     """
@@ -394,15 +395,14 @@ class BackendLink:
         self._fail_outstanding(ConnectionError(f"backend {self.name}: closed"))
 
 
-class ServeRouter:
+class ServeRouter(WireEndpoint):
     """The cluster front door; see the module docstring.
 
     :param backends: ``(name, host, port)`` per backend, in boot order
         (drain shuts them down in this order).  Wildcard backend hosts
         are mapped through :func:`advertised_host` once, here, so every
-        consumer of ``self.backends`` — locate answers, redirect docs,
-        the topology epoch, the links themselves — sees a connectable
-        address.
+        consumer of ``self.backends`` — locate answers, the topology
+        epoch, the links themselves — sees a connectable address.
     :param binary_wire: accept ``binary1`` negotiation from clients.
     :param backend_wire: framing for the backend links (``"json"`` or
         ``"binary"``); backends that decline silently stay on JSON.
@@ -421,24 +421,19 @@ class ServeRouter:
     ) -> None:
         if not backends:
             raise ValueError("ServeRouter needs at least one backend")
+        # Client-side decoded params are stable objects (same blob ->
+        # same dict), so the link-side EncodeMemo hits on the forward;
+        # link-side decoded values are stable, so the client-side
+        # EncodeMemo hits on the re-framed response.
+        super().__init__(host, port, binary_wire, client_decode=DecodeMemo())
         self.backends = [
             (name, advertised_host(bhost, advertise_host), bport)
             for name, bhost, bport in backends
         ]
-        self.host = host
-        self.port = port
         self.forward_timeout_s = forward_timeout_s
-        self.binary_wire = binary_wire
         self.backend_wire = backend_wire
         self.epoch = topology_epoch(self.backends)
         self.ring = HashRing([name for name, _, _ in backends], vnodes)
-        # Two memo pairs, shared across all connections on each side of
-        # the proxy.  Client-side decoded params are stable objects
-        # (same blob -> same dict), so the link-side EncodeMemo hits on
-        # the forward; link-side decoded values are stable, so the
-        # client-side EncodeMemo hits on the re-framed response.
-        self._client_encode = EncodeMemo()
-        self._client_decode = DecodeMemo()
         self._link_encode = EncodeMemo()
         self._link_decode = DecodeMemo()
         self._links = {
@@ -449,50 +444,31 @@ class ServeRouter:
             )
             for name, bhost, bport in self.backends
         }
-        self._server: asyncio.Server | None = None
-        self._shutdown = asyncio.Event()
+        self._ops["stats"] = self._answer_stats
+        # Job ops are not sharded by key: they live on the first
+        # backend, the cluster's designated job home.
+        self._ops.update(dict.fromkeys(JOB_OPS, self._forward_job))
         self._draining = False
-        self._conn_tasks: set[asyncio.Task] = set()
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         self.forwarded = 0       #: queries and job ops forwarded to a shard
         self.unavailable = 0     #: forwards that died on a link failure
         self.rejected_draining = 0
-        self.located = 0         #: locate ops answered
-        self.redirected = 0      #: queries answered with a redirect
         self.job_home_down = 0   #: job ops refused: job home unreachable
 
     # -- lifecycle ---------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def serve_until_shutdown(self) -> None:
-        """Run until a ``shutdown`` op arrives, then drain the cluster:
-        stop admitting (new queries get ``overloaded``/``draining``),
-        await in-flight forwards, shut each backend down in boot order,
-        close every link and straggler connection."""
-        assert self._server is not None, "start() first"
-        await self._shutdown.wait()
+    async def _drain(self) -> None:
+        """Drain the cluster: stop admitting (new queries get
+        ``overloaded``/``draining``), await in-flight forwards, shut
+        each backend down in boot order, close every link."""
         self._draining = True
-        self._server.close()
-        await self._server.wait_closed()
         await self._idle.wait()
         for name, _, _ in self.backends:
             with contextlib.suppress(Exception):
                 await self._links[name].request({"op": "shutdown"})
         for link in self._links.values():
             await link.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
@@ -501,122 +477,20 @@ class ServeRouter:
         else:
             self._idle.clear()
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        conn = WireConnection(
-            reader, writer,
-            allow_binary=self.binary_wire,
-            encode_memo=self._client_encode,
-            decode_memo=self._client_decode,
-        )
-        conn.limit_writes()
-        client = _Client(conn)
-        try:
-            while True:
-                try:
-                    req = await conn.recv()
-                except BadFrame as exc:
-                    # The frame header was sound, so the stream is
-                    # still in sync: answer and keep reading.
-                    await self._send(
-                        conn,
-                        {"id": None, "ok": False, "error": "bad_request",
-                         "detail": str(exc)},
-                    )
-                    continue
-                except WireError:
-                    break  # framing lost; only the connection can die
-                if req is None:
-                    break
-                op = req.get("op")
-                rid = req.get("id")
-                if op == "query":
-                    # Forwarded from the read path: the home shard's
-                    # answer is written by the link's read loop, so one
-                    # slow shard does not serialise this connection.
-                    link = self._route(conn, rid, req)
-                    if link is not None:
-                        try:
-                            if not link.connected:
-                                await link.connect()
-                        except (ConnectionError, OSError) as exc:
-                            self.unavailable += 1
-                            conn.write_response(
-                                _unavailable_doc(rid, link.name, exc)
-                            )
-                        else:
-                            self._forward_inline(client, rid, req, link)
-                            await link.drain_if_full()
-                    # Stop reading while this client holds too many
-                    # unanswered forwards or too many unsent answers.
-                    await client.wait_below(MAX_UNANSWERED)
-                    await conn.drain_if_full()
-                elif op == "stats":
-                    await self._send(conn, await self._answer_stats(rid))
-                elif op == "locate":
-                    await self._send(conn, self._answer_locate(rid, req))
-                elif op in ("submit", "status", "result", "cancel"):
-                    # Job ops are not sharded by key: they live on the
-                    # first backend, the cluster's designated job home.
-                    await self._send(conn, await self._forward_job(rid, req))
-                elif op == "hello" and self.binary_wire:
-                    ack, enable = hello_ack_doc(rid, req, self.binary_wire)
-                    try:
-                        await conn.send_hello_ack(
-                            ack, enable and not conn.binary
-                        )
-                    except (ConnectionResetError, BrokenPipeError):
-                        break
-                elif op == "ping":
-                    await self._send(conn, {"id": rid, "ok": True})
-                elif op == "shutdown":
-                    await self._send(conn, {"id": rid, "ok": True})
-                    self.request_shutdown()
-                else:
-                    # With binary_wire off, "hello" lands here: the
-                    # bad_request IS the client's downgrade signal.
-                    await self._send(
-                        conn,
-                        {"id": rid, "ok": False, "error": "bad_request",
-                         "detail": f"unknown op {op!r}"},
-                    )
-            # Answer what was read before EOF, then close.
-            await client.wait_below(1)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels straggler connections only once every
-            # forward is answered; finishing normally keeps asyncio's
-            # streams helper from logging the cancellation.
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(
-                ConnectionResetError, BrokenPipeError, OSError
-            ):
-                await writer.wait_closed()
+    # -- queries -----------------------------------------------------------
+    def _home_of(self, kind: str, params: dict[str, Any]) -> str:
+        return self.ring.home(route_key(kind, params))
 
-    def _route(
-        self, conn: WireConnection, rid: Any, req: dict[str, Any]
-    ) -> BackendLink | None:
-        """The link a ``query`` goes to, or ``None`` once it has been
-        answered here: a malformed request, a draining router or an
-        opt-in redirect."""
-        kind = req.get("kind")
-        params = req.get("params")
-        if not isinstance(kind, str) or not isinstance(params, dict):
-            conn.write_response(
-                {"id": rid, "ok": False, "error": "bad_request",
-                 "detail": "query needs a string 'kind' and object "
-                 "'params'"},
-            )
-            return None
+    def _query(
+        self,
+        conn: WireConnection,
+        rid: Any,
+        req: dict[str, Any],
+        unanswered: Unanswered,
+    ) -> Awaitable[None] | None:
+        """Forwarded from the read path: the home shard's answer is
+        written by the link's read loop, so one slow shard does not
+        serialise this connection.  A draining router answers here."""
         if self._draining:
             self.rejected_draining += 1
             conn.write_response(
@@ -624,31 +498,43 @@ class ServeRouter:
                  "reason": "draining", "retry_after_s": 1.0},
             )
             return None
-        home = self.ring.home(route_key(kind, params))
-        if req.get("redirect"):
-            # Opt-in client redirect: answer with the home shard's
-            # address instead of proxying — the client connects direct
-            # and the router's single process leaves the data path.
-            self.redirected += 1
-            conn.write_response(self._redirect_doc(rid, home))
-            return None
-        return self._links[home]
+        link = self._links[self._home_of(req["kind"], req["params"])]
+        if not link.connected:
+            return self._connect_and_forward(conn, rid, req, unanswered, link)
+        return self._forward_inline(conn, rid, req, unanswered, link)
+
+    async def _connect_and_forward(
+        self,
+        conn: WireConnection,
+        rid: Any,
+        req: dict[str, Any],
+        unanswered: Unanswered,
+        link: BackendLink,
+    ) -> None:
+        try:
+            await link.connect()
+        except (ConnectionError, OSError) as exc:
+            self.unavailable += 1
+            conn.write_response(_unavailable_doc(rid, link.name, exc))
+        else:
+            await self._forward_inline(conn, rid, req, unanswered, link)
 
     def _forward_inline(
         self,
-        client: _Client,
+        conn: WireConnection,
         rid: Any,
         req: dict[str, Any],
+        unanswered: Unanswered,
         link: BackendLink,
-    ) -> None:
+    ) -> Awaitable[None]:
         """Send ``req`` on ``link``; its reply callback writes the
         backend's answer VERBATIM except for the id (remapped back to
         the caller's) — values, ``served``, error shapes and
         ``retry_after_s`` all pass through untouched, re-framed on the
         QRESP fast path when the client negotiated binary.  That is the
-        byte-identity contract."""
+        byte-identity contract.  Returns the link's flow control."""
         self._track(+1)
-        client.inflight += 1
+        unanswered.add()
 
         def answer(doc: dict[str, Any] | None, exc: Exception | None) -> None:
             if exc is not None:
@@ -657,44 +543,12 @@ class ServeRouter:
             else:
                 self.forwarded += 1
                 doc["id"] = rid  # a fresh decoded doc: nobody else holds it
-            client.conn.write_response(doc)
-            client.done()
+            conn.write_response(doc)
+            unanswered.done()
             self._track(-1)
 
         link.send(req, answer, self.forward_timeout_s)
-
-    def _redirect_doc(self, rid: Any, home: str) -> dict[str, Any]:
-        host, port = next(
-            (h, p) for name, h, p in self.backends if name == home
-        )
-        return {"id": rid, "ok": False, "error": "redirect",
-                "backend": home, "host": host, "port": port,
-                "epoch": self.epoch}
-
-    def _answer_locate(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
-        """The redirect protocol's discovery op: the full topology (and
-        epoch), plus — when the request names a key — that key's home
-        shard.  Answered from the ring alone, no backend round-trip."""
-        kind = req.get("kind")
-        params = req.get("params")
-        doc: dict[str, Any] = {
-            "id": rid, "ok": True, "epoch": self.epoch,
-            "backends": {
-                name: [host, port] for name, host, port in self.backends
-            },
-        }
-        if kind is not None or params is not None:
-            if not isinstance(kind, str) or not isinstance(params, dict):
-                return {"id": rid, "ok": False, "error": "bad_request",
-                        "detail": "locate needs a string 'kind' and "
-                        "object 'params' (or neither)"}
-            home = self.ring.home(route_key(kind, params))
-            host, port = next(
-                (h, p) for name, h, p in self.backends if name == home
-            )
-            doc.update(backend=home, host=host, port=port)
-        self.located += 1
-        return doc
+        return link.drain_if_full()
 
     async def _forward_job(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
         """Job ops live on the boot-order-first backend (the cluster's
@@ -704,36 +558,27 @@ class ServeRouter:
         attempt, and the caller deserves to know the jobs themselves
         are intact, just briefly unreachable."""
         home = self.backends[0][0]
-        doc = await self._forward(home, rid, req)
-        if doc.get("ok") is False and doc.get("error") == "unavailable":
-            self.job_home_down += 1
-            return {"id": rid, "ok": False, "error": "job_home_down",
-                    "job_home": home,
-                    "retry_after_s": DEFAULT_DOWN_COOLDOWN_S,
-                    "detail": doc.get("detail", "")}
-        return doc
-
-    async def _forward(
-        self, backend: str, rid: Any, req: dict[str, Any]
-    ) -> dict[str, Any]:
-        """Proxy a job op to ``backend`` and return its response doc
-        verbatim except for the id, as :meth:`_forward_inline` does."""
         self._track(+1)
         try:
-            doc = await self._links[backend].request(
+            doc = await self._links[home].request(
                 req, timeout_s=self.forward_timeout_s
             )
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             self.unavailable += 1
-            return _unavailable_doc(rid, backend, exc)
+            self.job_home_down += 1
+            return {"id": rid, "ok": False, "error": "job_home_down",
+                    "job_home": home,
+                    "retry_after_s": DEFAULT_DOWN_COOLDOWN_S,
+                    "detail": f"{type(exc).__name__}: {exc}"}
         finally:
             self._track(-1)
         self.forwarded += 1
-        out = dict(doc)
-        out["id"] = rid
-        return out
+        doc["id"] = rid  # a fresh decoded doc, as in _forward_inline
+        return doc
 
-    async def _answer_stats(self, rid: Any) -> dict[str, Any]:
+    async def _answer_stats(
+        self, rid: Any, req: dict[str, Any]
+    ) -> dict[str, Any]:
         """Own counters + per-backend snapshots + an aggregate rollup."""
         per_backend: dict[str, Any] = {}
         agg = {
@@ -771,7 +616,6 @@ class ServeRouter:
                 "unavailable": self.unavailable,
                 "rejected_draining": self.rejected_draining,
                 "located": self.located,
-                "redirected": self.redirected,
                 "job_home_down": self.job_home_down,
                 "draining": self._draining,
             },
@@ -779,45 +623,7 @@ class ServeRouter:
             "backends": per_backend,
         }
 
-    @staticmethod
-    async def _send(conn: WireConnection, doc: dict[str, Any]) -> None:
-        try:
-            await conn.send(doc)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away
-
 
 def _unavailable_doc(rid: Any, backend: str, exc: Exception) -> dict[str, Any]:
     return {"id": rid, "ok": False, "error": "unavailable",
             "backend": backend, "detail": f"{type(exc).__name__}: {exc}"}
-
-
-class _Client:
-    """One client connection's forwards still waiting for a reply: the
-    read loop waits on their count before reading more, and the
-    connection closes only after answering them."""
-
-    __slots__ = ("conn", "inflight", "_below", "_waiter")
-
-    def __init__(self, conn: WireConnection) -> None:
-        self.conn = conn
-        self.inflight = 0
-        self._below = 0
-        self._waiter: asyncio.Future | None = None
-
-    def done(self) -> None:
-        self.inflight -= 1
-        waiter = self._waiter
-        if waiter is not None and self.inflight < self._below:
-            if not waiter.done():
-                waiter.set_result(None)
-
-    async def wait_below(self, limit: int) -> None:
-        """Return once fewer than ``limit`` forwards await a reply."""
-        if self.inflight >= limit:
-            self._below = limit
-            self._waiter = asyncio.get_running_loop().create_future()
-            try:
-                await self._waiter
-            finally:
-                self._waiter = None

@@ -26,8 +26,9 @@ Three frame types:
   Semantically identical to one JSON line; every op travels this way
   unless a fast path applies.
 * ``0x02 QREQ`` — query fast path, request direction: ``id: u64``,
-  ``flags: u8`` (bit0 = ``via: "direct"``, bit1 = ``redirect: true``),
-  ``kind: u8`` (index into the unit-kind table), then the params dict
+  ``flags: u8`` (bit0 = ``via: "direct"``; bit1 is reserved: it
+  carried the removed ``redirect`` query flag, and decoders ignore
+  it), ``kind: u8`` (index into the unit-kind table), then the params dict
   in the tag codec.
 * ``0x03 QRESP`` — query fast path, response direction: ``id: u64``,
   ``latency_s: f64``, ``served: u8`` (index into the served table),
@@ -67,10 +68,11 @@ reinterpretation of ``binary1`` bytes.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import struct
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Awaitable, Callable, Coroutine
 
 WIRE_BINARY1 = "binary1"
 WIRE_JSON = "json"
@@ -108,7 +110,6 @@ _QREQ = struct.Struct(">QBB")     # id, flags, kind code
 _QRESP = struct.Struct(">QdB")    # id, latency_s, served code
 
 _QREQ_FLAG_DIRECT = 0x01
-_QREQ_FLAG_REDIRECT = 0x02
 
 #: The queryable work-unit kinds (the campaign decomposition's own).
 #: Their order is the QREQ kind-code table, so it is part of the
@@ -125,7 +126,11 @@ SERVED_CODES = {served: i for i, served in enumerate(SERVED_ORDER)}
 
 #: The fields a query doc may carry and still take the QREQ fast path —
 #: anything extra must travel as a DOC frame so no field is dropped.
-_QREQ_FIELDS = frozenset(("op", "id", "kind", "params", "via", "redirect"))
+_QREQ_FIELDS = frozenset(("op", "id", "kind", "params", "via"))
+
+#: The job-tier ops (:mod:`repro.serve.jobs`); a router forwards them
+#: to its job home.
+JOB_OPS = ("submit", "status", "result", "cancel")
 
 _U64_MAX = (1 << 64) - 1
 
@@ -375,8 +380,6 @@ def decode_frame(
             }
             if flags & _QREQ_FLAG_DIRECT:
                 req["via"] = "direct"
-            if flags & _QREQ_FLAG_REDIRECT:
-                req["redirect"] = True
             return req
         if ftype == FRAME_QRESP:
             rid, latency_s, scode = _QRESP.unpack_from(payload)
@@ -511,29 +514,23 @@ class WireConnection:
     # -- sending -----------------------------------------------------------
     def _request_bytes(self, doc: dict[str, Any]) -> bytes:
         """Encode one outbound request, fast-pathing eligible queries."""
-        if not self.binary:
-            return (json.dumps(doc, sort_keys=True) + "\n").encode()
         if (
-            doc.get("op") == "query"
+            self.binary
+            and doc.get("op") == "query"
             and _is_frame_id(doc.get("id"))
             and doc.get("kind") in KIND_CODES
             and isinstance(doc.get("params"), dict)
             and doc.get("via") in (None, "direct")
-            and doc.get("redirect") in (None, True, False)
             and _QREQ_FIELDS.issuperset(doc)
         ):
-            flags = 0
-            if doc.get("via") == "direct":
-                flags |= _QREQ_FLAG_DIRECT
-            if doc.get("redirect"):
-                flags |= _QREQ_FLAG_REDIRECT
+            flags = _QREQ_FLAG_DIRECT if doc.get("via") == "direct" else 0
             blob = self.encode_memo.encode(doc["params"])
             return (
                 _HEADER.pack(MAGIC, FRAME_QREQ, _QREQ.size + len(blob))
                 + _QREQ.pack(doc["id"], flags, KIND_CODES[doc["kind"]])
                 + blob
             )
-        return encode_doc_frame(doc)
+        return self._doc_bytes(doc)
 
     def _doc_bytes(self, doc: dict[str, Any]) -> bytes:
         """One document in the connection's current framing."""
@@ -607,11 +604,12 @@ class WireConnection:
         await self.writer.drain()
 
     async def send_hello_ack(self, doc: dict[str, Any], enable: bool) -> None:
-        """The hello ack must be the LAST JSON frame of the connection:
-        the mode flips in the same step that buffers the ack, so any
-        response written after it, even while the ack still drains, is
-        binary."""
-        self.writer.write((json.dumps(doc, sort_keys=True) + "\n").encode())
+        """The hello ack goes out in the framing the hello came in, and
+        when it enables binary it is the LAST JSON frame of the
+        connection: the mode flips in the same step that buffers the
+        ack, so any response written after it, even while the ack
+        still drains, is binary."""
+        self.writer.write(self._doc_bytes(doc))
         if enable:
             self.binary = True
         await self.writer.drain()
@@ -623,38 +621,320 @@ class WireConnection:
         refusal of any shape (``bad_request`` from a pre-hello server,
         ``"wire": "json"``) is the clean downgrade, not an error.  Must
         run before the connection carries any other traffic."""
-        self.writer.write(
-            (json.dumps({"op": "hello", "id": 0, "wire": WIRE_BINARY1})
-             + "\n").encode()
-        )
+        self.writer.write(HELLO_LINE)
         await self.writer.drain()
-        line = await self.reader.readline()
-        if not line:
-            raise ConnectionError("connection closed during wire negotiation")
-        try:
-            ack = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConnectionError(f"malformed hello ack: {line!r}") from exc
-        if (
-            isinstance(ack, dict)
-            and ack.get("ok")
-            and ack.get("wire") == WIRE_BINARY1
-        ):
-            self.binary = True
+        self.binary = hello_accepted(await self.reader.readline())
         return self.binary
 
 
-def hello_ack_doc(rid: Any, req: dict[str, Any], allow_binary: bool) -> tuple[dict[str, Any], bool]:
-    """Server-side hello negotiation: ``(ack doc, enable binary)``.
+#: A client's hello: one JSON line offering ``binary1``.
+HELLO_LINE = (
+    json.dumps({"op": "hello", "id": 0, "wire": WIRE_BINARY1}) + "\n"
+).encode()
 
-    Offers we cannot speak (unknown versions, or binary disabled) are
-    acked with ``"wire": "json"`` — negotiate down, never error: the
-    client keeps working on the compatibility skin.
+
+def hello_accepted(line: bytes) -> bool:
+    """Whether the hello ack ``line`` switches the connection to
+    ``binary1``.  Raises ``ConnectionError`` on EOF or an ack that is
+    not JSON."""
+    if not line:
+        raise ConnectionError("connection closed during wire negotiation")
+    try:
+        ack = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConnectionError(f"malformed hello ack: {line!r}") from exc
+    return (
+        isinstance(ack, dict)
+        and bool(ack.get("ok"))
+        and ack.get("wire") == WIRE_BINARY1
+    )
+
+
+# -- the served side: one connection loop for every endpoint ----------------
+
+class Unanswered:
+    """One served connection's accepted requests still awaiting their
+    answer.  The read loop stops reading at :data:`MAX_UNANSWERED` and
+    closes the connection only once none is left.  A request is
+    counted by :meth:`add` and :meth:`done` (the router's forwards,
+    answered from a backend link's read loop) or by :meth:`spawn` (the
+    server's funnel queries, one task each)."""
+
+    __slots__ = ("count", "tasks", "_below", "_waiter")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.tasks: set[asyncio.Task] = set()
+        self._below = 0
+        self._waiter: asyncio.Future | None = None
+
+    def add(self) -> None:
+        self.count += 1
+
+    def done(self) -> None:
+        self.count -= 1
+        waiter = self._waiter
+        if waiter is not None and self.count < self._below:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        task = asyncio.get_running_loop().create_task(coro)
+        self.tasks.add(task)
+        self.count += 1
+        task.add_done_callback(self._task_done)
+
+    def _task_done(self, task: asyncio.Task) -> None:
+        self.tasks.discard(task)
+        if not task.cancelled():
+            task.exception()  # an answer task reports its own failures
+        self.done()
+
+    async def wait_below(self, limit: int) -> None:
+        """Return once fewer than ``limit`` requests await an answer."""
+        if self.count >= limit:
+            self._below = limit
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+
+
+#: An op handler: ``(id, request) -> response doc``.
+OpHandler = Callable[[Any, dict[str, Any]], Awaitable[dict[str, Any]]]
+
+
+class WireEndpoint:
+    """The serving skin that :class:`~repro.serve.server.ServeServer`
+    and :class:`~repro.serve.router.ServeRouter` share: one listening
+    socket and one read loop per connection.
+
+    The loop owns what is the same on both: a bad frame is answered
+    ``bad_request`` and reading goes on, broken framing drops the
+    connection; ``hello``, ``ping``, ``shutdown`` and unknown ops; the
+    :data:`MAX_UNANSWERED` stop and write-buffer flow control; and
+    answering every accepted request before the connection closes.  A
+    subclass supplies the rest:
+
+    * :meth:`_query` — a ``query`` is the loop's first test and, once
+      its ``kind`` and ``params`` are typed right, is handed over
+      without dispatch or task;
+    * ``self._ops`` — every other op it serves, by name (it starts
+      with ``locate``);
+    * ``self.backends``, ``self.epoch`` and :meth:`_home_of`, the
+      topology ``locate`` answers from: a bare server is a one-backend
+      topology;
+    * :meth:`_drain` — the shutdown drain.
     """
-    offered = req.get("wire")
-    if allow_binary and offered == WIRE_BINARY1:
-        return {"id": rid, "ok": True, "wire": WIRE_BINARY1}, True
-    return {"id": rid, "ok": True, "wire": WIRE_JSON}, False
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        binary_wire: bool,
+        client_decode: DecodeMemo | None = None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.binary_wire = binary_wire
+        self.backends: list[tuple[str, str, int]] = []
+        self.epoch = ""
+        self.located = 0  #: locate ops answered
+        # Response-value blobs are memoised per endpoint, not per
+        # connection: the hot set is shared, so every connection
+        # reuses the same encodings.
+        self._client_encode = EncodeMemo()
+        self._client_decode = client_decode
+        self._ops: dict[str, OpHandler] = {"locate": self._answer_locate}
+        self._server: asyncio.Server | None = None
+        self._shutdown = asyncio.Event()
+        self._conn_tasks: set[asyncio.Task] = set()
+
+    async def start(self) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    def request_shutdown(self) -> None:
+        self._shutdown.set()
+
+    async def serve_until_shutdown(self) -> None:
+        """Run until a ``shutdown`` op arrives, then stop accepting,
+        :meth:`_drain`, and close every straggler connection."""
+        assert self._server is not None, "start() first"
+        await self._shutdown.wait()
+        self._server.close()
+        await self._server.wait_closed()
+        await self._drain()
+        for task in list(self._conn_tasks):
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+
+    async def _drain(self) -> None:
+        raise NotImplementedError
+
+    def _query(
+        self,
+        conn: WireConnection,
+        rid: Any,
+        req: dict[str, Any],
+        unanswered: Unanswered,
+    ) -> Awaitable[None] | None:
+        """Answer ``req``, or start answering it and count it in
+        ``unanswered``; an awaitable return is awaited before the loop
+        reads on."""
+        raise NotImplementedError
+
+    def _home_of(self, kind: str, params: dict[str, Any]) -> str:
+        """The backend name owning the key ``(kind, params)``."""
+        raise NotImplementedError
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._conn_tasks.add(task)
+        conn = WireConnection(
+            reader, writer,
+            allow_binary=self.binary_wire,
+            encode_memo=self._client_encode,
+            decode_memo=self._client_decode,
+        )
+        conn.limit_writes()
+        unanswered = Unanswered()
+        try:
+            while True:
+                try:
+                    req = await conn.recv()
+                except BadFrame as exc:
+                    # One bad frame, a still-framed stream: answer and
+                    # keep reading — a wedged read loop would be worse
+                    # than the malformed request.
+                    await self._send(
+                        conn,
+                        {"id": None, "ok": False, "error": "bad_request",
+                         "detail": str(exc)},
+                    )
+                    continue
+                except WireError:
+                    break  # framing broken beyond resync: drop the link
+                if req is None:
+                    break
+                op = req.get("op")
+                rid = req.get("id")
+                if op == "query":
+                    if not isinstance(req.get("kind"), str) or not isinstance(
+                        req.get("params"), dict
+                    ):
+                        conn.write_response(
+                            {"id": rid, "ok": False, "error": "bad_request",
+                             "detail": "query needs a string 'kind' and "
+                             "object 'params'"},
+                        )
+                    else:
+                        waiting = self._query(conn, rid, req, unanswered)
+                        if waiting is not None:
+                            await waiting
+                    # Answers are buffered without waiting: stop reading
+                    # while this client holds too many unanswered
+                    # requests or too many unsent answers.
+                    if unanswered.count >= MAX_UNANSWERED:
+                        await unanswered.wait_below(MAX_UNANSWERED)
+                    await conn.drain_if_full()
+                    continue
+                handler = self._ops.get(op)
+                if handler is not None:
+                    await self._send(conn, await handler(rid, req))
+                elif op == "ping":
+                    await self._send(conn, {"id": rid, "ok": True})
+                elif op == "hello" and self.binary_wire:
+                    # An offer we cannot speak is acked "json": negotiate
+                    # down, never error.
+                    enable = req.get("wire") == WIRE_BINARY1
+                    ack = {"id": rid, "ok": True,
+                           "wire": WIRE_BINARY1 if enable else WIRE_JSON}
+                    try:
+                        await conn.send_hello_ack(
+                            ack, enable and not conn.binary
+                        )
+                    except (ConnectionResetError, BrokenPipeError):
+                        break
+                elif op == "shutdown":
+                    await self._send(conn, {"id": rid, "ok": True})
+                    self.request_shutdown()
+                else:
+                    # With binary_wire off, "hello" lands here too: that
+                    # bad_request IS the downgrade signal binary-
+                    # preferring clients key off.
+                    await self._send(
+                        conn,
+                        {"id": rid, "ok": False, "error": "bad_request",
+                         "detail": f"unknown op {op!r}"},
+                    )
+            # Answer what was read before EOF, then close.
+            await unanswered.wait_below(1)
+        except (ConnectionResetError, asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            # Shutdown cancels straggler connections after the drain.
+            # Every accepted request is resolved by then, but its answer
+            # may not be written yet — flush those before closing, so
+            # "drained" means none dropped at the transport either.
+            # (Finishing normally also keeps asyncio's streams helper
+            # from logging the cancellation as a connection error.)
+            await unanswered.wait_below(1)
+        finally:
+            for sub in unanswered.tasks:
+                sub.cancel()
+            self._conn_tasks.discard(task)
+            writer.close()
+            # CancelledError here is the close-waiter future dying when
+            # a peer link drops mid-teardown, not task cancellation —
+            # and this handler finishes normally on cancellation anyway
+            # (see the except clause above).
+            with contextlib.suppress(
+                ConnectionResetError, BrokenPipeError, OSError,
+                asyncio.CancelledError,
+            ):
+                await writer.wait_closed()
+
+    async def _answer_locate(
+        self, rid: Any, req: dict[str, Any]
+    ) -> dict[str, Any]:
+        """``locate``: the full topology and its epoch, plus — when the
+        request names a key — that key's home backend.  Answered from
+        the topology alone, with no backend round trip."""
+        kind = req.get("kind")
+        params = req.get("params")
+        doc: dict[str, Any] = {
+            "id": rid, "ok": True, "epoch": self.epoch,
+            "backends": {
+                name: [host, port] for name, host, port in self.backends
+            },
+        }
+        if kind is not None or params is not None:
+            if not isinstance(kind, str) or not isinstance(params, dict):
+                return {"id": rid, "ok": False, "error": "bad_request",
+                        "detail": "locate needs a string 'kind' and "
+                        "object 'params' (or neither)"}
+            home = self._home_of(kind, params)
+            host, port = next(
+                (h, p) for name, h, p in self.backends if name == home
+            )
+            doc.update(backend=home, host=host, port=port)
+        self.located += 1
+        return doc
+
+    @staticmethod
+    async def _send(conn: WireConnection, doc: dict[str, Any]) -> None:
+        try:
+            await conn.send(doc)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # the client went away
 
 
 # -- synchronous one-shot client helpers ------------------------------------
@@ -691,23 +971,8 @@ class SyncWireClient:
         return line
 
     def negotiate(self) -> bool:
-        self.sock.sendall(
-            (json.dumps({"op": "hello", "id": 0, "wire": WIRE_BINARY1})
-             + "\n").encode()
-        )
-        line = self.readline()
-        if not line:
-            raise ConnectionError("connection closed during wire negotiation")
-        try:
-            ack = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConnectionError(f"malformed hello ack: {line!r}") from exc
-        if (
-            isinstance(ack, dict)
-            and ack.get("ok")
-            and ack.get("wire") == WIRE_BINARY1
-        ):
-            self.binary = True
+        self.sock.sendall(HELLO_LINE)
+        self.binary = hello_accepted(self.readline())
         return self.binary
 
     def request(self, doc: dict[str, Any]) -> dict[str, Any]:

@@ -230,6 +230,31 @@ class TestMalformedFig6Params:
             }
 
 
+#: Malformed ``headline`` params.  A missing count used to surface as
+#: KeyError and a string one as TypeError, both answered as
+#: ``internal``; a bool count was simulated as 1 node.
+MALFORMED_HEADLINES = [{}, {"n_nodes": "96"}, {"n_nodes": True}]
+
+
+class TestMalformedHeadlineParams:
+    def test_submit_raises_value_error(self):
+        async def scenario():
+            fe = frontend(batch_window_s=0.2)
+            await fe.start()
+            try:
+                return await asyncio.gather(
+                    *(fe.submit("headline", p) for p in MALFORMED_HEADLINES),
+                    return_exceptions=True,
+                )
+            finally:
+                await fe.drain()
+
+        failures = run_async(scenario())
+        for params, exc in zip(MALFORMED_HEADLINES, failures):
+            assert isinstance(exc, ValueError), (params, exc)
+            assert "n_nodes" in str(exc)
+
+
 class TestExecutionSplit:
     def test_one_job_forks_no_worker_process(self, monkeypatch, tmp_path):
         """A default-config front end answers sweep, Figure 6 and

@@ -9,6 +9,7 @@ same test that pins the server catches it.
 
 import asyncio
 import json
+import re
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.serve.wire import WireConnection, encode_doc_frame
 POINT_A = {"mode": "single", "platform": "Tegra2", "freq": 1.0}
 POINT_B = {"mode": "multi", "platform": "Exynos5250", "freq": 1.4}
 FIG6_POINT = {"app": "HPL", "max_nodes": 96, "n": 96}
+MALFORMED_HEADLINES = [{}, {"n_nodes": "96"}, {"n_nodes": True}]
+LABEL_A = "sweep_point(freq=1.0,mode=single,platform=Tegra2)"
 
 #: One representative operating point per reproduced figure.
 IDENTITY_CASES = [
@@ -394,44 +397,87 @@ class TestWireContract:
         assert asyncio.run(scenario())["ok"] is True
 
     def test_redirect_flag(self, tmp_path, kind):
-        """``redirect: true`` on a query: the router answers with the
-        home's address instead of proxying (and following it yields the
-        same value the proxied path returns); a bare server — already
-        the home of everything — just serves the query."""
+        """The removed ``redirect`` query flag is an ignored field: a
+        ``"redirect": true`` query is answered with its value, byte for
+        byte the plain query's answer (latency masked), on both
+        endpoints."""
 
         async def scenario():
             ep = await boot_endpoint(kind, tmp_path)
             reader, writer = await connect(ep.port)
-            send(writer, {"op": "query", "id": 1, "kind": "sweep_point",
-                          "params": POINT_A, "redirect": True})
+            plain = {"op": "query", "id": 1, "kind": "sweep_point",
+                     "params": POINT_A}
+            send(writer, plain)  # warm the key: both answers are hits
             await writer.drain()
-            first = await recv(reader)
-            followed = proxied = None
-            if kind == "router":
-                send(writer, {"op": "query", "id": 2, "kind": "sweep_point",
-                              "params": POINT_A})
+            await recv(reader)
+            raw = []
+            for doc in (plain, {**plain, "redirect": True}):
+                send(writer, doc)
                 await writer.drain()
-                proxied = await recv(reader)
-                r2, w2 = await connect(first["port"])
-                send(w2, {"op": "query", "id": 3, "kind": "sweep_point",
-                          "params": POINT_A, "via": "direct"})
-                await w2.drain()
-                followed = await recv(r2)
-                w2.close()
+                raw.append(await reader.readline())
             await shutdown_endpoint(ep, reader, writer)
-            return first, followed, proxied, ep
+            return raw
 
-        first, followed, proxied, ep = asyncio.run(scenario())
-        if kind == "server":
-            assert first["ok"] is True and "value" in first
-            return
-        assert first["ok"] is False and first["error"] == "redirect"
-        assert set(first) == {"id", "ok", "error", "backend", "host",
-                              "port", "epoch"}
-        assert first["epoch"] == ep.router.epoch
-        assert followed["ok"] is True
-        assert canon(followed["value"]) == canon(proxied["value"])
-        assert ep.router.redirected == 1
+        plain, flagged = (
+            re.sub(rb'"latency_s": [^,}]+', b'"latency_s": 0', line)
+            for line in asyncio.run(scenario())
+        )
+        assert json.loads(flagged)["value"] == LABEL_A
+        assert flagged == plain
+
+    @pytest.mark.parametrize("wire", ["json", "binary1"])
+    def test_plain_ops_answer_alike(self, tmp_path, kind, wire):
+        """``ping``, ``hello``, an unknown op and a job op to an endpoint
+        without a job tier get the same answers from the server and the
+        router, in either framing."""
+
+        async def scenario():
+            ep = await boot_endpoint(kind, tmp_path)
+            conn, _ = await wire_connect(
+                ep.port, negotiate=wire == "binary1"
+            )
+            assert conn.wire == wire
+            docs = [await wire_request(conn, doc) for doc in (
+                {"op": "ping", "id": 1},
+                {"op": "hello", "id": 2, "wire": wire},
+                {"op": "frobnicate", "id": 3},
+                {"op": "status", "id": 4, "job_id": "nope"},
+            )]
+            await wire_shutdown(ep, conn)
+            return docs
+
+        assert asyncio.run(scenario()) == [
+            {"id": 1, "ok": True},
+            {"id": 2, "ok": True, "wire": wire},
+            {"id": 3, "ok": False, "error": "bad_request",
+             "detail": "unknown op 'frobnicate'"},
+            {"id": 4, "ok": False, "error": "bad_request",
+             "detail": "job tier disabled (serve --no-jobs)"},
+        ]
+
+    def test_malformed_headline_is_bad_request(self, tmp_path, kind):
+        """Through the real execution path: a missing, string or bool
+        ``n_nodes`` is the client's error on both endpoints."""
+
+        async def scenario():
+            ep = await boot_endpoint(kind, tmp_path, runner=None)
+            reader, writer = await connect(ep.port)
+            for rid, params in enumerate(MALFORMED_HEADLINES):
+                send(writer, {"op": "query", "id": rid, "kind": "headline",
+                              "params": params})
+            await writer.drain()
+            docs = {}
+            for _ in MALFORMED_HEADLINES:
+                doc = await recv(reader)
+                docs[doc["id"]] = doc
+            await shutdown_endpoint(ep, reader, writer)
+            return docs
+
+        docs = asyncio.run(scenario())
+        for rid, params in enumerate(MALFORMED_HEADLINES):
+            assert docs[rid]["ok"] is False, params
+            assert docs[rid]["error"] == "bad_request", (params, docs[rid])
+            assert "n_nodes" in docs[rid]["detail"]
 
     def test_interleaved_responses_match_by_id(self, tmp_path, kind):
         async def scenario():
@@ -565,9 +611,6 @@ class TestJobHomeDown:
             assert doc["retry_after_s"] > 0
         assert counter == 4
         assert query_doc.get("error") != "job_home_down"
-
-
-LABEL_A = "sweep_point(freq=1.0,mode=single,platform=Tegra2)"
 
 
 async def wire_connect(port, negotiate=True):
@@ -796,7 +839,7 @@ class TestMixedWireCluster:
 class TestAdvertiseHost:
     """Wildcard binds must never leak onto the wire: pre-fix,
     ``--host 0.0.0.0`` handed ring clients the unconnectable
-    ``0.0.0.0:<port>`` in locate and redirect answers."""
+    ``0.0.0.0:<port>`` in locate answers."""
 
     def test_server_on_wildcard_advertises_connectable_host(self, tmp_path):
         async def scenario():
@@ -848,20 +891,19 @@ class TestAdvertiseHost:
     def test_router_resolves_wildcard_backends(self, tmp_path):
         """Backends registered at a wildcard address (as a cluster boot
         binding 0.0.0.0 would) must be advertised at a connectable
-        one — in locate AND in redirect answers."""
+        one in locate answers."""
 
         async def scenario():
             router = ServeRouter([("b0", "0.0.0.0", 45999)])
             await router.start()
             task = asyncio.ensure_future(router.serve_until_shutdown())
             reader, writer = await connect(router.port)
-            send(writer, {"op": "locate", "id": 1})
-            send(writer, {"op": "query", "id": 2, "kind": "sweep_point",
-                          "params": POINT_A, "redirect": True})
-            send(writer, {"op": "shutdown", "id": 3})
+            send(writer, {"op": "locate", "id": 1, "kind": "sweep_point",
+                          "params": POINT_A})
+            send(writer, {"op": "shutdown", "id": 2})
             await writer.drain()
             docs = {}
-            for _ in range(3):
+            for _ in range(2):
                 doc = await recv(reader)
                 docs[doc["id"]] = doc
             await task
@@ -871,8 +913,7 @@ class TestAdvertiseHost:
         docs = asyncio.run(scenario())
         for host, _port in docs[1]["backends"].values():
             assert host != "0.0.0.0"
-        assert docs[2]["error"] == "redirect"
-        assert docs[2]["host"] != "0.0.0.0"
+        assert docs[1]["host"] != "0.0.0.0"
 
 
 class TestDirectStatsAdmissionOnly:

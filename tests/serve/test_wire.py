@@ -152,6 +152,8 @@ class TestFrames:
         assert out == doc
 
     def test_qreq_frame_decodes_to_query_doc(self):
+        """Flag bit 1 is reserved (it carried the removed ``redirect``
+        flag): an old client's flagged frame decodes as a plain query."""
         kind = UNIT_KINDS[1]
         params = {"freq": 1.0, "mode": "single", "platform": "Tegra2"}
         payload = (
@@ -160,7 +162,7 @@ class TestFrames:
         doc = decode_frame(FRAME_QREQ, payload, DecodeMemo())
         assert doc == {
             "op": "query", "id": 42, "kind": kind, "params": params,
-            "via": "direct", "redirect": True,
+            "via": "direct",
         }
 
     def test_qresp_frame_decodes_to_response_doc(self):
