@@ -75,6 +75,7 @@ def run_units(
     cache: ResultCache | None = None,
     seed: int = 0,
     safe: bool = False,
+    write: bool = True,
 ) -> list[Any]:
     """Execute ``units``, returning their values in input order.
 
@@ -86,7 +87,8 @@ def run_units(
 
     ``safe=True`` captures each unit's exception as a
     :class:`UnitFailure` in its slot (never cached) instead of raising
-    and discarding the batch.
+    and discarding the batch.  ``write=False`` only probes ``cache``:
+    the caller writes the values (the serve job tier's checkpoints).
     """
     values, todo = probe_units(units, cache, seed)
     if not todo:
@@ -94,7 +96,7 @@ def run_units(
     for j, value in execute_batch([units[i] for i in todo], seed, safe=safe):
         i = todo[j]
         values[i] = value
-        if cache is not None and not isinstance(value, UnitFailure):
+        if write and cache is not None and not isinstance(value, UnitFailure):
             cache.put(
                 unit_key(units[i].kind, units[i].params, seed),
                 value,

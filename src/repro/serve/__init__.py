@@ -13,14 +13,14 @@ makes three mechanisms do almost all the work:
 * **cache-backed serving** — anything the content-addressed
   :class:`~repro.parallel.cache.ResultCache` already holds is returned
   without computing anything;
-* **micro-batching** — the distinct misses that remain are collected
-  for a few milliseconds: sweep points are computed as one vectorized
-  call per mode on the event loop, and Figure 6 and headline
-  simulations as one :func:`repro.parallel.runner.run_units` call on
-  one executor thread.  ``repro serve`` runs under a 0.5 ms GIL switch
-  interval, so the loop answers hot hits promptly while simulations
-  compute; the ``serve.hot_during_sims`` bench entry records that
-  tail.
+* **compute or micro-batch** — a sweep-point miss is computed on the
+  connection's read path, for less than a batch around it would cost;
+  the Figure 6 and headline simulation misses are collected for a few
+  milliseconds and run as one :func:`repro.parallel.runner.run_units`
+  call on one executor thread.  ``repro serve`` runs under a 0.5 ms
+  GIL switch interval, so the loop answers hot hits promptly while
+  simulations compute; the ``serve.hot_during_sims`` bench entry
+  records that tail.
 
 Around them sit admission control (a bounded pending queue; excess
 load is rejected 429-style with a ``retry_after_s`` hint), graceful

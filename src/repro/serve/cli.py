@@ -56,9 +56,9 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve campaign queries over JSON-lines TCP with "
-        "single-flight coalescing, cache-backed hits and micro-batched "
-        "execution (sweep points on the event loop, simulations on one "
-        "executor thread).",
+        "single-flight coalescing, cache-backed hits, sweep points "
+        "computed on the read path and simulations micro-batched on one "
+        "executor thread.",
     )
     parser.add_argument(
         "--host", default="127.0.0.1",
@@ -80,11 +80,11 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-batch", type=int, default=32, metavar="N",
-        help="distinct misses per batch (default: 32)",
+        help="distinct simulation misses per batch (default: 32)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=256, metavar="N",
-        help="pending-computation bound before 429-style rejection "
+        help="pending-simulation bound before 429-style rejection "
         "(default: 256)",
     )
     parser.add_argument(

@@ -18,31 +18,33 @@ funnel, cheapest mechanism first:
    kinds (:data:`INLINE_KINDS`) never touch the disk on this path: a
    point is cheap to recompute, its repeats are LRU hits, and the
    writes cost more than they saved (DESIGN.md section 11);
-3. **micro-batch** — the distinct misses that remain are collected for
-   ``batch_window_s`` (up to ``max_batch``) and executed with per-unit
-   failure isolation, so a bad query fails only itself.  The sweep
-   kinds run inline on the event-loop thread, grouped into one
-   vectorized ``sweep_points`` call per mode
-   (:func:`repro.parallel.units.execute_batch`): a point costs well
-   under a millisecond, less than handing it to another thread.  The
-   Figure 6 and headline simulations — milliseconds to seconds each —
-   run through :func:`repro.parallel.runner.run_units` on the one
-   executor thread, which writes each value through to the disk
-   store, so the loop keeps answering hits while they compute.  ``repro
-   serve`` shortens the interpreter's GIL switch interval so that the
-   loop gets the GIL back quickly (DESIGN.md section 11).
+3. **compute** — ``submit_nowait`` computes a sweep-kind miss itself,
+   on the read path, through :func:`repro.parallel.units.execute_batch`
+   (so the ``REPRO_SCALAR_SWEEP=1`` oracle holds): a point costs less
+   than a task, a future and a batch window around it (DESIGN.md
+   section 11).  The simulation misses (Figure 6 and headline units,
+   milliseconds to seconds each), and every kind under an injected
+   ``runner``, are collected for ``batch_window_s`` (up to
+   ``max_batch``) and run with per-unit failure isolation through
+   :func:`repro.parallel.runner.run_units` on the one executor thread,
+   which writes each value through to the disk store; the loop keeps
+   answering meanwhile, under the short GIL switch interval ``repro
+   serve`` sets.
 
 The durable job tier's batches (:meth:`CampaignFrontEnd.execute_units`)
-run on the same executor thread, in process, one at a time with the
-query path's simulation batches, and write every kind through: a
-job's cached unit is its restart checkpoint.
+run on the same executor thread, one at a time with the simulation
+batches; the job manager writes each completed unit to the cache once,
+as its restart checkpoint.
 
-Admission control bounds the miss backlog: once ``queue_limit``
-distinct computations are pending, further misses are rejected with
-:class:`Overloaded` carrying a ``retry_after_s`` hint (the transport
-maps this to a 429-style response).  Coalesced and cached requests are
-*always* admitted — they cost no worker time, and rejecting them would
-punish exactly the traffic the front end is best at.
+Admission control bounds the simulation-miss backlog: once
+``queue_limit`` distinct computations are pending, further misses are
+rejected with :class:`Overloaded` carrying a ``retry_after_s`` hint
+(the transport maps this to a 429-style response).  Coalesced and
+cached requests are *always* admitted — they cost no worker time, and
+rejecting them would punish exactly the traffic the front end is best
+at.  A sweep miss holds no queue slot; a burst of them is bounded by
+the transport (TCP back-pressure, and a yield between computed answers
+while more input is buffered).
 
 Graceful shutdown: :meth:`CampaignFrontEnd.drain` stops admitting new
 work, waits for every accepted request to resolve, then retires the
@@ -80,9 +82,9 @@ from repro.parallel.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, unit_key
 from repro.parallel.units import UnitFailure, WorkUnit, execute_batch
 from repro.serve.wire import UNIT_KINDS
 
-#: Kinds a query batch computes inline on the event-loop thread and
-#: keeps in memory only; the rest (simulations) go to the executor
-#: thread and through the disk store.
+#: Kinds a query miss computes on the caller's thread (the transport's
+#: read path) and keeps in memory only; the rest (simulations) go
+#: through the batcher, the executor thread and the disk store.
 INLINE_KINDS = frozenset(("sweep_base", "sweep_point"))
 
 #: How a request was served.
@@ -287,8 +289,7 @@ class CampaignFrontEnd:
         unresolved query future is failed with :class:`Overloaded`
         (``reason="draining"`` plus a retry hint) and the executor is
         shut down without waiting — the returned ``False`` tells the
-        caller the drain was cut short.  Pre-fix, a single wedged batch
-        blocked shutdown indefinitely.
+        caller the drain was cut short.
         """
         self._draining = True
         deadline = (
@@ -367,31 +368,49 @@ class CampaignFrontEnd:
     def submit_nowait(
         self, kind: str, params: dict[str, Any]
     ) -> tuple[Any, str] | None:
-        """The synchronous half of :meth:`submit`: a hot-LRU hit,
-        counted and returned as ``(value, "cache")``, or ``None`` when
-        the key needs the rest of the funnel.  The transport answers a
-        hit on its read path with it, without a task.
+        """The synchronous half of :meth:`submit`, which the transport
+        calls on its read path: a hot-LRU hit, counted and returned as
+        ``(value, "cache")``; a sweep-kind miss, computed here as
+        ``(value, "computed")``; or ``None`` for the rest of the funnel
+        (simulation kinds, an injected runner, a draining front end).
 
-        Raises ``ValueError`` for an unknown unit kind.
+        Raises ``ValueError`` for an unknown kind or malformed params,
+        and a computed unit's own exception when it fails otherwise.
         """
         self._check_kind(kind)
         hot = self._hot_values
-        if hot is None:
-            return None
         t_in = time.perf_counter()
         key = (kind, json.dumps(params, sort_keys=True))
-        value = hot.get(key, MISS)
-        if value is MISS:
+        if hot is not None:
+            value = hot.get(key, MISS)
+            if value is not MISS:
+                hot.move_to_end(key)
+                self.stats.accepted += 1
+                self.stats.cache_hits += 1
+                self.stats.hot_hits += 1
+                rec = _obs_current()
+                if rec is not None:
+                    rec.bump("serve.hit")
+                self.stats.record_latency(time.perf_counter() - t_in)
+                return value, SERVED_CACHE
+        if kind not in INLINE_KINDS or self._runner is not None or self._draining:
             return None
-        hot.move_to_end(key)
+        # A sweep miss costs less to compute than to hand to a batch:
+        # memory only, the hot LRU keeps what it resolves to.
         self.stats.accepted += 1
-        self.stats.cache_hits += 1
-        self.stats.hot_hits += 1
+        [(_, value)] = execute_batch(
+            [WorkUnit(kind, params)], self.config.seed, safe=True
+        )
+        if isinstance(value, UnitFailure):
+            self.stats.failed += 1
+            raise value.exc or RuntimeError(value.error)
+        self._remember(key, value)
+        self.stats.computed += 1
         rec = _obs_current()
         if rec is not None:
-            rec.bump("serve.hit")
+            rec.bump("serve.computed")
         self.stats.record_latency(time.perf_counter() - t_in)
-        return value, SERVED_CACHE
+        return value, SERVED_COMPUTED
 
     async def submit(self, kind: str, params: dict[str, Any]) -> tuple[Any, str]:
         """Resolve one campaign query; returns ``(value, served_by)``.
@@ -485,15 +504,9 @@ class CampaignFrontEnd:
     def _retry_after(self) -> float:
         """A drain-time estimate for the 429 hint: the current backlog
         over the recently observed batch throughput, floored at one
-        batch window.
-
-        Before any batch has completed there is no observed throughput;
-        pre-fix the hint degenerated to the bare floor no matter how
-        deep the backlog was, telling a client to hammer a cold server
-        that provably could not have drained yet.  The fallback assumes
-        one ``batch_window_s`` per ``max_batch``-sized batch, so the
-        hint still scales with the backlog.
-        """
+        batch window.  Before any batch has completed it assumes one
+        ``batch_window_s`` per ``max_batch``-sized batch, so the hint
+        still scales with the backlog of a cold server."""
         floor = max(self.config.batch_window_s, 0.01)
         if self._last_batch_rate <= 0:
             batches = math.ceil(
@@ -526,35 +539,13 @@ class CampaignFrontEnd:
         t0 = self._clock()
         if rec is not None:
             rec.counter("serve.queue_depth", t0, self._pending_units)
-        if self._runner is None:
-            inline = [e for e in batch if e.unit.kind in INLINE_KINDS]
-            offload = [e for e in batch if e.unit.kind not in INLINE_KINDS]
-        else:
-            inline, offload = [], batch
         try:
-            # The simulations start first, so the executor thread works
-            # through them while this thread computes the sweep points.
-            pending = loop.run_in_executor(
+            values = await loop.run_in_executor(
                 self._executor, self._run_batch,
-                [e.unit for e in offload], self.config.seed,
-            ) if offload else None
-            if inline:
-                # Memory only: the hot LRU keeps what these resolve to.
-                values = [None] * len(inline)
-                try:
-                    for i, value in execute_batch(
-                        [e.unit for e in inline], self.config.seed, safe=True
-                    ):
-                        values[i] = value
-                except Exception as exc:
-                    values = exc
-                self._resolve(inline, values)
-            if pending is not None:
-                try:
-                    values = await pending
-                except Exception as exc:
-                    values = exc
-                self._resolve(offload, values)
+                [e.unit for e in batch], self.config.seed, True,
+            )
+        except Exception as exc:
+            values = exc
         finally:
             self._pending_units -= len(batch)
             t1 = self._clock()
@@ -565,6 +556,7 @@ class CampaignFrontEnd:
             if rec is not None:
                 rec.span("serve.batch", "serve", t0, t1, batch=len(batch))
                 rec.bump("serve.batches")
+        self._resolve(batch, values)
 
     def _resolve(
         self, entries: list[_Pending], values: list[Any] | Exception
@@ -588,26 +580,26 @@ class CampaignFrontEnd:
             else:
                 entry.future.set_result(value)
 
-    def _run_batch(self, units: list[WorkUnit], seed: int) -> list[Any]:
+    def _run_batch(
+        self, units: list[WorkUnit], seed: int, write: bool
+    ) -> list[Any]:
         """Executor-thread entry for query and job batches alike: the
-        injected runner, or ``run_units`` in this process.  Either way
-        results are written through to the cache, every kind — a job's
-        checkpoint must not depend on which runner computed the value.
-
-        Unit failures come back as :class:`UnitFailure` slots.  An
-        injected runner that raises fails the whole batch: every query
-        in it, or, through the job tier's own containment, every unit
-        of a job batch (retried or quarantined per unit).
+        injected runner, or ``run_units`` in this process.  A query
+        batch (``write``) writes its values through to the cache; a job
+        batch writes none, as the job manager owns its checkpoints.
+        Unit failures come back as :class:`UnitFailure` slots; a runner
+        that raises fails the whole batch (per unit, for a job).
         """
+        cache = self._batch_cache
         if self._runner is None:
             return _runner.run_units(
-                units, cache=self._batch_cache, seed=seed, safe=True
+                units, cache=cache, seed=seed, safe=True, write=write
             )
         values = self._runner(units)
-        if self._batch_cache is not None:
+        if write and cache is not None:
             for unit, value in zip(units, values):
                 if not isinstance(value, UnitFailure):  # never cached
-                    self._batch_cache.put(
+                    cache.put(
                         unit_key(unit.kind, unit.params, seed), value,
                         kind=unit.kind,
                     )
@@ -617,21 +609,16 @@ class CampaignFrontEnd:
     async def execute_units(
         self, units: list[WorkUnit], seed: int | None = None
     ) -> list[Any]:
-        """Run a job-tier unit batch on the serve executor thread.
-
-        Job batches and the query path's simulation batches share the
-        ONE executor thread, so they serialise instead of competing for
-        the GIL.  Sweep points are grouped into one ``sweep_points``
-        call per mode, as on the query path.  Failures come back as
-        :class:`~repro.parallel.runner.UnitFailure` slots (``safe``
-        execution; an injected runner's exception propagates, and the
-        job tier fails each unit with it) — the job tier retries or
-        quarantines per unit; completed values are written through to
-        the cache, which is exactly what makes unit completion a
-        restart checkpoint.
+        """Run a job-tier unit batch on the serve executor thread, one
+        at a time with the query path's simulation batches, sweep
+        points grouped per mode as in the campaign.  Failures come back
+        as :class:`~repro.parallel.runner.UnitFailure` slots (an
+        injected runner's exception propagates; the job tier fails each
+        unit with it).  Units already cached are not recomputed, and
+        nothing is written: the job manager writes each checkpoint.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor, self._run_batch, units,
-            self.config.seed if seed is None else seed,
+            self.config.seed if seed is None else seed, False,
         )

@@ -196,7 +196,9 @@ class JobManager:
         wiring is :meth:`CampaignFrontEnd.execute_units`, so job
         batches serialise with query micro-batches on one executor
         thread.  Failed units come back as
-        :class:`~repro.parallel.runner.UnitFailure` slots.
+        :class:`~repro.parallel.runner.UnitFailure` slots.  It writes
+        nothing to ``cache``: each completed unit's checkpoint is
+        written here, once.
     :param policy: checkpoint-cost arithmetic for journal-flush
         batching; the default derives the Daly interval from the
         observed fsync cost and ``config.process_mtbf_s``.
@@ -681,7 +683,7 @@ class JobManager:
             per_unit = wall / len(units)
             self._unit_cost_s = 0.8 * self._unit_cost_s + 0.2 * per_unit
         if job.state == JOB_CANCELLED:
-            return  # cancelled mid-flight; values are in the cache
+            return  # cancelled mid-flight: nothing to checkpoint
         now = time.monotonic()
         for i, value in zip(indices, values):
             unit = job.units[i]
@@ -709,10 +711,8 @@ class JobManager:
                 unit.value = value
                 unit.have_value = True
                 if self.cache is not None:
-                    # Write-through: the cache entry IS the restart
-                    # checkpoint, so it must not depend on the executor
-                    # having cached (the production executor does; the
-                    # duplicate put is an atomic no-op overwrite).
+                    # The cache entry IS the restart checkpoint, and
+                    # this is its one write: executors write nothing.
                     self.cache.put(
                         unit_key(unit.unit.kind, unit.unit.params, job.seed),
                         value,

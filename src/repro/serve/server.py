@@ -51,8 +51,8 @@ Error responses carry ``ok: false`` plus ``error`` — ``"overloaded"``
 ``state``), or ``"internal"`` (execution failure).  Queries on one
 connection run concurrently — responses are matched by ``id``, not by
 order — which is what lets a single connection exercise single-flight
-coalescing.  A hot-LRU hit is answered on the read path itself, with
-no task (:meth:`CampaignFrontEnd.submit_nowait`).  Job ops are
+coalescing.  A hot-LRU hit or a sweep miss is answered on the read path
+itself, with no task (:meth:`CampaignFrontEnd.submit_nowait`).  Job ops are
 answered inline: they touch only in-memory state plus a journal
 append, never the batch executor.
 """
@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any
+from typing import Any, Awaitable
 
-from repro.serve.frontend import CampaignFrontEnd, Overloaded
+from repro.serve.frontend import SERVED_CACHE, CampaignFrontEnd, Overloaded
 from repro.serve.jobs import JobManager, JobNotReady, campaign_job_units
 from repro.serve.router import advertised_host, topology_epoch
 from repro.serve.wire import JOB_OPS, Unanswered, WireConnection, WireEndpoint
@@ -145,12 +145,18 @@ class ServeServer(WireEndpoint):
         rid: Any,
         req: dict[str, Any],
         unanswered: Unanswered,
-    ) -> None:
-        """A hot-LRU hit is answered right here; any other query gets a
-        task for the rest of the funnel: queries on one connection run
-        concurrently, so duplicates actually coalesce."""
-        if not self._answer_hot(conn, rid, req):
+    ) -> Awaitable[None] | None:
+        """A hot-LRU hit or a sweep miss is answered right here, and a
+        computed answer yields one loop turn if more input is already
+        buffered, so a one-write burst cannot starve other connections.
+        Any other query gets a task for the rest of the funnel, so that
+        duplicates on one connection coalesce."""
+        answered = self._answer_hot(conn, rid, req)
+        if not answered:
             unanswered.spawn(self._answer_query(conn, rid, req))
+        elif answered != SERVED_CACHE and conn.has_input():
+            return asyncio.sleep(0)
+        return None
 
     async def _answer_stats(
         self, rid: Any, req: dict[str, Any]
@@ -234,24 +240,22 @@ class ServeServer(WireEndpoint):
 
     def _answer_hot(
         self, conn: WireConnection, rid: Any, req: dict[str, Any]
-    ) -> bool:
-        """Answer a hot-LRU hit, or an unknown kind, on the read path
-        (no task, no await); ``False`` leaves the query to
-        :meth:`_answer_query`."""
+    ) -> str | None:
+        """Answer a hot hit, a sweep miss or an unknown kind with no
+        task or await; returns the ``served`` tag or error it answered
+        with, or ``None`` to leave the query to :meth:`_answer_query`."""
         t0 = time.monotonic()
         try:
             hit = self.frontend.submit_nowait(req["kind"], req["params"])
-        except ValueError as exc:
-            conn.write_response({"id": rid, "ok": False,
-                                 "error": "bad_request", "detail": str(exc)})
-            return True
+        except Exception as exc:  # noqa: BLE001 - answered, never raised
+            return self._answer_error(conn, rid, req, exc)
         if hit is None:
-            return False
+            return None
         if req.get("via") == "direct":
             self.frontend.stats.direct += 1
         value, served = hit
         conn.write_query_response(rid, value, served, time.monotonic() - t0)
-        return True
+        return served
 
     async def _answer_query(
         self,
@@ -259,36 +263,39 @@ class ServeServer(WireEndpoint):
         rid: Any,
         req: dict[str, Any],
     ) -> None:
-        # Ring-aware clients tag queries they routed themselves so the
-        # stats distinguish router-proxied from direct traffic (the
-        # response shape stays identical on both paths).  Counted only
-        # for queries the funnel actually admits — pre-fix the counter
-        # ticked before validation, so malformed via:"direct" frames
-        # permanently skewed the direct-vs-proxied accounting.
-        direct = req.get("via") == "direct"
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         try:
             value, served = await self.frontend.submit(
                 req["kind"], req["params"]
             )
-        except Overloaded as exc:
-            error = {"error": "overloaded", "reason": exc.reason,
-                     "retry_after_s": exc.retry_after_s}
-        except ValueError as exc:
-            error = {"error": "bad_request", "detail": str(exc)}
-        except Exception as exc:
-            if direct:
-                self.frontend.stats.direct += 1  # admitted, then failed
-            error = {"error": "internal",
-                     "detail": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:  # noqa: BLE001 - answered, never raised
+            self._answer_error(conn, rid, req, exc)
         else:
-            if direct:
+            if req.get("via") == "direct":
                 self.frontend.stats.direct += 1
             conn.write_query_response(rid, value, served, loop.time() - t0)
-            try:
-                await conn.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # client went away; the front end still counted the work
-            return
-        await self._send(conn, {"id": rid, "ok": False, **error})
+        try:
+            await conn.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # client went away; the front end still counted the work
+
+    def _answer_error(
+        self, conn: WireConnection, rid: Any, req: dict[str, Any],
+        exc: Exception,
+    ) -> str:
+        """Answer a query that raised ``exc``; returns the error.  A
+        failed ``via: "direct"`` query (a ring client routed it) counts
+        as direct only if admitted: ``internal``, not refused or bad."""
+        if isinstance(exc, Overloaded):
+            error = {"error": "overloaded", "reason": exc.reason,
+                     "retry_after_s": exc.retry_after_s}
+        elif isinstance(exc, ValueError):
+            error = {"error": "bad_request", "detail": str(exc)}
+        else:
+            error = {"error": "internal",
+                     "detail": f"{type(exc).__name__}: {exc}"}
+            if req.get("via") == "direct":
+                self.frontend.stats.direct += 1
+        conn.write_response({"id": rid, "ok": False, **error})
+        return error["error"]

@@ -508,6 +508,11 @@ class WireConnection:
                 return None  # EOF (mid-frame or between frames alike)
             buf += chunk
 
+    def has_input(self) -> bool:
+        """Whether :meth:`recv` may return without waiting on the loop:
+        input is already buffered (stream readers have no public peek)."""
+        return len(self._buf) > self._pos or bool(self.reader._buffer)
+
     def _decode_frame(self, ftype: int, payload: bytes) -> dict[str, Any]:
         return decode_frame(ftype, payload, self.decode_memo)
 
@@ -853,8 +858,9 @@ class WireEndpoint:
                     await self._send(conn, {"id": rid, "ok": True})
                 elif op == "hello" and self.binary_wire:
                     # An offer we cannot speak is acked "json": negotiate
-                    # down, never error.
-                    enable = req.get("wire") == WIRE_BINARY1
+                    # down, never error.  A binary connection stays
+                    # binary, so its ack names binary1 whatever the offer.
+                    enable = conn.binary or req.get("wire") == WIRE_BINARY1
                     ack = {"id": rid, "ok": True,
                            "wire": WIRE_BINARY1 if enable else WIRE_JSON}
                     try:

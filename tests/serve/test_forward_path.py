@@ -1,11 +1,12 @@
 """The read-path answer paths: the router forwards a ``query`` from
 its client read loop with a reply callback on the backend link,
-and a backend answers a hot-LRU hit from its read loop.  Neither starts
-a task per request, so these tests pin what the tasks used to give:
-every forward is answered (link loss, timeout, drain), buffers stay
-bounded when a client stops reading or sends more than it waits for,
-and an inline hot hit is the same
-answer, with the same counters, as the task path.
+and a backend answers a hot-LRU hit, or computes a sweep miss, from its
+read loop.  Neither starts a task per request, so these tests pin what
+the tasks used to give: every forward is answered (link loss, timeout,
+drain), buffers stay bounded when a client stops reading or sends more
+than it waits for, an inline hot hit is the same answer, with the same
+counters, as the task path, and a connection bursting sweep misses does
+not starve another.
 """
 
 import asyncio
@@ -17,6 +18,9 @@ import threading
 
 import pytest
 
+from repro.core.study import MobileSoCStudy
+from repro.parallel import units as units_mod
+from repro.parallel.units import execute_unit
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
 from repro.serve.router import ServeRouter
 from repro.serve.server import ServeServer
@@ -424,3 +428,183 @@ class TestInlineHotHit:
             # The inline run answered every hot hit without a task.
             assert tasks_i == 0 and tasks_t == 4
         assert inline[True][0][0][:1] == bytes([MAGIC])
+
+
+async def boot_server(**config_kw):
+    """A server on the real execution path (no injected runner), with
+    every ``_answer_query`` task counted in ``server.tasked``."""
+    server = ServeServer(CampaignFrontEnd(ServeConfig(**config_kw)))
+    await server.start()
+    task = asyncio.ensure_future(server.serve_until_shutdown())
+    server.tasked = 0
+    answer_query = server._answer_query
+
+    async def counted(*args):
+        server.tasked += 1
+        await answer_query(*args)
+
+    server._answer_query = counted
+    return server, task
+
+
+async def wire_client(port, wire):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    conn = WireConnection(reader, writer, allow_binary=False)
+    if wire == "binary1":
+        assert await conn.negotiate()
+    return conn
+
+
+async def ask(conn, doc):
+    conn.write_request(doc)
+    await conn.drain()
+    return await asyncio.wait_for(conn.recv(), 10)
+
+
+async def stop_server(server, task, conn):
+    assert (await ask(conn, {"op": "shutdown", "id": "bye"}))["ok"]
+    await asyncio.wait_for(task, 10)
+    conn.writer.close()
+
+
+def sweep(freq, mode="single"):
+    return {"mode": mode, "platform": "Tegra2", "freq": freq}
+
+
+@pytest.mark.parametrize("wire", ["json", "binary1"])
+class TestSweepMissOnTheReadPath:
+    @pytest.mark.parametrize("hot_values", [4096, 0])
+    def test_answered_without_task_or_batch(self, tmp_path, wire, hot_values):
+        """With the hot LRU on or off, a sweep miss is computed on the
+        read path: no task, no batch, the run-unit oracle's value."""
+        queries = [("sweep_point", sweep(0.613)),
+                   ("sweep_point", sweep(1.01, "multi")),
+                   ("sweep_base", {})]
+
+        async def scenario():
+            server, task = await boot_server(
+                cache_dir=tmp_path, hot_values=hot_values
+            )
+            conn = await wire_client(server.port, wire)
+            docs = [
+                await ask(conn, {"op": "query", "id": i, "kind": kind,
+                                 "params": params})
+                for i, (kind, params) in enumerate(queries)
+            ]
+            tasked, stats = server.tasked, server.frontend.stats
+            await stop_server(server, task, conn)
+            return docs, tasked, stats
+
+        docs, tasked, stats = asyncio.run(scenario())
+        assert [(d["ok"], d["served"], d["value"]) for d in docs] == [
+            (True, "computed", execute_unit(kind, params))
+            for kind, params in queries
+        ]
+        assert tasked == 0
+        assert (stats.batches, stats.computed, stats.accepted) == (0, 3, 3)
+
+    def test_miss_while_draining_is_overloaded(self, tmp_path, wire):
+        async def scenario():
+            server, task = await boot_server(cache_dir=tmp_path)
+            conn = await wire_client(server.port, wire)
+            await server.frontend.drain()
+            doc = await ask(conn, query(1, sweep(0.613)))
+            await stop_server(server, task, conn)
+            return doc, server.frontend.stats
+
+        doc, stats = asyncio.run(scenario())
+        assert doc["ok"] is False
+        assert (doc["error"], doc["reason"]) == ("overloaded", "draining")
+        assert doc["retry_after_s"] > 0
+        assert (stats.rejected, stats.computed) == (1, 0)
+
+    def test_unit_failure_is_internal_and_the_connection_serves_on(
+        self, tmp_path, wire, monkeypatch
+    ):
+        """A failure that is not the client's (not a ``ValueError``) is
+        answered ``internal``, and the next query on the same
+        connection is answered as usual."""
+        sweep_points = MobileSoCStudy.sweep_points
+
+        def broken_points(self, mode, points=None):
+            if any(freq == 0.555 for _, freq in points):
+                raise RuntimeError("boom")
+            return sweep_points(self, mode, points)
+
+        def broken_unit(kind, params, seed=0):
+            if params.get("freq") == 0.555:
+                raise RuntimeError("boom")
+            return execute_unit(kind, params, seed)
+
+        monkeypatch.setattr(MobileSoCStudy, "sweep_points", broken_points)
+        monkeypatch.setattr(units_mod, "execute_unit", broken_unit)
+
+        async def scenario():
+            server, task = await boot_server(cache_dir=tmp_path)
+            conn = await wire_client(server.port, wire)
+            bad = await ask(conn, query(1, sweep(0.555)))
+            bad_direct = await ask(conn, {**query(2, sweep(0.555)),
+                                          "via": "direct"})
+            good = await ask(conn, query(3, sweep(0.613)))
+            stats = server.frontend.stats
+            await stop_server(server, task, conn)
+            return bad, bad_direct, good, server.tasked, stats
+
+        bad, bad_direct, good, tasked, stats = asyncio.run(scenario())
+        for doc, rid in ((bad, 1), (bad_direct, 2)):
+            assert doc == {"id": rid, "ok": False, "error": "internal",
+                           "detail": "RuntimeError: boom"}
+        assert good["ok"] is True and good["id"] == 3
+        assert good["value"] == execute_unit("sweep_point", sweep(0.613))
+        assert tasked == 0
+        assert (stats.failed, stats.computed, stats.direct) == (2, 1, 1)
+
+    def test_one_write_burst_does_not_block_another_connection(
+        self, tmp_path, wire, monkeypatch
+    ):
+        """300 distinct sweep misses in one ``write`` on connection A
+        are read without waiting for the peer; a ``ping`` on B, sent
+        once A's first answer is back, is answered before A's last
+        answer.  The order is the server's write order: client and
+        server share one event loop here."""
+        n = 300
+        written = []
+        write_query_response = WireConnection.write_query_response
+        send_doc = WireConnection.send
+
+        def log_answer(self, rid, *args):
+            written.append(rid)
+            write_query_response(self, rid, *args)
+
+        async def log_send(self, doc):
+            written.append(doc.get("id"))
+            await send_doc(self, doc)
+
+        monkeypatch.setattr(
+            WireConnection, "write_query_response", log_answer
+        )
+        monkeypatch.setattr(WireConnection, "send", log_send)
+
+        async def scenario():
+            server, task = await boot_server(cache_dir=tmp_path)
+            a = await wire_client(server.port, wire)
+            b = await wire_client(server.port, wire)
+            a.writer.write(b"".join(
+                a._request_bytes(query(i, sweep(0.5 + i / 1000)))
+                for i in range(n)
+            ))
+            await a.drain()
+            docs = [await asyncio.wait_for(a.recv(), 10)]
+            assert (await ask(b, {"op": "ping", "id": "b"}))["ok"]
+            for _ in range(n - 1):
+                docs.append(await asyncio.wait_for(a.recv(), 10))
+            b.writer.close()
+            await stop_server(server, task, a)
+            return docs, server.tasked
+
+        docs, tasked = asyncio.run(scenario())
+        assert all(doc["ok"] for doc in docs)
+        assert sorted(doc["id"] for doc in docs) == list(range(n))
+        assert tasked == 0
+        answers_a = [i for i, rid in enumerate(written) if rid in range(n)]
+        assert written.index("b") < answers_a[-1]

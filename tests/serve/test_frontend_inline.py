@@ -1,8 +1,9 @@
 """The front end's real execution path (no injected runner): sweep
-misses are computed inline on the event-loop thread and kept in memory
-only, Figure 6 and headline simulations and job batches run in process
-on the executor thread and are written through to the result cache,
-every query fails only on its own error, and nothing forks a worker."""
+misses are computed on submit, on the event-loop thread, and kept in
+memory only; Figure 6 and headline simulations run in process on the
+executor thread and are written through to the result cache; job
+batches run there too and are written once, by the job manager; every
+query fails only on its own error, and nothing forks a worker."""
 
 import asyncio
 import multiprocessing.pool
@@ -17,6 +18,8 @@ from repro.parallel import units as units_mod
 from repro.parallel.cache import ResultCache, unit_key
 from repro.parallel.units import WorkUnit, execute_unit
 from repro.serve.frontend import CampaignFrontEnd, ServeConfig
+from repro.serve.jobs import TERMINAL_STATES, JobManager
+from repro.serve.journal import JobJournal
 
 GOOD = {"mode": "single", "platform": "Tegra2", "freq": 0.777}
 FIG6 = {"app": "HPL", "n": 1, "max_nodes": 8}
@@ -34,7 +37,8 @@ def frontend(**kwargs):
 class TestFailureIsolation:
     def test_one_bad_query_fails_only_itself(self):
         """Regression: a bad query in a micro-batch used to fail every
-        query in it, valid ones included."""
+        query in it, valid ones included.  Sweep misses no longer share
+        a batch at all: each is computed alone on submit."""
 
         async def scenario():
             fe = frontend(batch_window_s=0.2)
@@ -55,7 +59,7 @@ class TestFailureIsolation:
         assert "frequency must be positive" in str(negative)
         assert isinstance(unknown, ValueError)
         assert "unknown platform 'NoSuch'" in str(unknown)
-        assert stats.batches == 1  # all three shared one micro-batch
+        assert stats.batches == 0  # none went through the batcher
         assert (stats.computed, stats.failed) == (1, 2)
 
     @pytest.mark.parametrize("n_good", [1, 2])
@@ -392,7 +396,7 @@ class TestExecutionSplit:
         values = run_async(scenario())
         [(kinds, kwargs, thread)] = seen
         assert kinds == ["fig6_point", "fig6_point"]
-        assert kwargs == ["cache", "safe", "seed"]
+        assert kwargs == ["cache", "safe", "seed", "write"]
         assert thread.startswith("repro-serve-batch")
         assert [v for v, _ in values] == [
             execute_unit("sweep_point", GOOD),
@@ -548,21 +552,62 @@ class TestCacheTiers:
 
     def test_job_checkpoints_its_sweep_units(self, tmp_path):
         """The job tier keeps writing every kind: a cached unit is its
-        restart checkpoint."""
+        restart checkpoint, written by the job manager."""
         units = [WorkUnit("sweep_point", GOOD), WorkUnit("sweep_base", {}),
                  WorkUnit("fig6_point", FIG6)]
-
-        async def scenario():
-            fe = frontend(cache_dir=tmp_path)
-            await fe.start()
-            try:
-                return await fe.execute_units(units)
-            finally:
-                await fe.drain()
-
-        values = run_async(scenario())
+        values = run_job(tmp_path, units)
         assert values == [execute_unit(u.kind, u.params) for u in units]
-        stored = ResultCache(tmp_path)
+        stored = ResultCache(tmp_path / "cache")
         assert [
             stored.get(unit_key(u.kind, u.params, 0)) for u in units
         ] == values
+
+    def test_job_unit_is_written_once(self, tmp_path, monkeypatch):
+        """A job unit computed on ``execute_units`` is one cache write:
+        the job manager's checkpoint.  The executor used to write it
+        too, so a 5-unit job made 10 puts."""
+        puts = []
+        put = ResultCache.put
+
+        def counting_put(self, key, value, kind=""):
+            puts.append(key)
+            put(self, key, value, kind)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
+        units = [WorkUnit("sweep_point", {**GOOD, "freq": f})
+                 for f in (0.5, 0.6, 0.7, 0.8, 0.9)]
+        assert run_job(tmp_path, units) == [
+            execute_unit(u.kind, u.params) for u in units
+        ]
+        assert len(puts) == len(set(puts)) == 5
+
+
+def run_job(tmp_path, units):
+    """Run ``units`` as one job through a :class:`JobManager` on the
+    front end's ``execute_units``, both on ``tmp_path / "cache"``;
+    returns the job's unit values."""
+
+    async def scenario():
+        fe = frontend(cache_dir=tmp_path / "cache")
+        manager = JobManager(
+            JobJournal(tmp_path / "journal", fsync=False),
+            ResultCache(tmp_path / "cache"),
+            fe.execute_units,
+        )
+        await fe.start()
+        await manager.start()
+        try:
+            job = manager.submit(
+                "t", [{"kind": u.kind, "params": u.params} for u in units]
+            )
+            while job.state not in TERMINAL_STATES:
+                await asyncio.sleep(0.005)
+            return manager.result(job.job_id)
+        finally:
+            await manager.drain()
+            manager.close()
+            await fe.drain()
+
+    result = run_async(scenario())
+    assert result["state"] == "done", result
+    return [u["value"] for u in result["units"]]

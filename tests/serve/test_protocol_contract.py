@@ -455,6 +455,27 @@ class TestWireContract:
              "detail": "job tier disabled (serve --no-jobs)"},
         ]
 
+    def test_hello_never_downgrades(self, tmp_path, kind):
+        """A ``hello`` offering JSON on a binary1 connection is acked
+        with the framing in force, binary1, and the connection stays
+        binary.  It used to be acked ``"wire": "json"``."""
+
+        async def scenario():
+            ep = await boot_endpoint(kind, tmp_path)
+            conn, agreed = await wire_connect(ep.port)
+            assert agreed
+            docs = [await wire_request(conn, doc) for doc in (
+                {"op": "hello", "id": 1, "wire": "json"},
+                {"op": "ping", "id": 2},
+            )]
+            await wire_shutdown(ep, conn)
+            return docs, conn.wire
+
+        docs, wire = asyncio.run(scenario())
+        assert docs == [{"id": 1, "ok": True, "wire": "binary1"},
+                        {"id": 2, "ok": True}]
+        assert wire == "binary1"
+
     def test_malformed_headline_is_bad_request(self, tmp_path, kind):
         """Through the real execution path: a missing, string or bool
         ``n_nodes`` is the client's error on both endpoints."""
