@@ -63,8 +63,11 @@ Layering: :mod:`~repro.serve.frontend` is transport-independent pure
 asyncio; :mod:`~repro.serve.jobs` adds the durable queue on top of the
 front end's executor; :mod:`~repro.serve.server` puts a JSON-lines TCP
 protocol in front of both; :mod:`~repro.serve.router` shards that
-protocol across backends, and both serve it through the one connection
-loop of :class:`~repro.serve.wire.WireEndpoint`; :mod:`~repro.serve.cli` is the
+protocol across backends, and both serve it through
+:class:`~repro.serve.wire.WireEndpoint`: each connection is one
+``asyncio.Protocol`` that parses what it reads with the shared
+:class:`~repro.serve.wire.FrameParser` and answers a read-path request
+in the same callback (DESIGN.md section 14); :mod:`~repro.serve.cli` is the
 ``repro serve`` / ``repro loadtest`` argument surface,
 :mod:`~repro.serve.cluster` the ``repro cluster-serve`` one and
 :mod:`~repro.serve.jobs_cli` the ``repro jobs`` one.

@@ -17,9 +17,9 @@ the single-process tier's cache economics:
   towards the router, and the router's backend links may go binary
   towards the shards, independently.  A ``query`` forwards to the
   key's home shard over one multiplexed connection per backend
-  (:class:`BackendLink`), straight from the client connection's read
-  loop, and the link's read loop writes the answer back through a
-  reply callback; the backend's response is proxied verbatim (only
+  (:class:`BackendLink`), straight from the callback that read it off
+  the client connection, and the link's own read callback writes the
+  answer back through a reply callback; the backend's response is proxied verbatim (only
   the ``id`` is remapped, and the framing re-encoded for the client's
   negotiated wire), so the serving skin — values, ``served``, error
   shapes, ``retry_after_s`` — is byte-identical to talking to the
@@ -45,14 +45,17 @@ import socket
 from typing import Any, Awaitable, Callable
 
 from repro.serve.wire import (
+    HELLO_LINE,
     JOB_OPS,
+    WRITE_HIGH_WATER,
     BadFrame,
     DecodeMemo,
     EncodeMemo,
-    Unanswered,
+    ServedConnection,
     WireConnection,
     WireEndpoint,
     WireError,
+    hello_accepted,
 )
 
 #: Virtual nodes per backend on the ring.  64 keeps the max/min key
@@ -162,9 +165,77 @@ class HashRing:
 
 
 #: A reply callback: ``(reply doc, None)`` on an answer, ``(None, exc)``
-#: on link loss or timeout.  It runs on the link's read loop, so it
-#: must not block and must not raise.
+#: on link loss or timeout.  It runs in the link's read callback, so
+#: it must not block and must not raise.
 ReplyCallback = Callable[[dict[str, Any] | None, Exception | None], None]
+
+
+class _LinkConnection(WireConnection, asyncio.Protocol):
+    """A backend link's connection: :meth:`data_received` parses every
+    reply in the bytes just read and hands each to its callback in the
+    same callback, so a forward's answer costs the router one loop
+    turn."""
+
+    def __init__(self, link: BackendLink) -> None:
+        super().__init__(
+            None, None, allow_binary=False,
+            encode_memo=link._encode_memo, decode_memo=link._decode_memo,
+        )
+        self.link = link
+        loop = asyncio.get_running_loop()
+        self.closed = loop.create_future()
+        self._ack: asyncio.Future | None = None
+        #: While the write buffer is over the mark: done once it drained.
+        self.writable: asyncio.Future | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.writer = transport
+        transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+
+    async def negotiate(self) -> bool:
+        self._ack = asyncio.get_running_loop().create_future()
+        self.writer.write(HELLO_LINE)
+        return await self._ack
+
+    def data_received(self, data: bytes) -> None:
+        parser = self.parser
+        parser.feed(data)
+        try:
+            while (doc := parser.next()) is not None:
+                ack = self._ack
+                if ack is None:
+                    self.link._reply(doc)
+                else:
+                    # Flipped before the bytes after the ack are parsed.
+                    self._ack = None
+                    self.binary = hello_accepted(doc)
+                    ack.set_result(self.binary)
+        except (BadFrame, WireError) as exc:
+            self._lose(f"undecodable frame ({exc})")
+
+    def eof_received(self) -> None:
+        self._lose("EOF")
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._lose("link closed")
+        self.resume_writing()
+        self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        writable, self.writable = self.writable, None
+        if writable is not None:
+            writable.set_result(None)
+
+    def _lose(self, why: str) -> None:
+        exc = ConnectionError(f"backend {self.link.name}: {why}")
+        ack, self._ack = self._ack, None
+        if ack is not None:
+            ack.set_exception(exc)
+        self.link._fail_outstanding(exc, self)
+        self.writer.close()
 
 
 class BackendLink:
@@ -175,15 +246,14 @@ class BackendLink:
     travels on the link, so concurrent clients reusing ids cannot
     collide).  One table holds a reply callback per outstanding id:
     :meth:`send` writes a request and registers its callback, and the
-    link's read loop calls it with the reply.  A link failure calls
-    every outstanding callback with ``ConnectionError``; the next
-    :meth:`connect` reconnects.  :meth:`request` is the awaitable form
-    over the same table.
+    link's connection calls it with the reply, from the callback that
+    read it.  A link failure calls every outstanding callback with
+    ``ConnectionError``; the next :meth:`connect` reconnects.
+    :meth:`request` is the awaitable form over the same table.
 
-    ``wire="binary"`` negotiates the ``binary1`` framing on connect
-    (:meth:`~repro.serve.wire.WireConnection.negotiate`); a peer that
-    declines leaves the link on JSON-lines — the downgrade is silent by
-    design, so a mixed cluster keeps working.
+    ``wire="binary"`` negotiates the ``binary1`` framing on connect; a
+    peer that declines leaves the link on JSON-lines — the downgrade is
+    silent by design, so a mixed cluster keeps working.
     """
 
     def __init__(
@@ -201,8 +271,7 @@ class BackendLink:
         self.wire = wire
         self._encode_memo = encode_memo
         self._decode_memo = decode_memo
-        self._conn: WireConnection | None = None
-        self._read_task: asyncio.Task | None = None
+        self._conn: _LinkConnection | None = None
         self._connect_lock = asyncio.Lock()
         self._next_id = 0
         #: link id -> (reply callback, its timeout handle or None)
@@ -230,61 +299,34 @@ class BackendLink:
         async with self._connect_lock:
             if self.connected:
                 return
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port
+            _, conn = await asyncio.get_running_loop().create_connection(
+                lambda: _LinkConnection(self), self.host, self.port
             )
-            conn = WireConnection(
-                reader, writer,
-                allow_binary=False,
-                encode_memo=self._encode_memo,
-                decode_memo=self._decode_memo,
-            )
-            conn.limit_writes()
             if self.wire == "binary":
-                # Negotiation runs before the read loop exists, so the
-                # ack cannot race a concurrent request's response.
+                # Negotiation runs before any request is sent, so the
+                # ack cannot race a request's response.
                 try:
                     await conn.negotiate()
                 except BaseException:
-                    writer.close()
+                    conn.writer.close()
                     raise
             self._conn = conn
-            self._read_task = asyncio.get_running_loop().create_task(
-                self._read_loop(conn)
-            )
 
-    async def _read_loop(self, conn: WireConnection) -> None:
-        try:
-            while True:
-                try:
-                    doc = await conn.recv()
-                except (BadFrame, WireError) as exc:
-                    raise ConnectionError(
-                        f"backend {self.name}: undecodable frame"
-                    ) from exc
-                if doc is None:
-                    raise ConnectionError(f"backend {self.name}: EOF")
-                entry = self._pending.pop(doc.get("id"), None)
-                if entry is not None:
-                    callback, timer = entry
-                    if timer is not None:
-                        timer.cancel()
-                    callback(doc, None)
-        except (ConnectionError, OSError) as exc:
-            self._fail_outstanding(exc, conn)
-        except asyncio.CancelledError:
-            self._fail_outstanding(ConnectionError(
-                f"backend {self.name}: link closed"
-            ), conn)
-            raise
+    def _reply(self, doc: dict[str, Any]) -> None:
+        entry = self._pending.pop(doc.get("id"), None)
+        if entry is not None:
+            callback, timer = entry
+            if timer is not None:
+                timer.cancel()
+            callback(doc, None)
 
     def _fail_outstanding(
-        self, exc: Exception, conn: WireConnection | None = None
+        self, exc: Exception, conn: _LinkConnection | None = None
     ) -> None:
         """Drop the connection and fail every outstanding request.
         With ``conn``, only if it is still the live connection: an old
-        connection's read loop ending late must not fail requests sent
-        on its successor (they were all failed when it was dropped)."""
+        connection closing late must not fail requests sent on its
+        successor (they were all failed when it was dropped)."""
         if conn is not None and conn is not self._conn:
             return
         if self._conn is not None:
@@ -343,17 +385,14 @@ class BackendLink:
         if entry is not None and entry[1] is not None:
             entry[1].cancel()
 
-    async def drain_if_full(self) -> None:
-        """Flow control for :meth:`send`: wait while the link holds more
-        than :data:`~repro.serve.wire.WRITE_HIGH_WATER` unsent bytes."""
+    def wait_writable(self) -> Awaitable[None] | None:
+        """Flow control for :meth:`send`: ``None`` while the link holds
+        at most :data:`~repro.serve.wire.WRITE_HIGH_WATER` unsent bytes,
+        else an awaitable done once it has drained."""
         conn = self._conn
-        if conn is not None:
-            try:
-                await conn.drain_if_full()
-            except (ConnectionError, OSError) as exc:
-                self._fail_outstanding(ConnectionError(
-                    f"backend {self.name}: send failed: {exc}"
-                ), conn)
+        if conn is None or conn.writable is None:
+            return None
+        return asyncio.shield(conn.writable)
 
     async def request(
         self, doc: dict[str, Any], timeout_s: float | None = None
@@ -374,24 +413,18 @@ class BackendLink:
 
         link_id = self.send(doc, settle, timeout_s)
         try:
-            await self.drain_if_full()
+            writable = self.wait_writable()
+            if writable is not None:
+                await writable
             return await fut
         finally:
             self._forget(link_id)
 
     async def close(self) -> None:
-        if self._read_task is not None:
-            self._read_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._read_task
-            self._read_task = None
         conn = self._conn
         if conn is not None:
             conn.writer.close()
-            with contextlib.suppress(
-                ConnectionResetError, BrokenPipeError, OSError
-            ):
-                await conn.writer.wait_closed()
+            await conn.closed
         self._fail_outstanding(ConnectionError(f"backend {self.name}: closed"))
 
 
@@ -482,15 +515,13 @@ class ServeRouter(WireEndpoint):
         return self.ring.home(route_key(kind, params))
 
     def _query(
-        self,
-        conn: WireConnection,
-        rid: Any,
-        req: dict[str, Any],
-        unanswered: Unanswered,
+        self, conn: ServedConnection, rid: Any, req: dict[str, Any]
     ) -> Awaitable[None] | None:
         """Forwarded from the read path: the home shard's answer is
-        written by the link's read loop, so one slow shard does not
-        serialise this connection.  A draining router answers here."""
+        written from the link's read callback, so one slow shard does
+        not serialise this connection.  Reading waits only while the
+        link holds more than its write-buffer mark (or is connecting).
+        A draining router answers here."""
         if self._draining:
             self.rejected_draining += 1
             conn.write_response(
@@ -500,15 +531,14 @@ class ServeRouter(WireEndpoint):
             return None
         link = self._links[self._home_of(req["kind"], req["params"])]
         if not link.connected:
-            return self._connect_and_forward(conn, rid, req, unanswered, link)
-        return self._forward_inline(conn, rid, req, unanswered, link)
+            return self._connect_and_forward(conn, rid, req, link)
+        return self._forward_inline(conn, rid, req, link)
 
     async def _connect_and_forward(
         self,
-        conn: WireConnection,
+        conn: ServedConnection,
         rid: Any,
         req: dict[str, Any],
-        unanswered: Unanswered,
         link: BackendLink,
     ) -> None:
         try:
@@ -516,17 +546,18 @@ class ServeRouter(WireEndpoint):
         except (ConnectionError, OSError) as exc:
             self.unavailable += 1
             conn.write_response(_unavailable_doc(rid, link.name, exc))
-        else:
-            await self._forward_inline(conn, rid, req, unanswered, link)
+            return
+        writable = self._forward_inline(conn, rid, req, link)
+        if writable is not None:
+            await writable
 
     def _forward_inline(
         self,
-        conn: WireConnection,
+        conn: ServedConnection,
         rid: Any,
         req: dict[str, Any],
-        unanswered: Unanswered,
         link: BackendLink,
-    ) -> Awaitable[None]:
+    ) -> Awaitable[None] | None:
         """Send ``req`` on ``link``; its reply callback writes the
         backend's answer VERBATIM except for the id (remapped back to
         the caller's) — values, ``served``, error shapes and
@@ -534,7 +565,7 @@ class ServeRouter(WireEndpoint):
         QRESP fast path when the client negotiated binary.  That is the
         byte-identity contract.  Returns the link's flow control."""
         self._track(+1)
-        unanswered.add()
+        conn.add()
 
         def answer(doc: dict[str, Any] | None, exc: Exception | None) -> None:
             if exc is not None:
@@ -544,11 +575,11 @@ class ServeRouter(WireEndpoint):
                 self.forwarded += 1
                 doc["id"] = rid  # a fresh decoded doc: nobody else holds it
             conn.write_response(doc)
-            unanswered.done()
+            conn.done()
             self._track(-1)
 
         link.send(req, answer, self.forward_timeout_s)
-        return link.drain_if_full()
+        return link.wait_writable()
 
     async def _forward_job(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
         """Job ops live on the boot-order-first backend (the cluster's

@@ -52,21 +52,23 @@ Error responses carry ``ok: false`` plus ``error`` — ``"overloaded"``
 connection run concurrently — responses are matched by ``id``, not by
 order — which is what lets a single connection exercise single-flight
 coalescing.  A hot-LRU hit or a sweep miss is answered on the read path
-itself, with no task (:meth:`CampaignFrontEnd.submit_nowait`).  Job ops are
-answered inline: they touch only in-memory state plus a journal
-append, never the batch executor.
+itself, in the callback that read it, with no task
+(:meth:`CampaignFrontEnd.submit_nowait`).  Job ops, like every other
+non-query op, are answered in request order while the connection reads
+nothing more: they touch only in-memory state plus a journal append,
+never the batch executor.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Awaitable
+from typing import Any
 
 from repro.serve.frontend import SERVED_CACHE, CampaignFrontEnd, Overloaded
 from repro.serve.jobs import JobManager, JobNotReady, campaign_job_units
 from repro.serve.router import advertised_host, topology_epoch
-from repro.serve.wire import JOB_OPS, Unanswered, WireConnection, WireEndpoint
+from repro.serve.wire import JOB_OPS, ServedConnection, WireEndpoint
 
 
 class ServeServer(WireEndpoint):
@@ -140,12 +142,8 @@ class ServeServer(WireEndpoint):
         return self.name
 
     def _query(
-        self,
-        conn: WireConnection,
-        rid: Any,
-        req: dict[str, Any],
-        unanswered: Unanswered,
-    ) -> Awaitable[None] | None:
+        self, conn: ServedConnection, rid: Any, req: dict[str, Any]
+    ) -> None:
         """A hot-LRU hit or a sweep miss is answered right here, and a
         computed answer yields one loop turn if more input is already
         buffered, so a one-write burst cannot starve other connections.
@@ -153,10 +151,9 @@ class ServeServer(WireEndpoint):
         duplicates on one connection coalesce."""
         answered = self._answer_hot(conn, rid, req)
         if not answered:
-            unanswered.spawn(self._answer_query(conn, rid, req))
+            conn.spawn(self._answer_query(conn, rid, req))
         elif answered != SERVED_CACHE and conn.has_input():
-            return asyncio.sleep(0)
-        return None
+            conn.yield_turn()
 
     async def _answer_stats(
         self, rid: Any, req: dict[str, Any]
@@ -239,7 +236,7 @@ class ServeServer(WireEndpoint):
                     "detail": f"{type(exc).__name__}: {exc}"}
 
     def _answer_hot(
-        self, conn: WireConnection, rid: Any, req: dict[str, Any]
+        self, conn: ServedConnection, rid: Any, req: dict[str, Any]
     ) -> str | None:
         """Answer a hot hit, a sweep miss or an unknown kind with no
         task or await; returns the ``served`` tag or error it answered
@@ -259,7 +256,7 @@ class ServeServer(WireEndpoint):
 
     async def _answer_query(
         self,
-        conn: WireConnection,
+        conn: ServedConnection,
         rid: Any,
         req: dict[str, Any],
     ) -> None:
@@ -275,13 +272,9 @@ class ServeServer(WireEndpoint):
             if req.get("via") == "direct":
                 self.frontend.stats.direct += 1
             conn.write_query_response(rid, value, served, loop.time() - t0)
-        try:
-            await conn.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; the front end still counted the work
 
     def _answer_error(
-        self, conn: WireConnection, rid: Any, req: dict[str, Any],
+        self, conn: ServedConnection, rid: Any, req: dict[str, Any],
         exc: Exception,
     ) -> str:
         """Answer a query that raised ``exc``; returns the error.  A

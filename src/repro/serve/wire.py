@@ -51,11 +51,21 @@ encoding is canonical: equal values yield equal bytes, which is what
 makes the receive-side blob memo sound.
 
 Error surface: a frame whose *header* is unusable (bad magic, length
-over :data:`MAX_FRAME_LEN`) raises :class:`WireError` — the stream can
-never resynchronise, the connection must close.  A frame whose header
-parsed but whose *payload* is undecodable raises :class:`BadFrame` —
-exactly ``len`` bytes were consumed, the stream is still framed, and
-the server answers ``bad_request`` and keeps reading.
+over :data:`MAX_FRAME_LEN`), or a JSON line longer than that cap,
+raises :class:`WireError` — the stream can never resynchronise, the
+connection must close.  A frame whose header parsed but whose
+*payload* is undecodable, or a JSON line that is not an object, raises
+:class:`BadFrame` — exactly that frame was consumed, the stream is
+still framed, and the server answers ``bad_request`` and keeps reading.
+
+Transport: every reader of this wire parses through one sans-IO
+:class:`FrameParser`.  Servers and routers serve each connection from
+an ``asyncio.Protocol`` (:class:`ServedConnection`, driven by
+:class:`WireEndpoint`) that dispatches every complete request in the
+``data_received`` callback that read it: a request answered on the
+read path costs one event-loop turn.  Clients read through
+:meth:`WireConnection.recv` over a stream pair, or
+:class:`SyncWireClient` over a blocking socket.
 
 Version/compat rules: ``binary1`` is the only binary version.  A hello
 offering anything else is acked with ``"wire": "json"`` (negotiate down
@@ -68,7 +78,6 @@ reinterpretation of ``binary1`` bytes.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import struct
 from collections import OrderedDict
@@ -86,20 +95,18 @@ FRAME_QRESP = 0x03
 #: (campaign values are a few hundred bytes — 64 MiB is generous).
 MAX_FRAME_LEN = 64 * 1024 * 1024
 
-#: Bytes pulled from the socket per read in binary mode; several frames
+#: Bytes a stream or socket client asks for per read; several frames
 #: usually arrive per chunk, so the per-frame await cost amortises.
 READ_CHUNK = 65536
 
-#: Write-buffer high-water mark of a served connection.  Answers are
-#: written without waiting (:meth:`WireConnection.write_response`), so
-#: a read loop calls :meth:`WireConnection.drain_if_full` after each
-#: request and stops reading while a client that does not read holds
-#: more than this many unsent bytes.  It is also the transport's pause
-#: threshold (:meth:`WireConnection.limit_writes`), so ``drain()``
-#: does wait once the mark is passed.
+#: Write-buffer high-water mark of a served connection and a backend
+#: link.  Answers are written without waiting
+#: (:meth:`WireConnection.write_response`); past this many unsent bytes
+#: the transport calls ``pause_writing``, and a served connection stops
+#: reading until its client has read enough of them.
 WRITE_HIGH_WATER = 64 * 1024
 
-#: Unanswered requests at which a read loop stops reading: the mark
+#: Unanswered requests at which a connection stops reading: the mark
 #: above bounds nothing for a burst read before any answer exists.  It
 #: sits above the default ``queue_limit`` (256), so a one-connection
 #: burst of misses still reaches admission control (``overloaded``).
@@ -278,7 +285,7 @@ def decode_value(buf: bytes) -> Any:
     malformed or trailing bytes."""
     try:
         value, off = _dec(buf, 0)
-    except (IndexError, struct.error, UnicodeDecodeError) as exc:
+    except (IndexError, struct.error, UnicodeError, RecursionError) as exc:
         raise ValueError(f"malformed payload: {exc}") from exc
     if off != len(buf):
         raise ValueError(f"{len(buf) - off} trailing byte(s) after value")
@@ -395,126 +402,186 @@ def decode_frame(
         raise BadFrame(str(exc)) from None
 
 
-class WireConnection:
-    """One connection's mode-aware codec state, wrapped around an
-    asyncio stream pair.
+class FrameParser:
+    """The one frame reader of the serve tier, sans-IO: every served
+    connection, backend link and client parses its input here.
 
-    Starts in JSON-lines mode; :meth:`negotiate` (client side) or a
-    sniffed magic byte / hello ack (server side, driven by the caller)
-    flips it to binary.  ``allow_binary=False`` makes :meth:`recv`
-    never sniff — for servers that speak JSON only, and for client
-    links whose mode is set explicitly after negotiation.
+    :meth:`feed` takes bytes as they arrive, in chunks of any size;
+    :meth:`next` returns one complete document at a time, or ``None``
+    until more bytes are fed.  One document at a time is what lets a
+    caller flip :attr:`binary` between two documents (a hello and its
+    ack): the bytes after the flip parse in the new framing.
+
+    ``sniff`` makes the stream's first byte choose the framing: the
+    magic byte ``0xAB`` switches to binary1 at once.  A JSON line and a
+    binary1 payload are both bounded by :data:`MAX_FRAME_LEN`: a header
+    naming a longer payload, or an unterminated line already longer,
+    raises :class:`WireError` before more of it is buffered.
+    :class:`BadFrame` means one undecodable document was consumed and
+    the stream is still framed.
+    """
+
+    __slots__ = ("binary", "decode_memo", "_buf", "_pos", "_scan", "_sniff")
+
+    def __init__(
+        self, sniff: bool = False, decode_memo: DecodeMemo | None = None
+    ) -> None:
+        self.binary = False
+        self.decode_memo = (
+            decode_memo if decode_memo is not None else DecodeMemo()
+        )
+        self._buf = bytearray()
+        self._pos = 0   # consumed prefix of _buf (compacted on feed)
+        self._scan = 0  # where the search for the next newline resumes
+        self._sniff = sniff
+
+    @property
+    def pending(self) -> int:
+        """Bytes fed but not parsed yet."""
+        return len(self._buf) - self._pos
+
+    def feed(self, data: bytes) -> None:
+        # The consumed prefix is tracked by offset and dropped here, once
+        # per chunk: deleting per frame would memmove the remainder for
+        # every ~30-byte frame, going quadratic when a burst piles up.
+        if self._pos:
+            del self._buf[:self._pos]
+            self._scan -= self._pos
+            self._pos = 0
+        self._buf += data
+
+    def _consume(self, end: int) -> None:
+        if end == len(self._buf):
+            self._buf.clear()  # cheap reset, no tail to move
+            end = 0
+        self._pos = self._scan = end
+
+    def next(self) -> dict[str, Any] | None:
+        """The next complete document, or ``None`` until more is fed."""
+        buf = self._buf
+        pos = self._pos
+        if self._sniff:
+            if len(buf) == pos:
+                return None
+            self._sniff = False
+            self.binary = buf[pos] == MAGIC
+        if self.binary:
+            if len(buf) - pos < _HEADER.size:
+                return None
+            magic, ftype, length = _HEADER.unpack_from(buf, pos)
+            if magic != MAGIC:
+                raise WireError(f"bad frame magic 0x{magic:02x}")
+            if length > MAX_FRAME_LEN:
+                raise WireError(f"frame length {length} over the cap")
+            end = pos + _HEADER.size + length
+            if len(buf) < end:
+                return None
+            payload = bytes(buf[pos + _HEADER.size:end])
+            self._consume(end)
+            return decode_frame(ftype, payload, self.decode_memo)
+        while True:
+            end = buf.find(b"\n", self._scan, pos + MAX_FRAME_LEN + 1)
+            if end < 0:
+                if len(buf) - pos > MAX_FRAME_LEN:
+                    raise WireError(f"JSON line over {MAX_FRAME_LEN} B")
+                self._scan = len(buf)
+                return None
+            line = buf[pos:end]
+            self._consume(end + 1)
+            doc = _json_doc(line)
+            if doc is not None:
+                return doc
+            pos = self._pos  # a blank line: read on
+
+    def eof(self) -> dict[str, Any] | None:
+        """At end of stream, after :meth:`next` returned ``None``: the
+        document of an unterminated last JSON line, if there is one.  A
+        binary stream's partial frame is dropped."""
+        if self.binary or not self.pending:
+            return None
+        line = self._buf[self._pos:]
+        self._consume(len(self._buf))
+        return _json_doc(line)
+
+
+def _json_doc(line: bytearray) -> dict[str, Any] | None:
+    """One JSON-lines document; ``None`` for a blank line."""
+    try:
+        doc = json.loads(line.decode())
+    except (ValueError, RecursionError):
+        if not line.strip():
+            return None
+        raise BadFrame("not a JSON object") from None
+    if not isinstance(doc, dict):
+        raise BadFrame("not a JSON object")
+    return doc
+
+
+class WireConnection:
+    """One connection's mode-aware codec state: a :class:`FrameParser`
+    for what comes in, the encoders for what goes out.
+
+    Around an asyncio stream pair it is a client: :meth:`recv` reads
+    through the parser and :meth:`negotiate` flips to binary1.  The
+    served side (:class:`ServedConnection`) and the router's backend
+    links are ``asyncio.Protocol`` subclasses whose ``writer`` is the
+    transport itself.  ``allow_binary=True`` makes the parser sniff the
+    first byte for the magic.
 
     Every write chooses its framing and puts its bytes in the transport
-    buffer in one synchronous step, and the hello ack flips the mode in
-    the same step as its own bytes: so a frame's framing always matches
-    its place in the byte stream, with no lock and no await in between.
+    buffer in one synchronous step, and the hello ack flips the mode
+    right after its own bytes: so a frame's framing always matches its
+    place in the byte stream, with no lock and no await in between.
     """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        reader: Any,
+        writer: Any,
         allow_binary: bool = True,
         encode_memo: EncodeMemo | None = None,
         decode_memo: DecodeMemo | None = None,
     ) -> None:
         self.reader = reader
         self.writer = writer
-        self.allow_binary = allow_binary
-        self.binary = False
-        self.encode_memo = encode_memo if encode_memo is not None else EncodeMemo()
-        self.decode_memo = decode_memo if decode_memo is not None else DecodeMemo()
-        self._buf = bytearray()
-        self._pos = 0  # consumed prefix of _buf (compacted lazily)
-        self._sniffed = False
-        self._first: bytes | None = None
+        self.encode_memo = (
+            encode_memo if encode_memo is not None else EncodeMemo()
+        )
+        self.parser = FrameParser(allow_binary, decode_memo)
+
+    @property
+    def binary(self) -> bool:
+        return self.parser.binary
+
+    @binary.setter
+    def binary(self, on: bool) -> None:
+        self.parser.binary = on
 
     @property
     def wire(self) -> str:
-        return WIRE_BINARY1 if self.binary else WIRE_JSON
+        return WIRE_BINARY1 if self.parser.binary else WIRE_JSON
 
-    # -- receiving ---------------------------------------------------------
+    # -- receiving (stream clients) ----------------------------------------
     async def recv(self) -> dict[str, Any] | None:
         """The next request/response document, or ``None`` on EOF.
 
         Raises :class:`BadFrame` for one undecodable frame (stream
-        still framed — answer ``bad_request`` and keep reading) and
-        :class:`WireError` when the stream can no longer be trusted.
+        still framed — keep reading) and :class:`WireError` when the
+        stream can no longer be trusted.
         """
-        if self.binary:
-            return await self._recv_binary()
-        if self.allow_binary and not self._sniffed:
-            # Sniff exactly the connection's first byte: a blind-binary
-            # client's opening magic, or the start of a JSON line.
-            self._sniffed = True
-            try:
-                first = await self.reader.readexactly(1)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return None
-            if first[0] == MAGIC:
-                self.binary = True
-                self._buf += first
-                return await self._recv_binary()
-            self._first = first
+        parser = self.parser
         while True:
-            if self._first is not None:
-                prefix, self._first = self._first, None
-                line = prefix + (
-                    await self.reader.readline() if prefix != b"\n" else b""
-                )
-            else:
-                line = await self.reader.readline()
-            if not line:
-                return None
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                raise BadFrame("not a JSON object") from None
-            if not isinstance(doc, dict):
-                raise BadFrame("not a JSON object")
-            return doc
-
-    async def _recv_binary(self) -> dict[str, Any] | None:
-        # The consumed prefix is tracked by offset and compacted only
-        # when the buffer runs dry: deleting per frame would memmove
-        # the whole remainder for every ~30-byte frame, going quadratic
-        # exactly when a burst piles frames up.
-        buf = self._buf
-        while True:
-            pos = self._pos
-            if len(buf) - pos >= _HEADER.size:
-                magic, ftype, length = _HEADER.unpack_from(buf, pos)
-                if magic != MAGIC:
-                    raise WireError(f"bad frame magic 0x{magic:02x}")
-                if length > MAX_FRAME_LEN:
-                    raise WireError(f"frame length {length} over the cap")
-                end = pos + _HEADER.size + length
-                if len(buf) >= end:
-                    payload = bytes(buf[pos + _HEADER.size:end])
-                    if end == len(buf):
-                        del buf[:]  # cheap reset, no tail to move
-                        self._pos = 0
-                    else:
-                        self._pos = end
-                    return self._decode_frame(ftype, payload)
-            if self._pos:
-                del buf[:self._pos]
-                self._pos = 0
+            doc = parser.next()
+            if doc is not None:
+                return doc
             chunk = await self.reader.read(READ_CHUNK)
             if not chunk:
-                return None  # EOF (mid-frame or between frames alike)
-            buf += chunk
+                return parser.eof()
+            parser.feed(chunk)
 
     def has_input(self) -> bool:
-        """Whether :meth:`recv` may return without waiting on the loop:
-        input is already buffered (stream readers have no public peek)."""
-        return len(self._buf) > self._pos or bool(self.reader._buffer)
-
-    def _decode_frame(self, ftype: int, payload: bytes) -> dict[str, Any]:
-        return decode_frame(ftype, payload, self.decode_memo)
+        """Whether bytes already read wait to be parsed."""
+        return self.parser.pending > 0
 
     # -- sending -----------------------------------------------------------
     def _request_bytes(self, doc: dict[str, Any]) -> bytes:
@@ -568,11 +635,11 @@ class WireConnection:
         }))
 
     def write_response(self, doc: dict[str, Any]) -> None:
-        """A response document of any shape, buffered without waiting:
-        the answer path of a read loop, which applies flow control
-        itself (:meth:`drain_if_full`).  Query successes take the fast
-        path (the router's proxy re-framing uses this).  A connection
-        already closing drops the answer: its client has gone."""
+        """A response document of any shape, buffered without waiting;
+        the transport's write-buffer mark is the flow control.  Query
+        successes take the fast path (the router's proxy re-framing
+        uses this).  A connection already closing drops the answer: its
+        client has gone."""
         if self.writer.is_closing():
             return
         if (
@@ -592,33 +659,6 @@ class WireConnection:
     async def drain(self) -> None:
         await self.writer.drain()
 
-    def limit_writes(self) -> None:
-        """Pause the transport at :data:`WRITE_HIGH_WATER`, so that
-        :meth:`drain_if_full` waits exactly when the mark is passed."""
-        self.writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
-
-    async def drain_if_full(self) -> None:
-        """Wait for the client only while more than
-        :data:`WRITE_HIGH_WATER` bytes are unsent."""
-        if self.writer.transport.get_write_buffer_size() > WRITE_HIGH_WATER:
-            await self.writer.drain()
-
-    async def send(self, doc: dict[str, Any]) -> None:
-        """One document, whole-frame atomic, flow-controlled."""
-        self.writer.write(self._doc_bytes(doc))
-        await self.writer.drain()
-
-    async def send_hello_ack(self, doc: dict[str, Any], enable: bool) -> None:
-        """The hello ack goes out in the framing the hello came in, and
-        when it enables binary it is the LAST JSON frame of the
-        connection: the mode flips in the same step that buffers the
-        ack, so any response written after it, even while the ack
-        still drains, is binary."""
-        self.writer.write(self._doc_bytes(doc))
-        if enable:
-            self.binary = True
-        await self.writer.drain()
-
     # -- client-side negotiation -------------------------------------------
     async def negotiate(self) -> bool:
         """Offer ``binary1`` (one JSON hello, one JSON ack) and flip to
@@ -628,7 +668,11 @@ class WireConnection:
         run before the connection carries any other traffic."""
         self.writer.write(HELLO_LINE)
         await self.writer.drain()
-        self.binary = hello_accepted(await self.reader.readline())
+        try:
+            ack = await self.recv()
+        except BadFrame as exc:
+            raise ConnectionError(f"malformed hello ack: {exc}") from None
+        self.binary = hello_accepted(ack)
         return self.binary
 
 
@@ -638,55 +682,175 @@ HELLO_LINE = (
 ).encode()
 
 
-def hello_accepted(line: bytes) -> bool:
-    """Whether the hello ack ``line`` switches the connection to
-    ``binary1``.  Raises ``ConnectionError`` on EOF or an ack that is
-    not JSON."""
-    if not line:
+def hello_accepted(ack: dict[str, Any] | None) -> bool:
+    """Whether the hello ack ``ack`` switches the connection to
+    ``binary1``.  Raises ``ConnectionError`` on EOF (``None``)."""
+    if ack is None:
         raise ConnectionError("connection closed during wire negotiation")
-    try:
-        ack = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ConnectionError(f"malformed hello ack: {line!r}") from exc
-    return (
-        isinstance(ack, dict)
-        and bool(ack.get("ok"))
-        and ack.get("wire") == WIRE_BINARY1
-    )
+    return bool(ack.get("ok")) and ack.get("wire") == WIRE_BINARY1
 
 
-# -- the served side: one connection loop for every endpoint ----------------
+# -- the served side: one Protocol for every endpoint -----------------------
 
-class Unanswered:
-    """One served connection's accepted requests still awaiting their
-    answer.  The read loop stops reading at :data:`MAX_UNANSWERED` and
-    closes the connection only once none is left.  A request is
-    counted by :meth:`add` and :meth:`done` (the router's forwards,
-    answered from a backend link's read loop) or by :meth:`spawn` (the
-    server's funnel queries, one task each)."""
+class ServedConnection(WireConnection, asyncio.Protocol):
+    """One served connection.  :meth:`data_received` parses every
+    complete request in the bytes just read and hands each to the
+    endpoint in the same callback, so a request answered on the read
+    path costs one event-loop turn, with no task and no future.
 
-    __slots__ = ("count", "tasks", "_below", "_waiter")
+    Reading stops (``pause_reading``) while something must wait, and
+    resumes when it is over:
 
-    def __init__(self) -> None:
-        self.count = 0
+    * a non-query op, or an awaitable a query returned: :meth:`hold`,
+      one task each, so non-query ops answer in request order;
+    * :data:`MAX_UNANSWERED` accepted requests without an answer
+      (:meth:`add`/:meth:`done`, or :meth:`spawn` for one task each);
+    * more than :data:`WRITE_HIGH_WATER` unsent bytes
+      (``pause_writing``/``resume_writing``);
+    * a one-turn fairness yield (:meth:`yield_turn`).
+
+    After EOF, or broken framing, nothing more is read, and the
+    connection closes once every accepted request is answered.
+    """
+
+    def __init__(self, endpoint: WireEndpoint) -> None:
+        super().__init__(
+            None, None,
+            allow_binary=endpoint.binary_wire,
+            encode_memo=endpoint._client_encode,
+            decode_memo=endpoint._client_decode,
+        )
+        self.endpoint = endpoint
+        self.count = 0  #: accepted requests not answered yet
         self.tasks: set[asyncio.Task] = set()
-        self._below = 0
-        self._waiter: asyncio.Future | None = None
+        self._stops = 0        # reasons reading is stopped
+        self._full = False     # one of them: MAX_UNANSWERED reached
+        self._eof = False      # no request will be read any more
+        self._pumping = False
+        self._held: asyncio.Future | None = None
+        self.closed = asyncio.get_running_loop().create_future()
 
+    # -- asyncio.Protocol ----------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.writer = transport
+        transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+        self.endpoint._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.parser.feed(data)
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        try:
+            req = self.parser.eof()  # an unterminated last JSON line
+        except BadFrame as exc:
+            self._bad_frame(exc)
+        else:
+            if req is not None:
+                self.endpoint._dispatch(self, req)
+        self._maybe_close()
+        return True  # keep writing until every answer is out
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._eof = True
+        self.endpoint._conns.discard(self)
+        if self._held is not None:
+            self._held.cancel()
+        for task in self.tasks:
+            task.cancel()
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._stop()
+
+    def resume_writing(self) -> None:
+        self._go()
+
+    # -- reading -------------------------------------------------------------
+    def _pump(self) -> None:
+        # Not re-entered: a request that stops and restarts reading
+        # within its own dispatch leaves the outer loop to read on.
+        if self._pumping:
+            return
+        self._pumping = True
+        parser = self.parser
+        dispatch = self.endpoint._dispatch
+        while not self._stops:
+            try:
+                req = parser.next()
+            except BadFrame as exc:
+                # One bad frame, a still-framed stream: answer and read
+                # on — a wedged connection would be worse than the
+                # malformed request.
+                self._bad_frame(exc)
+                continue
+            except WireError:
+                self._finish()  # framing broken beyond resync
+                break
+            if req is None:
+                break
+            dispatch(self, req)
+        self._pumping = False
+
+    def _bad_frame(self, exc: BadFrame) -> None:
+        self.write_response({"id": None, "ok": False, "error": "bad_request",
+                             "detail": str(exc)})
+
+    def _stop(self) -> None:
+        self._stops += 1
+        if self._stops == 1:
+            self.writer.pause_reading()
+
+    def _go(self) -> None:
+        self._stops -= 1
+        if not self._stops and not self._eof:
+            self.writer.resume_reading()
+            self._pump()  # what was read before the stop
+
+    def hold(self, waiting: Awaitable[Any]) -> None:
+        """Read nothing more until ``waiting`` is done."""
+        self._stop()
+        self._held = fut = asyncio.ensure_future(waiting)
+        fut.add_done_callback(self._release)
+
+    def _release(self, fut: asyncio.Future) -> None:
+        self._held = None
+        if not fut.cancelled() and fut.exception() is not None:
+            asyncio.get_running_loop().call_exception_handler({
+                "message": "served connection: answering a request failed",
+                "exception": fut.exception(), "protocol": self,
+            })
+            self._finish()
+        self._go()
+        self._maybe_close()
+
+    def yield_turn(self) -> None:
+        """Let other connections run one loop turn before this one
+        reads on."""
+        self._stop()
+        asyncio.get_running_loop().call_soon(self._go)
+
+    # -- unanswered requests -------------------------------------------------
     def add(self) -> None:
         self.count += 1
+        if self.count >= MAX_UNANSWERED and not self._full:
+            self._full = True
+            self._stop()
 
     def done(self) -> None:
         self.count -= 1
-        waiter = self._waiter
-        if waiter is not None and self.count < self._below:
-            if not waiter.done():
-                waiter.set_result(None)
+        if self._full and self.count < MAX_UNANSWERED:
+            self._full = False
+            self._go()
+        self._maybe_close()
 
     def spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        """Answer one request from its own task, counted until done."""
         task = asyncio.get_running_loop().create_task(coro)
         self.tasks.add(task)
-        self.count += 1
+        self.add()
         task.add_done_callback(self._task_done)
 
     def _task_done(self, task: asyncio.Task) -> None:
@@ -695,15 +859,26 @@ class Unanswered:
             task.exception()  # an answer task reports its own failures
         self.done()
 
-    async def wait_below(self, limit: int) -> None:
-        """Return once fewer than ``limit`` requests await an answer."""
-        if self.count >= limit:
-            self._below = limit
-            self._waiter = asyncio.get_running_loop().create_future()
-            try:
-                await self._waiter
-            finally:
-                self._waiter = None
+    # -- closing -------------------------------------------------------------
+    def _finish(self) -> None:
+        """Read nothing more; close once every answer is out."""
+        if not self._eof:
+            self._eof = True
+            self._stop()
+        self._maybe_close()
+
+    def _maybe_close(self) -> None:
+        if self._eof and not self.count and self._held is None:
+            self.writer.close()  # flushes what is buffered first
+
+    async def close_when_answered(self) -> None:
+        """Shutdown: drop a pending op, stop reading, and close once
+        every accepted query is answered and written — so "drained"
+        means no answer was dropped at the transport either."""
+        if self._held is not None:
+            self._held.cancel()
+        self._finish()
+        await self.closed
 
 
 #: An op handler: ``(id, request) -> response doc``.
@@ -713,18 +888,16 @@ OpHandler = Callable[[Any, dict[str, Any]], Awaitable[dict[str, Any]]]
 class WireEndpoint:
     """The serving skin that :class:`~repro.serve.server.ServeServer`
     and :class:`~repro.serve.router.ServeRouter` share: one listening
-    socket and one read loop per connection.
+    socket, one :class:`ServedConnection` per connection.
 
-    The loop owns what is the same on both: a bad frame is answered
-    ``bad_request`` and reading goes on, broken framing drops the
-    connection; ``hello``, ``ping``, ``shutdown`` and unknown ops; the
-    :data:`MAX_UNANSWERED` stop and write-buffer flow control; and
-    answering every accepted request before the connection closes.  A
+    :meth:`_dispatch` owns what is the same on both: ``hello``,
+    ``ping``, ``shutdown`` and unknown ops, answered at once; every
+    other non-query op answered from a task while reading waits.  A
     subclass supplies the rest:
 
-    * :meth:`_query` — a ``query`` is the loop's first test and, once
-      its ``kind`` and ``params`` are typed right, is handed over
-      without dispatch or task;
+    * :meth:`_query` — a ``query`` is the first test and, once its
+      ``kind`` and ``params`` are typed right, is handed over without
+      dispatch or task;
     * ``self._ops`` — every other op it serves, by name (it starts
       with ``locate``);
     * ``self.backends``, ``self.epoch`` and :meth:`_home_of`, the
@@ -754,11 +927,11 @@ class WireEndpoint:
         self._ops: dict[str, OpHandler] = {"locate": self._answer_locate}
         self._server: asyncio.Server | None = None
         self._shutdown = asyncio.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._conns: set[ServedConnection] = set()
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: ServedConnection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -767,146 +940,78 @@ class WireEndpoint:
 
     async def serve_until_shutdown(self) -> None:
         """Run until a ``shutdown`` op arrives, then stop accepting,
-        :meth:`_drain`, and close every straggler connection."""
+        :meth:`_drain`, and close every connection once answered."""
         assert self._server is not None, "start() first"
         await self._shutdown.wait()
         self._server.close()
-        await self._server.wait_closed()
         await self._drain()
-        for task in list(self._conn_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        for conn in list(self._conns):
+            await conn.close_when_answered()
+        await self._server.wait_closed()
 
     async def _drain(self) -> None:
         raise NotImplementedError
 
     def _query(
-        self,
-        conn: WireConnection,
-        rid: Any,
-        req: dict[str, Any],
-        unanswered: Unanswered,
+        self, conn: ServedConnection, rid: Any, req: dict[str, Any]
     ) -> Awaitable[None] | None:
-        """Answer ``req``, or start answering it and count it in
-        ``unanswered``; an awaitable return is awaited before the loop
-        reads on."""
+        """Answer ``req``, or start answering it and count it on
+        ``conn``; an awaitable return holds reading until it is done."""
         raise NotImplementedError
 
     def _home_of(self, kind: str, params: dict[str, Any]) -> str:
         """The backend name owning the key ``(kind, params)``."""
         raise NotImplementedError
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        conn = WireConnection(
-            reader, writer,
-            allow_binary=self.binary_wire,
-            encode_memo=self._client_encode,
-            decode_memo=self._client_decode,
-        )
-        conn.limit_writes()
-        unanswered = Unanswered()
-        try:
-            while True:
-                try:
-                    req = await conn.recv()
-                except BadFrame as exc:
-                    # One bad frame, a still-framed stream: answer and
-                    # keep reading — a wedged read loop would be worse
-                    # than the malformed request.
-                    await self._send(
-                        conn,
-                        {"id": None, "ok": False, "error": "bad_request",
-                         "detail": str(exc)},
-                    )
-                    continue
-                except WireError:
-                    break  # framing broken beyond resync: drop the link
-                if req is None:
-                    break
-                op = req.get("op")
-                rid = req.get("id")
-                if op == "query":
-                    if not isinstance(req.get("kind"), str) or not isinstance(
-                        req.get("params"), dict
-                    ):
-                        conn.write_response(
-                            {"id": rid, "ok": False, "error": "bad_request",
-                             "detail": "query needs a string 'kind' and "
-                             "object 'params'"},
-                        )
-                    else:
-                        waiting = self._query(conn, rid, req, unanswered)
-                        if waiting is not None:
-                            await waiting
-                    # Answers are buffered without waiting: stop reading
-                    # while this client holds too many unanswered
-                    # requests or too many unsent answers.
-                    if unanswered.count >= MAX_UNANSWERED:
-                        await unanswered.wait_below(MAX_UNANSWERED)
-                    await conn.drain_if_full()
-                    continue
-                handler = self._ops.get(op)
-                if handler is not None:
-                    await self._send(conn, await handler(rid, req))
-                elif op == "ping":
-                    await self._send(conn, {"id": rid, "ok": True})
-                elif op == "hello" and self.binary_wire:
-                    # An offer we cannot speak is acked "json": negotiate
-                    # down, never error.  A binary connection stays
-                    # binary, so its ack names binary1 whatever the offer.
-                    enable = conn.binary or req.get("wire") == WIRE_BINARY1
-                    ack = {"id": rid, "ok": True,
-                           "wire": WIRE_BINARY1 if enable else WIRE_JSON}
-                    try:
-                        await conn.send_hello_ack(
-                            ack, enable and not conn.binary
-                        )
-                    except (ConnectionResetError, BrokenPipeError):
-                        break
-                elif op == "shutdown":
-                    await self._send(conn, {"id": rid, "ok": True})
-                    self.request_shutdown()
-                else:
-                    # With binary_wire off, "hello" lands here too: that
-                    # bad_request IS the downgrade signal binary-
-                    # preferring clients key off.
-                    await self._send(
-                        conn,
-                        {"id": rid, "ok": False, "error": "bad_request",
-                         "detail": f"unknown op {op!r}"},
-                    )
-            # Answer what was read before EOF, then close.
-            await unanswered.wait_below(1)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels straggler connections after the drain.
-            # Every accepted request is resolved by then, but its answer
-            # may not be written yet — flush those before closing, so
-            # "drained" means none dropped at the transport either.
-            # (Finishing normally also keeps asyncio's streams helper
-            # from logging the cancellation as a connection error.)
-            await unanswered.wait_below(1)
-        finally:
-            for sub in unanswered.tasks:
-                sub.cancel()
-            self._conn_tasks.discard(task)
-            writer.close()
-            # CancelledError here is the close-waiter future dying when
-            # a peer link drops mid-teardown, not task cancellation —
-            # and this handler finishes normally on cancellation anyway
-            # (see the except clause above).
-            with contextlib.suppress(
-                ConnectionResetError, BrokenPipeError, OSError,
-                asyncio.CancelledError,
+    def _dispatch(self, conn: ServedConnection, req: dict[str, Any]) -> None:
+        op = req.get("op")
+        rid = req.get("id")
+        if op == "query":
+            if isinstance(req.get("kind"), str) and isinstance(
+                req.get("params"), dict
             ):
-                await writer.wait_closed()
+                waiting = self._query(conn, rid, req)
+                if waiting is not None:
+                    conn.hold(waiting)
+            else:
+                conn.write_response(
+                    {"id": rid, "ok": False, "error": "bad_request",
+                     "detail": "query needs a string 'kind' and "
+                     "object 'params'"},
+                )
+            return
+        handler = self._ops.get(op)
+        if handler is not None:
+            conn.hold(self._answer_op(conn, handler, rid, req))
+        elif op == "ping":
+            conn.write_response({"id": rid, "ok": True})
+        elif op == "hello" and self.binary_wire:
+            # An offer we cannot speak is acked "json": negotiate down,
+            # never error.  A binary connection stays binary, so its ack
+            # names binary1 whatever the offer.  The flip follows the
+            # ack's bytes, before the next request is parsed.
+            enable = conn.binary or req.get("wire") == WIRE_BINARY1
+            wire = WIRE_BINARY1 if enable else WIRE_JSON
+            conn.write_response({"id": rid, "ok": True, "wire": wire})
+            conn.binary = enable
+        elif op == "shutdown":
+            conn.write_response({"id": rid, "ok": True})
+            self.request_shutdown()
+        else:
+            # With binary_wire off, "hello" lands here too: that
+            # bad_request IS the downgrade signal binary-preferring
+            # clients key off.
+            conn.write_response(
+                {"id": rid, "ok": False, "error": "bad_request",
+                 "detail": f"unknown op {op!r}"},
+            )
+
+    @staticmethod
+    async def _answer_op(
+        conn: ServedConnection, handler: OpHandler, rid: Any,
+        req: dict[str, Any],
+    ) -> None:
+        conn.write_response(await handler(rid, req))
 
     async def _answer_locate(
         self, rid: Any, req: dict[str, Any]
@@ -935,77 +1040,46 @@ class WireEndpoint:
         self.located += 1
         return doc
 
-    @staticmethod
-    async def _send(conn: WireConnection, doc: dict[str, Any]) -> None:
-        try:
-            await conn.send(doc)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the client went away
-
 
 # -- synchronous one-shot client helpers ------------------------------------
 
 class SyncWireClient:
     """Blocking-socket counterpart of :class:`WireConnection` for the
-    one-shot client (:func:`repro.serve.client.request_once`): one
-    buffered reader shared by the JSON and binary paths, so the hello
-    ack and the binary frames that follow never fight over buffering.
+    one-shot client (:func:`repro.serve.client.request_once`), on the
+    same :class:`FrameParser`: the hello ack and the binary frames that
+    follow it come out of one buffer.  A malformed or truncated answer
+    raises ``ConnectionError``.
     """
 
     def __init__(self, sock: Any) -> None:
         self.sock = sock
-        self.binary = False
-        self._buf = bytearray()
+        self.parser = FrameParser()
 
-    def _fill(self) -> bool:
-        chunk = self.sock.recv(READ_CHUNK)
-        if not chunk:
-            return False
-        self._buf += chunk
-        return True
-
-    def readline(self) -> bytes:
-        while b"\n" not in self._buf:
-            if not self._fill():
-                break
-        idx = self._buf.find(b"\n")
-        if idx < 0:
-            line, self._buf = bytes(self._buf), bytearray()
-            return line
-        line = bytes(self._buf[: idx + 1])
-        del self._buf[: idx + 1]
-        return line
+    def _recv(self) -> dict[str, Any] | None:
+        parser = self.parser
+        try:
+            while True:
+                doc = parser.next()
+                if doc is not None:
+                    return doc
+                chunk = self.sock.recv(READ_CHUNK)
+                if not chunk:
+                    return parser.eof()
+                parser.feed(chunk)
+        except (BadFrame, WireError) as exc:
+            raise ConnectionError(f"malformed response: {exc}") from None
 
     def negotiate(self) -> bool:
         self.sock.sendall(HELLO_LINE)
-        self.binary = hello_accepted(self.readline())
-        return self.binary
+        self.parser.binary = hello_accepted(self._recv())
+        return self.parser.binary
 
     def request(self, doc: dict[str, Any]) -> dict[str, Any]:
-        if self.binary:
+        if self.parser.binary:
             self.sock.sendall(encode_doc_frame(doc))
-            return self._read_frame()
-        self.sock.sendall((json.dumps(doc) + "\n").encode())
-        line = self.readline()
-        if not line:
+        else:
+            self.sock.sendall((json.dumps(doc) + "\n").encode())
+        resp = self._recv()
+        if resp is None:
             raise ConnectionError("server closed the connection mid-request")
-        resp = json.loads(line)
-        if not isinstance(resp, dict):
-            raise ValueError(f"malformed response: {line!r}")
         return resp
-
-    def _read_frame(self) -> dict[str, Any]:
-        while True:
-            if len(self._buf) >= _HEADER.size:
-                magic, ftype, length = _HEADER.unpack_from(self._buf)
-                if magic != MAGIC:
-                    raise ConnectionError(f"bad frame magic 0x{magic:02x}")
-                if length > MAX_FRAME_LEN:
-                    raise ConnectionError(f"frame length {length} over the cap")
-                end = _HEADER.size + length
-                if len(self._buf) >= end:
-                    payload = bytes(self._buf[_HEADER.size:end])
-                    del self._buf[:end]
-                    return decode_frame(ftype, payload, DecodeMemo(max_entries=8))
-            if not self._fill():
-                raise ConnectionError("server closed the connection mid-frame")

@@ -12,6 +12,7 @@ not starve another.
 import asyncio
 import json
 import re
+import selectors
 import socket
 import struct
 import threading
@@ -29,6 +30,7 @@ from repro.serve.wire import (
     MAGIC,
     MAX_UNANSWERED,
     WRITE_HIGH_WATER,
+    SyncWireClient,
     WireConnection,
 )
 
@@ -248,8 +250,9 @@ class TestFlowControl:
             def watched(self, doc):
                 write(self, doc)
                 if self.encode_memo is router._client_encode:
+                    # A served connection writes to its transport.
                     peak[0] = max(
-                        peak[0], self.writer.transport.get_write_buffer_size()
+                        peak[0], self.writer.get_write_buffer_size()
                     )
 
             monkeypatch.setattr(WireConnection, "write_response", watched)
@@ -570,20 +573,20 @@ class TestSweepMissOnTheReadPath:
         n = 300
         written = []
         write_query_response = WireConnection.write_query_response
-        send_doc = WireConnection.send
+        write_response = WireConnection.write_response
 
         def log_answer(self, rid, *args):
             written.append(rid)
             write_query_response(self, rid, *args)
 
-        async def log_send(self, doc):
+        def log_response(self, doc):
             written.append(doc.get("id"))
-            await send_doc(self, doc)
+            write_response(self, doc)
 
         monkeypatch.setattr(
             WireConnection, "write_query_response", log_answer
         )
-        monkeypatch.setattr(WireConnection, "send", log_send)
+        monkeypatch.setattr(WireConnection, "write_response", log_response)
 
         async def scenario():
             server, task = await boot_server(cache_dir=tmp_path)
@@ -608,3 +611,116 @@ class TestSweepMissOnTheReadPath:
         assert tasked == 0
         answers_a = [i for i, rid in enumerate(written) if rid in range(n)]
         assert written.index("b") < answers_a[-1]
+
+
+class _CountingSelector(selectors.DefaultSelector):
+    """Counts event-loop turns: one ``select`` call per turn."""
+
+    turns = 0
+
+    def select(self, timeout=None):
+        ready = super().select(timeout)
+        self.turns += 1
+        return ready
+
+
+class _LoopThread:
+    """An event loop of its own on a thread, its turns counted."""
+
+    def __init__(self):
+        self.selector = _CountingSelector()
+        self.loop = asyncio.SelectorEventLoop(self.selector)
+        self.thread = threading.Thread(target=self.loop.run_forever)
+        self.thread.start()
+
+    def run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop)
+
+    def stop(self):
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        assert not self.thread.is_alive(), "event loop did not stop"
+        self.loop.close()
+
+
+@pytest.mark.parametrize("wire", ["json", "binary1"])
+class TestOneLoopTurnPerPacket:
+    """On an idle connection a packet costs its reader one event-loop
+    turn: the request is parsed, dispatched and, on the read path,
+    answered in the callback that read it.  Over asyncio streams each
+    packet took two turns: one to wake the reader task's future, one
+    to run the task."""
+
+    N = 20
+
+    def _turns_per_request(self, port, selector, wire):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            client = SyncWireClient(sock)
+            if wire == "binary1":
+                assert client.negotiate()
+            # The first query computes the value (and connects a link).
+            assert client.request(query(0))["ok"]
+            turns = []
+            for i in range(1, self.N + 1):
+                before = selector.turns
+                doc = client.request(query(i))
+                turns.append(selector.turns - before)
+                assert doc["ok"] and doc["served"] == "cache", doc
+            assert client.request({"op": "shutdown", "id": "bye"})["ok"]
+        return turns
+
+    def test_a_hot_hit_costs_one_turn(self, tmp_path, wire):
+        server_loop = _LoopThread()
+
+        async def boot():
+            server = ServeServer(CampaignFrontEnd(ServeConfig(
+                cache_dir=tmp_path
+            )))
+            await server.start()
+            return server
+
+        try:
+            server = server_loop.run(boot()).result(10)
+            done = server_loop.run(server.serve_until_shutdown())
+            turns = self._turns_per_request(
+                server.port, server_loop.selector, wire
+            )
+            done.result(10)
+        finally:
+            server_loop.stop()
+        assert turns == [1] * self.N
+
+    def test_a_forward_costs_one_turn_per_packet(self, tmp_path, wire):
+        """Request in from the client, then the answer in from the
+        link: two packets, two router turns."""
+        backend_loop, router_loop = _LoopThread(), _LoopThread()
+
+        async def boot_backend():
+            server = ServeServer(CampaignFrontEnd(ServeConfig(
+                cache_dir=tmp_path
+            )))
+            await server.start()
+            return server
+
+        async def boot_router(port):
+            router = ServeRouter(
+                [("b0", "127.0.0.1", port)],
+                backend_wire="binary" if wire == "binary1" else "json",
+            )
+            await router.start()
+            return router
+
+        try:
+            backend = backend_loop.run(boot_backend()).result(10)
+            backend_done = backend_loop.run(backend.serve_until_shutdown())
+            router = router_loop.run(boot_router(backend.port)).result(10)
+            router_done = router_loop.run(router.serve_until_shutdown())
+            turns = self._turns_per_request(
+                router.port, router_loop.selector, wire
+            )
+            router_done.result(10)
+            backend_done.result(10)
+        finally:
+            router_loop.stop()
+            backend_loop.stop()
+        assert turns == [2] * self.N

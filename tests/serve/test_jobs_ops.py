@@ -97,6 +97,34 @@ class TestJobOps:
 
         asyncio.run(scenario())
 
+    def test_a_submit_over_64_kib_is_accepted(self, tmp_path):
+        """A JSON line is bounded by ``MAX_FRAME_LEN``, like a binary
+        frame.  A 1,000-unit submit (~93 KB) used to get no answer: a
+        stream ``readline`` stops at 64 KiB, and its error dropped the
+        connection."""
+        units = [
+            {"kind": "sweep_point", "params": {
+                "mode": "single", "platform": "Tegra2", "freq": 0.2 + i / 1000,
+            }}
+            for i in range(1000)
+        ]
+        doc = {"op": "submit", "id": 1, "tenant": "alice", "units": units}
+
+        async def scenario():
+            server, run_task = await start_server(tmp_path)
+            reader, writer = await connect(server)
+            sub = await asyncio.wait_for(request(reader, writer, doc), 10)
+            ping = await request(reader, writer, {"op": "ping", "id": 2})
+            await request(reader, writer, {"op": "shutdown", "id": 3})
+            await run_task
+            writer.close()
+            return sub, ping
+
+        sub, ping = asyncio.run(scenario())
+        assert len(json.dumps(doc)) > 90_000
+        assert sub["ok"] and sub["n_units"] == 1000
+        assert ping == {"id": 2, "ok": True}
+
     def test_runner_crash_retries_each_job_unit(self, tmp_path):
         """A runner that raises fails the whole job batch, and the job
         tier retries every unit of it (here to success)."""

@@ -234,6 +234,28 @@ class TestWireContract:
 
         assert asyncio.run(scenario()) == {"id": 2, "ok": True}
 
+    def test_unterminated_last_line_is_answered(self, tmp_path, kind):
+        """A client may close its side right after its last request,
+        with no newline: that request is still answered, after the ones
+        before it, and then the endpoint closes the connection."""
+
+        async def scenario():
+            ep = await boot_endpoint(kind, tmp_path)
+            reader, writer = await connect(ep.port)
+            writer.write(b'{"op": "ping", "id": 1}\n{"op": "locate", "id": 2}')
+            writer.write_eof()
+            docs = [await recv(reader) for _ in range(2)]
+            closed = await asyncio.wait_for(reader.readline(), 10) == b""
+            writer.close()
+            r2, w2 = await connect(ep.port)
+            await shutdown_endpoint(ep, r2, w2)
+            return docs, closed
+
+        docs, closed = asyncio.run(scenario())
+        assert docs[0] == {"id": 1, "ok": True}
+        assert docs[1]["id"] == 2 and docs[1]["ok"] is True
+        assert closed
+
     def test_overloaded_retry_after_proxied_verbatim(self, tmp_path, kind):
         """The 429 shape — ok:false, error, reason, retry_after_s — is
         produced by the backend; a router in the path must carry every
@@ -454,6 +476,44 @@ class TestWireContract:
             {"id": 4, "ok": False, "error": "bad_request",
              "detail": "job tier disabled (serve --no-jobs)"},
         ]
+
+    def test_json_lines_over_64_kib_are_answered(self, tmp_path, kind):
+        """A JSON line is bounded by ``MAX_FRAME_LEN``, like a binary
+        frame, on every reader: a ~93 KB ``submit`` and a query whose
+        ~100 KB answer crosses a JSON backend link are answered, and the
+        connection serves on.  A stream ``readline`` stops at 64 KiB:
+        the request used to drop the client's connection, and the
+        answer the link's read loop."""
+        units = [
+            {"kind": "sweep_point", "params": dict(POINT_A, freq=i / 1000)}
+            for i in range(1000)
+        ]
+        big = "v" * 100_000
+        submit = {"op": "submit", "id": 1, "tenant": "t", "units": units}
+
+        async def scenario():
+            ep = await boot_endpoint(
+                kind, tmp_path, runner=lambda us: [big for _ in us]
+            )
+            conn, _ = await wire_connect(ep.port, negotiate=False)
+            docs = [
+                await asyncio.wait_for(wire_request(conn, doc), 10)
+                for doc in (
+                    submit,
+                    {"op": "query", "id": 2, "kind": "fig6_point",
+                     "params": FIG6_POINT},
+                    {"op": "ping", "id": 3},
+                )
+            ]
+            await wire_shutdown(ep, conn)
+            return docs
+
+        docs = asyncio.run(scenario())
+        assert len(json.dumps(submit)) > 90_000
+        assert docs[0] == {"id": 1, "ok": False, "error": "bad_request",
+                           "detail": "job tier disabled (serve --no-jobs)"}
+        assert docs[1]["ok"] is True and docs[1]["value"] == big
+        assert docs[2] == {"id": 3, "ok": True}
 
     def test_hello_never_downgrades(self, tmp_path, kind):
         """A ``hello`` offering JSON on a binary1 connection is acked

@@ -353,60 +353,52 @@ class TestByteIdentity:
         assert computed_off_home == len(self.CASES)
 
 
-class _Transport:
-    """The transport face of :class:`_StallingWriter`: reports a full
-    buffer until the gate opens, so flow control waits on ``drain``."""
+class _StallingTransport:
+    """A backend link's transport that keeps what is written; the test
+    pauses and resumes the link's writing itself, as a backpressured
+    socket would."""
 
-    def __init__(self, writer):
-        self.writer = writer
-
-    def get_write_buffer_size(self):
-        from repro.serve.wire import WRITE_HIGH_WATER
-
-        return 0 if self.writer.gate.is_set() else WRITE_HIGH_WATER + 1
-
-
-class _StallingWriter:
-    """A writer whose ``drain()`` blocks until released: simulates a
-    backend whose socket is backpressured at flush time."""
-
-    def __init__(self):
+    def __init__(self, protocol):
+        self.protocol = protocol
         self.writes = []
-        self.gate = asyncio.Event()
-        self.transport = _Transport(self)
+        self.closing = False
+
+    def set_write_buffer_limits(self, high):
+        pass
 
     def is_closing(self):
-        return False
+        return self.closing
 
     def write(self, data):
         self.writes.append(bytes(data))
 
-    async def drain(self):
-        await self.gate.wait()
-
     def close(self):
-        pass
+        if not self.closing:
+            self.closing = True
+            asyncio.get_running_loop().call_soon(
+                self.protocol.connection_lost, None
+            )
 
 
 def _stalled_link():
-    """A pre-connected link over a stalled writer, its replies fed
-    through a real ``StreamReader`` into the link's own read loop."""
-    from repro.serve.router import BackendLink
-    from repro.serve.wire import WireConnection
+    """A pre-connected link whose writing is paused (its socket is
+    backpressured at flush time); replies are fed to the link's own
+    connection, as its transport would."""
+    from repro.serve.router import BackendLink, _LinkConnection
 
     link = BackendLink("b0", "127.0.0.1", 1)
-    reader = asyncio.StreamReader()
-    writer = _StallingWriter()
-    conn = WireConnection(reader, writer, allow_binary=False)
+    conn = _LinkConnection(link)
+    transport = _StallingTransport(conn)
+    conn.connection_made(transport)
+    conn.pause_writing()
     link._conn = conn
-    link._read_task = asyncio.ensure_future(link._read_loop(conn))
-    return link, reader, writer
+    return link, conn, transport
 
 
-def _answer_all(reader, writer):
+def _answer_all(conn, transport):
     """The backend's side: answer every request written so far."""
-    for data in writer.writes:
-        reader.feed_data(
+    for data in transport.writes:
+        conn.data_received(
             (json.dumps({"id": json.loads(data)["id"], "ok": True}) + "\n")
             .encode()
         )
@@ -420,7 +412,7 @@ class TestBackendLinkNoHeadOfLineBlocking:
 
     def test_second_request_writes_while_first_drain_stalls(self):
         async def scenario():
-            link, reader, writer = _stalled_link()
+            link, conn, writer = _stalled_link()
             t1 = asyncio.ensure_future(
                 link.request({"op": "query", "kind": "sweep_base",
                               "params": {}})
@@ -441,8 +433,8 @@ class TestBackendLinkNoHeadOfLineBlocking:
             # THE regression assertion: with the first drain stalled,
             # the later requests' bytes still reached the buffer.
             writes_while_stalled = len(writer.writes)
-            writer.gate.set()
-            _answer_all(reader, writer)
+            conn.resume_writing()
+            _answer_all(conn, writer)
             r1, r2 = await asyncio.gather(t1, t2)
             await link.close()
             return writes_while_stalled, r1, r2, replies
@@ -460,7 +452,7 @@ class TestBackendLinkNoHeadOfLineBlocking:
         order even under concurrency, and each answer reaches the
         request that carried its id."""
         async def scenario():
-            link, reader, writer = _stalled_link()
+            link, conn, writer = _stalled_link()
             tasks = [
                 asyncio.ensure_future(link.request(
                     {"op": "query", "kind": "sweep_base", "params": {}}
@@ -475,8 +467,8 @@ class TestBackendLinkNoHeadOfLineBlocking:
                 ))
             await asyncio.sleep(0.02)
             sent_ids = [json.loads(w)["id"] for w in writer.writes]
-            writer.gate.set()
-            _answer_all(reader, writer)
+            conn.resume_writing()
+            _answer_all(conn, writer)
             answers = await asyncio.gather(*tasks)
             await link.close()
             return sent_ids, [a["id"] for a in answers], replies, assigned

@@ -11,10 +11,13 @@ import asyncio
 import json
 import math
 import struct
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.parallel.units import execute_unit as run_unit
+from repro.serve import wire
 from repro.serve.frontend import UNIT_KINDS
 from repro.serve.wire import (
     FRAME_DOC,
@@ -27,7 +30,10 @@ from repro.serve.wire import (
     BadFrame,
     DecodeMemo,
     EncodeMemo,
-    WireConnection,
+    FrameParser,
+    ServedConnection,
+    WireEndpoint,
+    WireError,
     decode_frame,
     decode_value,
     encode_doc_frame,
@@ -192,13 +198,14 @@ class TestFrames:
             encode_doc_frame({"blob": "x" * (MAX_FRAME_LEN + 16)})
 
 
-class _StalledWriter:
-    """A writer whose ``drain()`` blocks until released: a client that
-    is slow to read the hello ack."""
+class _Transport:
+    """A served connection's transport that keeps what is written."""
 
     def __init__(self):
         self.writes = []
-        self.gate = asyncio.Event()
+
+    def set_write_buffer_limits(self, high):
+        pass
 
     def is_closing(self):
         return False
@@ -206,36 +213,30 @@ class _StalledWriter:
     def write(self, data):
         self.writes.append(bytes(data))
 
-    async def drain(self):
-        await self.gate.wait()
-
 
 class TestFramingChosenAtWriteTime:
-    """Every byte after the hello ack is binary, also for a response
-    produced while the ack is still draining.  Pre-fix, ``send`` encoded
-    before taking the write lock, so a response built during the ack's
-    drain reached the socket as JSON after the flip to binary and the
-    client's connection died with ``WireError``."""
+    """Every byte after the hello ack is binary, also for requests that
+    arrived in the same packet as the hello.  The ack is written and
+    the mode flipped in one step, before the next request is parsed;
+    pre-fix, ``send`` encoded before taking the write lock, so a
+    response built during the ack's drain reached the socket as JSON
+    after the flip to binary and the client's connection died with
+    ``WireError``."""
 
     def test_responses_written_while_the_ack_drains_are_binary(self):
         async def scenario():
-            writer = _StalledWriter()
-            conn = WireConnection(None, writer, allow_binary=True)
-            before = asyncio.ensure_future(conn.send({"id": 0, "ok": True}))
-            await asyncio.sleep(0)
-            ack = asyncio.ensure_future(conn.send_hello_ack(
-                {"id": 1, "ok": True, "wire": "binary1"}, True
-            ))
-            await asyncio.sleep(0)
-            assert not ack.done(), "the ack's drain did not stall"
-            sent = asyncio.ensure_future(conn.send({"id": 2, "ok": True}))
+            transport = _Transport()
+            conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
+            conn.connection_made(transport)
+            conn.data_received(
+                b'{"op": "ping", "id": 0}\n'
+                b'{"op": "hello", "id": 1, "wire": "binary1"}\n'
+                + encode_doc_frame({"op": "ping", "id": 2})
+            )
             conn.write_response({"id": 3, "ok": True, "value": [1.5],
                                  "served": "cache", "latency_s": 0.25})
             conn.write_response({"id": 4, "ok": False, "error": "x"})
-            await asyncio.sleep(0)
-            writer.gate.set()
-            await asyncio.gather(before, ack, sent)
-            return writer.writes
+            return transport.writes
 
         writes = asyncio.run(scenario())
         assert [json.loads(w) for w in writes[:2]] == [
@@ -314,3 +315,119 @@ class TestOracleIdentity:
         assert json.dumps(decoded, sort_keys=True) == json.dumps(
             params, sort_keys=True
         )
+
+
+# -- the shared frame parser, over any byte stream ---------------------------
+
+#: A small cap, so that streams of a few hundred bytes cross it.
+SMALL_CAP = 96
+
+_docs = st.dictionaries(
+    st.sampled_from(["op", "id", "kind", "wire", "x"]),
+    st.one_of(st.integers(-5, 5), st.text(max_size=8), st.none()),
+    max_size=4,
+)
+_json_items = st.one_of(
+    _docs.map(lambda d: json.dumps(d).encode() + b"\n"),
+    st.sampled_from([b"\n", b"  \n", b"{not json\n", b"[1, 2]\n", b"\xab\n",
+                     b'{"x": "' + b"y" * SMALL_CAP + b'"}\n']),
+    st.binary(max_size=24),
+)
+_frame_items = st.one_of(
+    _docs.map(encode_doc_frame),
+    st.sampled_from([
+        b"\xab\x01\x00\x00\x00\x01\xc1",                   # undecodable
+        b"\xab\x09\x00\x00\x00\x01\xc0",                   # unknown type
+        bytes([MAGIC, FRAME_QREQ, 0, 0, 0, _QREQ.size + 5])
+        + _QREQ.pack(7, 0, 1) + encode_value({}),          # a QREQ
+        bytes([MAGIC, FRAME_DOC]) + struct.pack(">I", SMALL_CAP + 1),
+        b"\xff" * 6,                                        # bad magic
+    ]),
+    st.binary(max_size=24),
+)
+_hello = json.dumps({"op": "hello", "id": 0, "wire": "binary1"}).encode() + b"\n"
+
+#: JSON lines, optionally a hello and binary frames after it; or any bytes.
+streams = st.one_of(
+    st.tuples(
+        st.lists(_json_items, max_size=6),
+        st.booleans(),
+        st.lists(_frame_items, max_size=6),
+    ).map(lambda t: b"".join(t[0]) + (_hello + b"".join(t[2]) if t[1] else b"")),
+    st.binary(max_size=300),
+)
+
+
+def parse_all(stream, cuts, sniff):
+    """Feed ``stream`` split at ``cuts``; every outcome in order.  A
+    hello offering binary1 flips the parser, as a served connection's
+    ack does; a :class:`WireError` ends the stream."""
+    parser = FrameParser(sniff)
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        parser.feed(stream[lo:hi])
+        while True:
+            try:
+                doc = parser.next()
+            except BadFrame as exc:
+                out.append(("bad", str(exc)))
+                continue
+            except WireError as exc:
+                return out + [("wire", str(exc))]
+            if doc is None:
+                break
+            out.append(("doc", doc))
+            if doc.get("op") == "hello" and doc.get("wire") == "binary1":
+                parser.binary = True
+    try:
+        out.append(("eof", parser.eof()))
+    except BadFrame as exc:
+        out.append(("bad", str(exc)))
+    return out
+
+
+class TestFrameParser:
+    """One parser reads every serve connection, so its outcome must not
+    depend on how the bytes were cut into reads."""
+
+    @given(stream=streams, cuts=st.lists(st.integers(0, 400)),
+           sniff=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_chunking_parses_like_one_piece(self, stream, cuts, sniff):
+        cuts = [c for c in cuts if c <= len(stream)]
+        with mock.patch.object(wire, "MAX_FRAME_LEN", SMALL_CAP):
+            whole = parse_all(stream, [], sniff)
+            # Only BadFrame/WireError may escape next() and eof(); any
+            # other exception fails here.  repr() compares NaNs alike.
+            assert repr(parse_all(stream, cuts, sniff)) == repr(whole)
+            assert repr(parse_all(stream, range(len(stream)), sniff)) == repr(whole)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_header_over_the_cap_raises_before_its_payload(self, data):
+        """A binary header naming a payload over the cap raises as soon
+        as its 6 bytes are in; an unterminated JSON line raises as soon
+        as the cap is passed, whatever the read sizes."""
+        with mock.patch.object(wire, "MAX_FRAME_LEN", SMALL_CAP):
+            parser = FrameParser(sniff=True)
+            header = bytes([MAGIC, FRAME_DOC]) + struct.pack(
+                ">I", data.draw(st.integers(SMALL_CAP + 1, (1 << 32) - 1))
+            )
+            for i in range(len(header) - 1):
+                parser.feed(header[i:i + 1])
+                assert parser.next() is None
+            parser.feed(header[-1:])
+            with pytest.raises(WireError):
+                parser.next()
+
+            parser = FrameParser()
+            fed = 0
+            with pytest.raises(WireError):
+                while True:
+                    n = data.draw(st.integers(1, 40))
+                    parser.feed(b"x" * n)
+                    fed += n
+                    assert parser.next() is None
+                    assert fed <= SMALL_CAP
+            assert fed > SMALL_CAP and fed - n <= SMALL_CAP
