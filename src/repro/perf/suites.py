@@ -529,7 +529,7 @@ def serve_suite_with_ref(
     Boots the JSON-lines TCP server in-process (real work units, real
     result cache) and drives it with the seeded open-loop generator
     twice back-to-back: once against a *cold* cache (misses dominate:
-    micro-batching + in-process execution) and once
+    computed on the read path or the executor thread) and once
     against the cache the cold pass just filled (coalesce + cache hits
     dominate).  Each record's ops are completed requests, ops/s is
     delivered throughput, and the extras carry the tail latencies and

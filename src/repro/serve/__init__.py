@@ -1,4 +1,4 @@
-"""Batched campaign-serving front end (``repro serve``).
+"""Campaign-serving front end (``repro serve``).
 
 The ROADMAP north star is a system that serves heavy traffic, and the
 traffic against this reproduction is overwhelmingly *repeated* requests
@@ -13,19 +13,19 @@ makes three mechanisms do almost all the work:
 * **cache-backed serving** — anything the content-addressed
   :class:`~repro.parallel.cache.ResultCache` already holds is returned
   without computing anything;
-* **compute or micro-batch** — a sweep-point miss is computed on the
-  connection's read path, for less than a batch around it would cost;
-  the Figure 6 and headline simulation misses are collected for a few
-  milliseconds and run as one :func:`repro.parallel.runner.run_units`
-  call on one executor thread.  ``repro serve`` runs under a 0.5 ms
-  GIL switch interval, so the loop answers hot hits promptly while
+* **compute** — a sweep-point miss is computed on the connection's
+  read path, for less than a hand-off to a thread would cost; each
+  distinct Figure 6 and headline simulation miss is one
+  :func:`repro.parallel.runner.run_units` call on one executor thread,
+  dispatched as it arrives.  ``repro serve`` runs under a 0.5 ms GIL
+  switch interval, so the loop answers hot hits promptly while
   simulations compute; the ``serve.hot_during_sims`` bench entry
   records that tail.
 
 Around them sit admission control (a bounded pending queue; excess
 load is rejected 429-style with a ``retry_after_s`` hint), graceful
 shutdown (drain every accepted request, then exit), and observability
-(queue depth / batch size / hit ratio / latency through
+(queue depth / per-unit compute spans / hit ratio / latency through
 :mod:`repro.obs`).  ``repro loadtest`` (:mod:`repro.serve.loadtest`)
 is the matching open-loop load generator, and the ``serve`` perf suite
 records throughput and tail latency cold vs warm, and the hot-hit

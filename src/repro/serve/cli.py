@@ -57,7 +57,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         prog="repro serve",
         description="Serve campaign queries over JSON-lines TCP with "
         "single-flight coalescing, cache-backed hits, sweep points "
-        "computed on the read path and simulations micro-batched on one "
+        "computed on the read path and each simulation miss run on one "
         "executor thread.",
     )
     parser.add_argument(
@@ -75,17 +75,9 @@ def serve_main(argv: list[str] | None = None) -> int:
         "in this process (must still be at least 1)",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.01, metavar="S",
-        help="micro-batch collection window in seconds (default: 0.01)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=32, metavar="N",
-        help="distinct simulation misses per batch (default: 32)",
-    )
-    parser.add_argument(
         "--queue-limit", type=int, default=256, metavar="N",
-        help="pending-simulation bound before 429-style rejection "
-        "(default: 256)",
+        help="distinct simulation misses queued or running on the "
+        "executor thread before 429-style rejection (default: 256)",
     )
     parser.add_argument(
         "--cache-dir", type=Path, default=DEFAULT_CACHE_DIR, metavar="DIR",
@@ -152,8 +144,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = ServeConfig(
-            batch_window_s=args.batch_window,
-            max_batch=args.max_batch,
             queue_limit=args.queue_limit,
             cache_dir=None if args.no_cache else args.cache_dir,
             seed=args.seed,
@@ -244,8 +234,8 @@ async def _serve(
     print(
         "repro serve: drained and stopped — "
         f"{snap['accepted']} accepted, {snap['rejected']} rejected, "
-        f"hit ratio {snap['hit_ratio']:.1%} over "
-        f"{snap['batches']} batch(es)" + jobs_note
+        f"hit ratio {snap['hit_ratio']:.1%}, "
+        f"offloaded {snap['offloaded']} unit(s)" + jobs_note
     )
     return 0
 

@@ -1,4 +1,4 @@
-"""The transport-independent serving core: coalesce, batch, bound.
+"""The transport-independent serving core: coalesce, compute, bound.
 
 :class:`CampaignFrontEnd` accepts campaign queries expressed as the
 existing work-unit coordinates (``kind`` + ``params`` from
@@ -21,26 +21,26 @@ funnel, cheapest mechanism first:
 3. **compute** — ``submit_nowait`` computes a sweep-kind miss itself,
    on the read path, through :func:`repro.parallel.units.execute_batch`
    (so the ``REPRO_SCALAR_SWEEP=1`` oracle holds): a point costs less
-   than a task, a future and a batch window around it (DESIGN.md
-   section 11).  The simulation misses (Figure 6 and headline units,
-   milliseconds to seconds each), and every kind under an injected
-   ``runner``, are collected for ``batch_window_s`` (up to
-   ``max_batch``) and run with per-unit failure isolation through
-   :func:`repro.parallel.runner.run_units` on the one executor thread,
-   which writes each value through to the disk store; the loop keeps
-   answering meanwhile, under the short GIL switch interval ``repro
-   serve`` sets.
+   than a task and a future around it (DESIGN.md section 11).  Each
+   distinct simulation miss (Figure 6 and headline units, milliseconds
+   to seconds each), and every kind under an injected ``runner``, is
+   one ``run_in_executor`` call on the one executor thread, which runs
+   it with failure isolation through
+   :func:`repro.parallel.runner.run_units` and writes its value through
+   to the disk store; the loop keeps answering meanwhile, under the
+   short GIL switch interval ``repro serve`` sets.
 
 The durable job tier's batches (:meth:`CampaignFrontEnd.execute_units`)
-run on the same executor thread, one at a time with the simulation
-batches; the job manager writes each completed unit to the cache once,
-as its restart checkpoint.
+queue on the same executor thread, first in first out with the
+simulation units; the job manager writes each completed unit to the
+cache once, as its restart checkpoint.
 
 Admission control bounds the simulation-miss backlog: once
 ``queue_limit`` distinct computations are pending, further misses are
 rejected with :class:`Overloaded` carrying a ``retry_after_s`` hint
-(the transport maps this to a 429-style response).  Coalesced and
-cached requests are *always* admitted — they cost no worker time, and
+(the backlog times the last observed per-unit compute time; the
+transport maps this to a 429-style response).  Coalesced and cached
+requests are *always* admitted — they cost no worker time, and
 rejecting them would punish exactly the traffic the front end is best
 at.  A sweep miss holds no queue slot; a burst of them is bounded by
 the transport (TCP back-pressure, and a yield between computed answers
@@ -48,25 +48,27 @@ while more input is buffered).
 
 Graceful shutdown: :meth:`CampaignFrontEnd.drain` stops admitting new
 work, waits for every accepted request to resolve, then retires the
-batcher — none dropped.  ``drain(timeout_s=...)`` bounds the wait: at
-the deadline the remaining unresolved queries are failed with
-:class:`Overloaded` (``reason="draining"``, with a retry hint) instead
-of holding shutdown hostage to a slow batch — the durable job tier
-(:mod:`repro.serve.jobs`) is where long work survives a restart, not
-an unbounded drain.
+executor thread — none dropped.  ``drain(timeout_s=...)`` bounds the
+wait: at the deadline the remaining unresolved queries are failed with
+:class:`Overloaded` (``reason="draining"``, with a retry hint) and
+units not yet started are cancelled, instead of holding shutdown
+hostage to a slow unit — the durable job tier (:mod:`repro.serve.jobs`)
+is where long work survives a restart, not an unbounded drain.
 
-Observability: when :mod:`repro.obs` is recording, batches emit
-``serve.batch`` spans (wall-clock seconds since front-end start — a
-live service has no simulated clock, so these traces are *not* part of
-the deterministic-replay contract), queue depth lands on the
-``serve.queue_depth`` counter, and the ``serve.hit`` /
-``serve.coalesced`` / ``serve.computed`` / ``serve.rejected`` totals
-mirror :class:`ServeStats`.
+Observability: when :mod:`repro.obs` is recording, each unit run on the
+executor thread emits a ``serve.compute`` span (wall-clock seconds
+since front-end start — a live service has no simulated clock, so these
+traces are *not* part of the deterministic-replay contract), queue
+depth lands on the ``serve.queue_depth`` counter, and the
+``serve.hit`` / ``serve.coalesced`` / ``serve.computed`` /
+``serve.rejected`` / ``serve.offloaded`` totals mirror
+:class:`ServeStats`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import time
@@ -84,7 +86,7 @@ from repro.serve.wire import UNIT_KINDS
 
 #: Kinds a query miss computes on the caller's thread (the transport's
 #: read path) and keeps in memory only; the rest (simulations) go
-#: through the batcher, the executor thread and the disk store.
+#: through the executor thread and the disk store.
 INLINE_KINDS = frozenset(("sweep_base", "sweep_point"))
 
 #: How a request was served.
@@ -95,6 +97,10 @@ SERVED_COMPUTED = "computed"
 #: Latency samples :class:`ServeStats` keeps: the most recent ones, so
 #: a long-lived server's p50/p99 describe its recent traffic.
 LATENCY_WINDOW = 1_000_000
+
+#: Per-unit compute time the retry-after hint assumes until the first
+#: unit has finished on the executor thread.
+ASSUMED_UNIT_S = 0.01
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -132,8 +138,6 @@ class Overloaded(RuntimeError):
 class ServeConfig:
     """Tunables for one front end."""
 
-    batch_window_s: float = 0.01   #: micro-batch collection window
-    max_batch: int = 32            #: distinct misses per batch
     queue_limit: int = 256        #: pending distinct computations bound
     cache_dir: Path | None = DEFAULT_CACHE_DIR  #: None = no cache
     cache_max_bytes: int | None = None  #: None = ResultCache default
@@ -146,12 +150,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.hot_values < 0:
             raise ValueError("hot_values must be non-negative")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
 
 
 @dataclass
@@ -166,8 +166,7 @@ class ServeStats:
     computed: int = 0      #: required fresh work-unit execution
     failed: int = 0        #: admitted but failed in execution
     direct: int = 0        #: queries tagged via="direct" by a ring client
-    batches: int = 0       #: run_units calls issued
-    batched_units: int = 0  #: distinct units across all batches
+    offloaded: int = 0     #: query units run on the executor thread
     latencies_s: deque[float] = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
     )
@@ -179,10 +178,6 @@ class ServeStats:
         if not self.accepted:
             return 0.0
         return (self.cache_hits + self.coalesced) / self.accepted
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batched_units / self.batches if self.batches else 0.0
 
     def record_latency(self, seconds: float) -> None:
         # Bounded: past the window the oldest sample drops out.
@@ -198,8 +193,7 @@ class ServeStats:
             "computed": self.computed,
             "failed": self.failed,
             "direct": self.direct,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
+            "offloaded": self.offloaded,
             "hit_ratio": self.hit_ratio,
         }
         if self.latencies_s:
@@ -209,27 +203,18 @@ class ServeStats:
         return doc
 
 
-@dataclass
-class _Pending:
-    """One distinct in-flight computation."""
-
-    key: tuple[str, str]
-    unit: WorkUnit
-    future: asyncio.Future
-
-
 class CampaignFrontEnd:
     """See the module docstring.  Lifecycle::
 
         fe = CampaignFrontEnd(ServeConfig())
-        await fe.start()
         value, served = await fe.submit("sweep_point", {...})
         ...
         await fe.drain()   # graceful: resolves everything accepted
 
     ``runner`` (tests, benchmarks) replaces the default execution with
     any callable ``list[WorkUnit] -> list[value]``; it runs on the
-    executor thread for every kind.
+    executor thread for every kind, called with one unit per distinct
+    miss.
     """
 
     def __init__(
@@ -260,90 +245,46 @@ class CampaignFrontEnd:
             OrderedDict()
             if cfg.cache_dir is not None and cfg.hot_values > 0 else None
         )
-        self._inflight: dict[tuple[str, str], _Pending] = {}
-        self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
-        self._pending_units = 0  # queued + executing distinct units
+        # One future per distinct computation queued or executing.
+        self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self._draining = False
-        self._batcher_task: asyncio.Task | None = None
-        # One executor thread: simulation batches and job batches, with
+        # One executor thread: simulation units and job batches, with
         # their cache writes, run strictly one at a time.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
         self._t0 = time.perf_counter()
-        # Wall throughput of recent batches, for the retry-after hint.
-        self._last_batch_rate: float = 0.0
+        # Compute time of the last unit finished, for the retry hint.
+        self._unit_s = 0.0
 
     # -- lifecycle ---------------------------------------------------------
-    async def start(self) -> None:
-        if self._batcher_task is None:
-            self._batcher_task = asyncio.get_running_loop().create_task(
-                self._batcher()
-            )
-
     async def drain(self, timeout_s: float | None = None) -> bool:
         """Graceful shutdown: admit nothing new, resolve everything
-        accepted (none dropped), then retire the batcher thread.
+        accepted (none dropped), then retire the executor thread.
 
         ``timeout_s`` bounds the wait.  At the deadline every still-
         unresolved query future is failed with :class:`Overloaded`
         (``reason="draining"`` plus a retry hint) and the executor is
-        shut down without waiting — the returned ``False`` tells the
-        caller the drain was cut short.
+        shut down without waiting, cancelling the units it has not
+        started — the returned ``False`` tells the caller the drain was
+        cut short.
         """
         self._draining = True
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
+        pending: set[asyncio.Future] = set()
+        if self._inflight:
+            # Draining admits no new computation: this set only shrinks.
+            _, pending = await asyncio.wait(
+                self._inflight.values(), timeout=timeout_s
+            )
+        if pending:
+            exc = Overloaded(self._retry_after(), reason="draining")
+            for fut in self._inflight.values():
+                fut.set_exception(exc)
+            self._inflight.clear()
+        self._executor.shutdown(
+            wait=not pending, cancel_futures=bool(pending)
         )
-        drained = True
-        while self._inflight:
-            futures = [p.future for p in self._inflight.values()]
-            if deadline is None:
-                await asyncio.gather(*futures, return_exceptions=True)
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining > 0:
-                done, pending = await asyncio.wait(
-                    futures, timeout=remaining
-                )
-            else:
-                pending = [f for f in futures if not f.done()]
-            if pending:
-                self._abort_pending()
-                drained = False
-                break
-        if self._batcher_task is not None:
-            self._batcher_task.cancel()
-            try:
-                await self._batcher_task
-            except asyncio.CancelledError:
-                pass
-            self._batcher_task = None
-        self._executor.shutdown(wait=drained)
-        return drained
-
-    def _abort_pending(self) -> None:
-        """Timed-out drain: fail every unresolved query future with a
-        retryable :class:`Overloaded` so waiters are released *now*.
-        Entries still queued (never dispatched) also release their
-        pending-unit slots; the executing batch's ``finally`` block
-        releases its own when the worker eventually returns."""
-        exc = Overloaded(self._retry_after(), reason="draining")
-        while True:
-            try:
-                entry = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            self._inflight.pop(entry.key, None)
-            self._pending_units -= 1
-            if not entry.future.done():
-                entry.future.set_exception(exc)
-        for entry in list(self._inflight.values()):
-            # Executing right now: release the waiter, keep the
-            # bookkeeping for the batch's own cleanup path.
-            if not entry.future.done():
-                entry.future.set_exception(exc)
-            self._inflight.pop(entry.key, None)
+        return not pending
 
     @property
     def draining(self) -> bool:
@@ -352,7 +293,7 @@ class CampaignFrontEnd:
     @property
     def queue_depth(self) -> int:
         """Distinct computations pending (queued or executing)."""
-        return self._pending_units
+        return len(self._inflight)
 
     def _clock(self) -> float:
         return time.perf_counter() - self._t0
@@ -395,7 +336,7 @@ class CampaignFrontEnd:
                 return value, SERVED_CACHE
         if kind not in INLINE_KINDS or self._runner is not None or self._draining:
             return None
-        # A sweep miss costs less to compute than to hand to a batch:
+        # A sweep miss costs less to compute than to hand to a thread:
         # memory only, the hot LRU keeps what it resolves to.
         self.stats.accepted += 1
         [(_, value)] = execute_batch(
@@ -433,7 +374,7 @@ class CampaignFrontEnd:
             if rec is not None:
                 rec.bump("serve.coalesced")
             try:
-                value = await asyncio.shield(pending.future)
+                value = await asyncio.shield(pending)
             except Exception:
                 self.stats.failed += 1
                 raise
@@ -457,22 +398,25 @@ class CampaignFrontEnd:
             if rec is not None:
                 rec.bump("serve.rejected")
             raise Overloaded(self._retry_after(), reason="draining")
-        if self._pending_units >= self.config.queue_limit:
+        if len(self._inflight) >= self.config.queue_limit:
             self.stats.rejected += 1
             if rec is not None:
                 rec.bump("serve.rejected")
             raise Overloaded(self._retry_after())
 
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
         # Always consume the exception: a waiter that disconnects must
         # not leave an "exception was never retrieved" warning behind.
         fut.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None
         )
-        entry = _Pending(key, WorkUnit(kind, dict(params)), fut)
-        self._inflight[key] = entry
-        self._pending_units += 1
-        self._queue.put_nowait(entry)
+        self._inflight[key] = fut
+        loop.run_in_executor(
+            self._executor, self._compute, WorkUnit(kind, dict(params))
+        ).add_done_callback(functools.partial(self._settle, key, fut))
+        if rec is not None:
+            rec.counter("serve.queue_depth", self._clock(), len(self._inflight))
         self.stats.accepted += 1
         try:
             value = await asyncio.shield(fut)
@@ -502,93 +446,55 @@ class CampaignFrontEnd:
             hot.popitem(last=False)
 
     def _retry_after(self) -> float:
-        """A drain-time estimate for the 429 hint: the current backlog
-        over the recently observed batch throughput, floored at one
-        batch window.  Before any batch has completed it assumes one
-        ``batch_window_s`` per ``max_batch``-sized batch, so the hint
-        still scales with the backlog of a cold server."""
-        floor = max(self.config.batch_window_s, 0.01)
-        if self._last_batch_rate <= 0:
-            batches = math.ceil(
-                max(self._pending_units, 1) / self.config.max_batch
-            )
-            return batches * floor
-        return max(floor, self._pending_units / self._last_batch_rate)
+        """A drain-time estimate for the 429 hint: the backlog of
+        distinct computations times the last unit's compute time
+        (:data:`ASSUMED_UNIT_S` before any unit has finished)."""
+        return max(len(self._inflight), 1) * (self._unit_s or ASSUMED_UNIT_S)
 
-    # -- batching ----------------------------------------------------------
-    async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_s
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            await self._execute(batch)
-
-    async def _execute(self, batch: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        rec = _obs_current()
+    # -- the executor thread -----------------------------------------------
+    def _compute(self, unit: WorkUnit) -> tuple[Any, float, float]:
+        """Executor-thread entry for one query unit: its value, or the
+        exception that failed it, with the clock around the run."""
         t0 = self._clock()
-        if rec is not None:
-            rec.counter("serve.queue_depth", t0, self._pending_units)
         try:
-            values = await loop.run_in_executor(
-                self._executor, self._run_batch,
-                [e.unit for e in batch], self.config.seed, True,
-            )
-        except Exception as exc:
-            values = exc
-        finally:
-            self._pending_units -= len(batch)
-            t1 = self._clock()
-            self.stats.batches += 1
-            self.stats.batched_units += len(batch)
-            if t1 > t0:
-                self._last_batch_rate = len(batch) / (t1 - t0)
-            if rec is not None:
-                rec.span("serve.batch", "serve", t0, t1, batch=len(batch))
-                rec.bump("serve.batches")
-        self._resolve(batch, values)
+            [value] = self._run_batch([unit], self.config.seed, True)
+        except Exception as exc:  # noqa: BLE001 - settled on its waiter
+            value = exc
+        return value, t0, self._clock()
 
-    def _resolve(
-        self, entries: list[_Pending], values: list[Any] | Exception
+    def _settle(
+        self, key: tuple[str, str], fut: asyncio.Future, work: asyncio.Future
     ) -> None:
-        """Settle each entry's future with its own value or failure;
-        ``values`` as an exception fails them all."""
-        if not isinstance(values, Exception) and len(values) != len(entries):
-            values = RuntimeError(
-                f"runner returned {len(values)} values for "
-                f"{len(entries)} units"
-            )
-        for i, entry in enumerate(entries):
-            self._inflight.pop(entry.key, None)
-            if entry.future.done():
-                continue
-            value = values if isinstance(values, Exception) else values[i]
-            if isinstance(value, UnitFailure):
-                value = value.exc or RuntimeError(value.error)
-            if isinstance(value, Exception):
-                entry.future.set_exception(value)
-            else:
-                entry.future.set_result(value)
+        """Loop-thread callback when ``key``'s unit is done: settle its
+        future with the unit's own value or failure."""
+        self._inflight.pop(key, None)
+        if work.cancelled():  # a timed-out drain: never started
+            return
+        value, t0, t1 = work.result()
+        self._unit_s = t1 - t0
+        self.stats.offloaded += 1
+        rec = _obs_current()
+        if rec is not None:
+            rec.span("serve.compute", "serve", t0, t1, kind=key[0])
+            rec.bump("serve.offloaded")
+        if fut.done():  # already failed by a timed-out drain
+            return
+        if isinstance(value, UnitFailure):
+            value = value.exc or RuntimeError(value.error)
+        if isinstance(value, Exception):
+            fut.set_exception(value)
+        else:
+            fut.set_result(value)
 
     def _run_batch(
         self, units: list[WorkUnit], seed: int, write: bool
     ) -> list[Any]:
-        """Executor-thread entry for query and job batches alike: the
-        injected runner, or ``run_units`` in this process.  A query
-        batch (``write``) writes its values through to the cache; a job
+        """Executor-thread entry for query units and job batches alike:
+        the injected runner, or ``run_units`` in this process.  A query
+        unit (``write``) writes its value through to the cache; a job
         batch writes none, as the job manager owns its checkpoints.
         Unit failures come back as :class:`UnitFailure` slots; a runner
-        that raises fails the whole batch (per unit, for a job).
+        that raises fails its query unit, or each unit of a job batch.
         """
         cache = self._batch_cache
         if self._runner is None:
@@ -610,7 +516,7 @@ class CampaignFrontEnd:
         self, units: list[WorkUnit], seed: int | None = None
     ) -> list[Any]:
         """Run a job-tier unit batch on the serve executor thread, one
-        at a time with the query path's simulation batches, sweep
+        at a time with the query path's simulation units, sweep
         points grouped per mode as in the campaign.  Failures come back
         as :class:`~repro.parallel.runner.UnitFailure` slots (an
         injected runner's exception propagates; the job tier fails each

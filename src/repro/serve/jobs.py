@@ -4,7 +4,7 @@ A *job* is a named batch of campaign work units (an explicit unit
 list, or a whole figure campaign decomposed via
 :func:`repro.parallel.units.campaign_units`) owned by a *tenant*.
 Where the query path (:class:`~repro.serve.frontend.CampaignFrontEnd`)
-answers within a micro-batch or not at all, the job tier accepts
+answers one unit per request or not at all, the job tier accepts
 minutes of work and guarantees it survives the process:
 
 * **Durability** — every submit, terminal transition and quarantine is
@@ -194,7 +194,7 @@ class JobManager:
         values only in memory (tests; resume degrades to recompute).
     :param execute: ``async (units, seed) -> values`` — production
         wiring is :meth:`CampaignFrontEnd.execute_units`, so job
-        batches serialise with query micro-batches on one executor
+        batches queue with query simulation units on one executor
         thread.  Failed units come back as
         :class:`~repro.parallel.runner.UnitFailure` slots.  It writes
         nothing to ``cache``: each completed unit's checkpoint is

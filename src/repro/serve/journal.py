@@ -202,7 +202,16 @@ class JobJournal:
         self._dirty = False
 
     def close(self) -> None:
+        """Flush and close the segment; closing again does nothing."""
+        if self._fh.closed:
+            return
         try:
             self.flush()
         finally:
             self._fh.close()
+
+    def __enter__(self) -> JobJournal:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -56,7 +56,7 @@ itself, in the callback that read it, with no task
 (:meth:`CampaignFrontEnd.submit_nowait`).  Job ops, like every other
 non-query op, are answered in request order while the connection reads
 nothing more: they touch only in-memory state plus a journal append,
-never the batch executor.
+never the executor thread.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class ServeServer(WireEndpoint):
 
     async def start(self) -> None:
         self.advertise_host = advertised_host(self.host, self.advertise_host)
-        await self.frontend.start()
         if self.jobs is not None:
             # Replay the journal and resume from the cache BEFORE the
             # socket opens: clients must never observe pre-recovery
@@ -131,7 +130,7 @@ class ServeServer(WireEndpoint):
         """Park incomplete jobs in the journal (they are durable — a
         restart resumes them), then resolve every accepted query.
         ``drain_timeout_s`` bounds each stage instead of letting a slow
-        batch hold shutdown hostage."""
+        unit hold shutdown hostage."""
         if self.jobs is not None:
             await self.jobs.drain(self.drain_timeout_s)
         await self.frontend.drain(self.drain_timeout_s)
@@ -174,10 +173,10 @@ class ServeServer(WireEndpoint):
         """Handle a job-tier op without waiting on anything; returns the
         response doc.
 
-        Job ops never touch the batch executor — they are in-memory state
-        plus (for ``submit``/``cancel``) a flushed journal append — so
-        answering them inline keeps them responsive even while a batch
-        is executing.
+        Job ops never touch the executor thread — they are in-memory
+        state plus (for ``submit``/``cancel``) a flushed journal append —
+        so answering them inline keeps them responsive even while a
+        unit is executing.
         """
         if self.jobs is None:
             return {"id": rid, "ok": False, "error": "bad_request",

@@ -22,7 +22,7 @@ def label_runner(units):
 async def start_backend(cache_dir, name="serve"):
     server = ServeServer(
         CampaignFrontEnd(
-            ServeConfig(cache_dir=cache_dir, batch_window_s=0.005),
+            ServeConfig(cache_dir=cache_dir),
             label_runner,
         ),
         name=name,

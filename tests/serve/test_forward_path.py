@@ -234,7 +234,7 @@ class TestFlowControl:
 
         async def scenario():
             backend = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path / "b0", batch_window_s=0.001),
+                ServeConfig(cache_dir=tmp_path / "b0"),
                 big_runner,
             ))
             await backend.start()
@@ -302,8 +302,7 @@ class TestFlowControl:
 
         async def scenario():
             backend = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path / "b0", batch_window_s=0.001,
-                            queue_limit=4 * n),
+                ServeConfig(cache_dir=tmp_path / "b0", queue_limit=4 * n),
                 gated_runner,
             ))
             await backend.start()
@@ -368,7 +367,7 @@ class TestInlineHotHit:
     def _run(self, tmp_path, inline):
         async def scenario():
             server = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path, batch_window_s=0.001),
+                ServeConfig(cache_dir=tmp_path),
                 label_runner,
             ))
             await server.start()
@@ -479,7 +478,8 @@ class TestSweepMissOnTheReadPath:
     @pytest.mark.parametrize("hot_values", [4096, 0])
     def test_answered_without_task_or_batch(self, tmp_path, wire, hot_values):
         """With the hot LRU on or off, a sweep miss is computed on the
-        read path: no task, no batch, the run-unit oracle's value."""
+        read path: no task, nothing offloaded to the executor thread,
+        the run-unit oracle's value."""
         queries = [("sweep_point", sweep(0.613)),
                    ("sweep_point", sweep(1.01, "multi")),
                    ("sweep_base", {})]
@@ -504,7 +504,7 @@ class TestSweepMissOnTheReadPath:
             for kind, params in queries
         ]
         assert tasked == 0
-        assert (stats.batches, stats.computed, stats.accepted) == (0, 3, 3)
+        assert (stats.offloaded, stats.computed, stats.accepted) == (0, 3, 3)
 
     def test_miss_while_draining_is_overloaded(self, tmp_path, wire):
         async def scenario():

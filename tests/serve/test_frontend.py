@@ -1,15 +1,19 @@
-"""The serving front end: coalescing, caching, batching, admission,
-drain.  Every test injects a fake runner — the execution path under the
-batcher is :func:`run_units`, covered by the campaign tests; here the
-contract under test is the funnel itself."""
+"""The serving front end: coalescing, caching, offloading, admission,
+drain.  Every test injects a fake runner — the execution path behind
+the executor thread is :func:`run_units`, covered by the campaign
+tests; here the contract under test is the funnel itself."""
 
 import asyncio
+import statistics
 import threading
+import time
 
 import pytest
 
 from repro.obs import recorder
+from repro.parallel.units import WorkUnit
 from repro.serve.frontend import (
+    ASSUMED_UNIT_S,
     CampaignFrontEnd,
     Overloaded,
     ServeConfig,
@@ -18,6 +22,7 @@ from repro.serve.frontend import (
 )
 
 POINT_A = {"mode": "single", "platform": "Tegra2", "freq": 1.0}
+FIG6 = {"app": "HPL", "n": 1, "max_nodes": 8}
 
 
 def counting_runner(calls):
@@ -41,7 +46,6 @@ class TestFunnel:
             fe = CampaignFrontEnd(
                 ServeConfig(cache_dir=None), runner=counting_runner(calls)
             )
-            await fe.start()
             results = await asyncio.gather(
                 *(fe.submit("sweep_base", {}) for _ in range(8))
             )
@@ -64,7 +68,6 @@ class TestFunnel:
             fe = CampaignFrontEnd(
                 ServeConfig(cache_dir=tmp_path), runner=counting_runner(calls)
             )
-            await fe.start()
             first = await fe.submit("sweep_point", POINT_A)
             again = await fe.submit("sweep_point", POINT_A)
             await fe.drain()
@@ -77,14 +80,16 @@ class TestFunnel:
         assert stats.cache_hits == 1
 
     def test_distinct_misses_micro_batch(self):
+        """Concurrent distinct misses are not collected into a batch:
+        each is its own one-unit runner call, in arrival order."""
+        freqs = [0.1 * i for i in range(1, 7)]
+
         async def scenario():
             calls = []
             fe = CampaignFrontEnd(
-                ServeConfig(cache_dir=None, batch_window_s=0.05),
+                ServeConfig(cache_dir=None),
                 runner=counting_runner(calls),
             )
-            await fe.start()
-            freqs = [0.1 * i for i in range(1, 7)]
             await asyncio.gather(
                 *(
                     fe.submit("sweep_point", {**POINT_A, "freq": f})
@@ -95,18 +100,22 @@ class TestFunnel:
             return calls, fe.stats
 
         calls, stats = run_async(scenario())
-        assert len(calls) == 1  # one window collected all six misses
-        assert len(calls[0]) == 6
-        assert stats.batches == 1 and stats.mean_batch_size == 6
+        assert calls == [
+            [WorkUnit("sweep_point", {**POINT_A, "freq": f}).label()]
+            for f in freqs
+        ]
+        assert stats.offloaded == 6 and stats.computed == 6
 
     def test_max_batch_splits_oversized_windows(self):
+        """However many distinct misses arrive at once, none shares a
+        runner call: ten misses, ten one-unit calls."""
+
         async def scenario():
             calls = []
             fe = CampaignFrontEnd(
-                ServeConfig(cache_dir=None, batch_window_s=0.05, max_batch=4),
+                ServeConfig(cache_dir=None),
                 runner=counting_runner(calls),
             )
-            await fe.start()
             await asyncio.gather(
                 *(
                     fe.submit("sweep_point", {**POINT_A, "freq": 0.1 * i})
@@ -114,18 +123,42 @@ class TestFunnel:
                 )
             )
             await fe.drain()
-            return calls
+            return calls, fe.stats
 
-        calls = run_async(scenario())
-        assert sum(len(c) for c in calls) == 10
-        assert max(len(c) for c in calls) <= 4
+        calls, stats = run_async(scenario())
+        assert [len(c) for c in calls] == [1] * 10
+        assert stats.offloaded == 10
+
+    def test_lone_miss_is_not_held_back(self):
+        """A simulation miss that arrives alone goes straight to the
+        executor thread: with an instant runner, 20 lone ``fig6_point``
+        misses answer in a median well under the 10 ms collection
+        window a micro-batcher would make each of them wait out."""
+
+        async def scenario():
+            fe = CampaignFrontEnd(
+                ServeConfig(cache_dir=None),
+                runner=lambda units: [u.label() for u in units],
+            )
+            took = []
+            for n in range(1, 21):
+                t0 = time.perf_counter()
+                await asyncio.wait_for(
+                    fe.submit("fig6_point", {**FIG6, "n": n}), 5.0
+                )
+                took.append(time.perf_counter() - t0)
+            await fe.drain()
+            return took, fe.stats
+
+        took, stats = run_async(scenario())
+        assert stats.offloaded == 20
+        assert statistics.median(took) < 0.005
 
     def test_unknown_kind_rejected(self):
         async def scenario():
             fe = CampaignFrontEnd(
                 ServeConfig(cache_dir=None), runner=lambda units: []
             )
-            await fe.start()
             try:
                 with pytest.raises(ValueError, match="work-unit kind"):
                     await fe.submit("nonsense", {})
@@ -142,7 +175,6 @@ class TestFunnel:
             fe = CampaignFrontEnd(
                 ServeConfig(cache_dir=None), runner=broken
             )
-            await fe.start()
             results = await asyncio.gather(
                 *(fe.submit("sweep_base", {}) for _ in range(3)),
                 return_exceptions=True,
@@ -170,12 +202,10 @@ class TestAdmissionControl:
 
             fe = CampaignFrontEnd(
                 ServeConfig(
-                    cache_dir=None, queue_limit=2, batch_window_s=0.0,
-                    max_batch=1,
+                    cache_dir=None, queue_limit=2,
                 ),
                 runner=blocking,
             )
-            await fe.start()
             first = asyncio.ensure_future(fe.submit("sweep_base", {}))
             second = asyncio.ensure_future(
                 fe.submit("sweep_point", POINT_A)
@@ -206,7 +236,6 @@ class TestAdmissionControl:
                 ServeConfig(cache_dir=None, queue_limit=1),
                 runner=blocking,
             )
-            await fe.start()
             first = asyncio.ensure_future(fe.submit("sweep_base", {}))
             await asyncio.sleep(0.05)
             # The queue is full, but an identical request costs no
@@ -234,10 +263,9 @@ class TestGracefulDrain:
                 return [u.label() for u in units]
 
             fe = CampaignFrontEnd(
-                ServeConfig(cache_dir=None, batch_window_s=0.0),
+                ServeConfig(cache_dir=None),
                 runner=blocking,
             )
-            await fe.start()
             inflight = [
                 asyncio.ensure_future(
                     fe.submit("sweep_point", {**POINT_A, "freq": 0.1 * i})
@@ -263,7 +291,6 @@ class TestGracefulDrain:
                 ServeConfig(cache_dir=None),
                 runner=lambda units: [u.label() for u in units],
             )
-            await fe.start()
             await fe.submit("sweep_base", {})
             await fe.drain()
             with pytest.raises(Overloaded) as excinfo:
@@ -279,7 +306,6 @@ class TestGracefulDrain:
                 ServeConfig(cache_dir=tmp_path),
                 runner=lambda units: [u.label() for u in units],
             )
-            await fe.start()
             await fe.submit("sweep_base", {})
             await fe.drain()
             # Costs no worker time, so the drained front end can still
@@ -292,18 +318,20 @@ class TestGracefulDrain:
 
 class TestBoundedDrain:
     def test_drain_timeout_fails_stragglers_with_retryable_error(self):
+        ran = []
+
         async def scenario():
             release = threading.Event()
 
             def blocking(units):
+                ran.extend(u.label() for u in units)
                 release.wait(timeout=10)
                 return [u.label() for u in units]
 
             fe = CampaignFrontEnd(
-                ServeConfig(cache_dir=None, batch_window_s=0.0),
+                ServeConfig(cache_dir=None),
                 runner=blocking,
             )
-            await fe.start()
             inflight = [
                 asyncio.ensure_future(
                     fe.submit("sweep_point", {**POINT_A, "freq": 0.1 * i})
@@ -316,11 +344,15 @@ class TestBoundedDrain:
             elapsed = asyncio.get_running_loop().time() - t0
             results = await asyncio.gather(*inflight, return_exceptions=True)
             release.set()
+            fe._executor.shutdown(wait=True)  # the running unit returns
             return drained, elapsed, results
 
         drained, elapsed, results = run_async(scenario())
         assert drained is False
         assert elapsed < 5.0  # bounded, not held hostage by the batch
+        # The unit that was running finished; the two queued behind it
+        # were cancelled at the deadline and never started.
+        assert len(ran) == 1
         # Every unresolved waiter is released NOW with a retryable error.
         assert all(isinstance(r, Overloaded) for r in results)
         assert all(r.reason == "draining" for r in results)
@@ -332,7 +364,6 @@ class TestBoundedDrain:
                 ServeConfig(cache_dir=None),
                 runner=lambda units: [u.label() for u in units],
             )
-            await fe.start()
             await fe.submit("sweep_base", {})
             return await fe.drain(timeout_s=5.0)
 
@@ -341,9 +372,9 @@ class TestBoundedDrain:
 
 class TestRetryAfterHint:
     def test_hint_is_finite_and_positive_before_any_batch(self):
-        """Regression: before the first batch completes the observed
-        throughput is zero, and the hint degenerated instead of falling
-        back to the batch window."""
+        """Regression: before the first unit completes there is no
+        observed compute time, and the hint degenerated instead of
+        falling back to an assumed one."""
 
         async def scenario():
             release = threading.Event()
@@ -353,13 +384,9 @@ class TestRetryAfterHint:
                 return [u.label() for u in units]
 
             fe = CampaignFrontEnd(
-                ServeConfig(
-                    cache_dir=None, batch_window_s=0.02, queue_limit=1,
-                    max_batch=4,
-                ),
+                ServeConfig(cache_dir=None, queue_limit=1),
                 runner=blocking,
             )
-            await fe.start()
             first = asyncio.ensure_future(fe.submit("sweep_base", {}))
             await asyncio.sleep(0.005)
             with pytest.raises(Overloaded) as excinfo:
@@ -370,31 +397,52 @@ class TestRetryAfterHint:
             return excinfo.value
 
         exc = run_async(scenario())
-        assert exc.retry_after_s > 0
-        assert exc.retry_after_s != float("inf")
-        # One pending batch at zero observed throughput: the hint is the
-        # batch window per not-yet-started batch, never zero.
-        assert exc.retry_after_s >= 0.02
+        # One pending unit, none finished: the assumed per-unit time.
+        assert exc.retry_after_s == pytest.approx(ASSUMED_UNIT_S)
 
     def test_hint_scales_with_backlog_before_any_batch(self):
-        fe = CampaignFrontEnd(
-            ServeConfig(cache_dir=None, batch_window_s=0.02, max_batch=2),
-            runner=lambda units: [u.label() for u in units],
-        )
-        fe._pending_units = 10  # 5 batches of 2 still to run
-        assert fe._retry_after() == pytest.approx(5 * 0.02)
-        fe._pending_units = 1
-        assert fe._retry_after() == pytest.approx(0.02)
+        """The hint is the backlog times the per-unit compute time: the
+        assumed one until a unit has finished, then the observed one."""
+
+        async def scenario():
+            release = threading.Event()
+
+            def blocking(units):
+                release.wait(timeout=10)
+                return [u.label() for u in units]
+
+            fe = CampaignFrontEnd(
+                ServeConfig(cache_dir=None, queue_limit=3),
+                runner=blocking,
+            )
+            pending = [
+                asyncio.ensure_future(
+                    fe.submit("sweep_point", {**POINT_A, "freq": 0.1 * i})
+                )
+                for i in range(1, 4)
+            ]
+            await asyncio.sleep(0.005)
+            with pytest.raises(Overloaded) as excinfo:
+                await fe.submit("sweep_base", {})
+            release.set()
+            await asyncio.gather(*pending)
+            observed = fe._unit_s, fe._retry_after()
+            await fe.drain()
+            return excinfo.value, observed
+
+        exc, (unit_s, idle_hint) = run_async(scenario())
+        assert exc.retry_after_s == pytest.approx(3 * ASSUMED_UNIT_S)
+        assert unit_s > 0
+        assert idle_hint == pytest.approx(unit_s)
 
 
 class TestObsIntegration:
     def test_serve_totals_and_batch_spans_recorded(self):
         async def scenario():
             fe = CampaignFrontEnd(
-                ServeConfig(cache_dir=None, batch_window_s=0.02),
+                ServeConfig(cache_dir=None),
                 runner=lambda units: [u.label() for u in units],
             )
-            await fe.start()
             await asyncio.gather(
                 *(fe.submit("sweep_base", {}) for _ in range(3))
             )
@@ -404,10 +452,10 @@ class TestObsIntegration:
             run_async(scenario())
         assert rec.totals["serve.computed"] == 1
         assert rec.totals["serve.coalesced"] == 2
-        assert rec.totals["serve.batches"] == 1
+        assert rec.totals["serve.offloaded"] == 1
         spans = rec.spans_by_cat("serve")
-        assert [s.name for s in spans] == ["serve.batch"]
-        assert dict(spans[0].args)["batch"] == 1
+        assert [s.name for s in spans] == ["serve.compute"]
+        assert dict(spans[0].args)["kind"] == "sweep_base"
         assert any(c.name == "serve.queue_depth" for c in rec.counters)
 
 
@@ -416,9 +464,8 @@ class TestConfigAndHelpers:
         "kwargs",
         [
             {"hot_values": -1},
-            {"max_batch": 0},
+            {"queue_limit": -1},
             {"queue_limit": 0},
-            {"batch_window_s": -0.1},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -441,7 +488,7 @@ class TestConfigAndHelpers:
 
     def test_stats_snapshot_shape(self):
         stats = ServeStats()
-        assert stats.hit_ratio == 0.0 and stats.mean_batch_size == 0.0
+        assert stats.hit_ratio == 0.0 and stats.offloaded == 0
         stats.accepted = 4
         stats.cache_hits = 1
         stats.coalesced = 1

@@ -37,12 +37,11 @@ def frontend(**kwargs):
 class TestFailureIsolation:
     def test_one_bad_query_fails_only_itself(self):
         """Regression: a bad query in a micro-batch used to fail every
-        query in it, valid ones included.  Sweep misses no longer share
-        a batch at all: each is computed alone on submit."""
+        query in it, valid ones included.  Sweep misses share nothing:
+        each is computed alone on submit."""
 
         async def scenario():
-            fe = frontend(batch_window_s=0.2)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
@@ -59,19 +58,18 @@ class TestFailureIsolation:
         assert "frequency must be positive" in str(negative)
         assert isinstance(unknown, ValueError)
         assert "unknown platform 'NoSuch'" in str(unknown)
-        assert stats.batches == 0  # none went through the batcher
+        assert stats.offloaded == 0  # none ran on the executor thread
         assert (stats.computed, stats.failed) == (1, 2)
 
     @pytest.mark.parametrize("n_good", [1, 2])
     def test_bad_simulation_fails_only_itself(self, n_good):
-        """Beside one or two good simulations in the same batch, the bad
+        """Beside one or two good simulations submitted with it, the bad
         unit's own exception type reaches its waiter (it decides
         bad_request)."""
         goods = [{**FIG6, "n": n} for n in range(1, n_good + 1)]
 
         async def scenario():
-            fe = frontend(batch_window_s=0.2)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     *(fe.submit("fig6_point", p) for p in goods),
@@ -86,7 +84,7 @@ class TestFailureIsolation:
             execute_unit("fig6_point", p) for p in goods
         ]
         assert isinstance(bad, ValueError)
-        assert stats.batches == 1
+        assert stats.offloaded == n_good + 1
 
 
 #: Malformed ``sweep_point`` params: each is the client's error and
@@ -108,8 +106,8 @@ MALFORMED_SWEEPS = [
 
 class TestMalformedSweepParams:
     def test_submit_raises_value_error(self):
-        """Beside a good query in the same micro-batch, each malformed
-        one fails alone with ValueError (non-finite frequencies too)."""
+        """Beside a good query submitted with them, each malformed one
+        fails alone with ValueError (non-finite frequencies too)."""
         bad = MALFORMED_SWEEPS + [
             {**GOOD, "freq": float("inf")},
             {**GOOD, "freq": float("nan")},
@@ -117,8 +115,7 @@ class TestMalformedSweepParams:
         ]
 
         async def scenario():
-            fe = frontend(batch_window_s=0.2)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
@@ -146,7 +143,7 @@ def assert_answers_bad_request(wire, kind, good, malformed):
     from repro.serve.wire import WireConnection
 
     async def scenario():
-        server = ServeServer(frontend(batch_window_s=0.005))
+        server = ServeServer(frontend())
         await server.start()
         run_task = asyncio.ensure_future(server.serve_until_shutdown())
         reader, writer = await asyncio.open_connection(
@@ -197,8 +194,7 @@ MALFORMED_FIG6 = [
 class TestMalformedFig6Params:
     def test_submit_raises_value_error(self):
         async def scenario():
-            fe = frontend(batch_window_s=0.2)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     fe.submit("fig6_point", FIG6),
@@ -243,8 +239,7 @@ MALFORMED_HEADLINES = [{}, {"n_nodes": "96"}, {"n_nodes": True}]
 class TestMalformedHeadlineParams:
     def test_submit_raises_value_error(self):
         async def scenario():
-            fe = frontend(batch_window_s=0.2)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     *(fe.submit("headline", p) for p in MALFORMED_HEADLINES),
@@ -274,7 +269,6 @@ class TestExecutionSplit:
 
         async def scenario():
             fe = CampaignFrontEnd(ServeConfig(cache_dir=tmp_path))
-            await fe.start()
             try:
                 queries = await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
@@ -313,8 +307,7 @@ class TestExecutionSplit:
         monkeypatch.setattr(units_mod, "execute_unit", spy_unit)
 
         async def scenario():
-            fe = frontend(batch_window_s=0.1)
-            await fe.start()
+            fe = frontend()
             try:
                 await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
@@ -345,7 +338,6 @@ class TestExecutionSplit:
 
         async def scenario():
             fe = frontend(cache_dir=tmp_path)
-            await fe.start()
             try:
                 await fe.submit("sweep_point", GOOD)  # now a hot key
                 sim = asyncio.ensure_future(fe.submit("fig6_point", FIG6))
@@ -369,8 +361,9 @@ class TestExecutionSplit:
         assert sim_served == "computed"
 
     def test_simulation_batches_run_in_process(self, monkeypatch):
-        """The two simulations of a batch go to ``run_units`` as one
-        call on the executor thread, which computes them in process."""
+        """Each simulation miss goes to ``run_units`` as its own
+        one-unit call on the executor thread, which computes it in
+        process."""
         seen = []
         run_units = runner_mod.run_units
 
@@ -383,8 +376,7 @@ class TestExecutionSplit:
         sims = [{**FIG6, "n": n} for n in (1, 2)]
 
         async def scenario():
-            fe = frontend(batch_window_s=0.2)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     fe.submit("sweep_point", GOOD),
@@ -394,10 +386,11 @@ class TestExecutionSplit:
                 await fe.drain()
 
         values = run_async(scenario())
-        [(kinds, kwargs, thread)] = seen
-        assert kinds == ["fig6_point", "fig6_point"]
-        assert kwargs == ["cache", "safe", "seed", "write"]
-        assert thread.startswith("repro-serve-batch")
+        assert len(seen) == 2
+        for kinds, kwargs, thread in seen:
+            assert kinds == ["fig6_point"]
+            assert kwargs == ["cache", "safe", "seed", "write"]
+            assert thread.startswith("repro-serve-batch")
         assert [v for v, _ in values] == [
             execute_unit("sweep_point", GOOD),
             *(execute_unit("fig6_point", p) for p in sims),
@@ -421,7 +414,6 @@ class TestExecutionSplit:
 
         async def scenario():
             fe = frontend()
-            await fe.start()
             try:
                 return await fe.execute_units(units)
             finally:
@@ -450,8 +442,7 @@ class TestExecutionSplit:
         points = [{**GOOD, "freq": f} for f in (0.5, 0.6, 0.7)]
 
         async def scenario():
-            fe = frontend(batch_window_s=0.1)
-            await fe.start()
+            fe = frontend()
             try:
                 return await asyncio.gather(
                     *(fe.submit("sweep_point", p) for p in points)
@@ -494,7 +485,6 @@ def test_inline_values_match_the_oracle(tmp_path, monkeypatch, cache):
 
     async def scenario():
         fe = frontend(cache_dir=tmp_path if cache else None)
-        await fe.start()
         try:
             return await asyncio.gather(
                 *(fe.submit(kind, p) for kind, p in INLINE_QUERIES)
@@ -515,7 +505,6 @@ class TestCacheTiers:
 
         async def scenario():
             fe = frontend(cache_dir=tmp_path)
-            await fe.start()
             try:
                 first = [await fe.submit(k, p) for k, p in INLINE_QUERIES]
                 again = [await fe.submit(k, p) for k, p in INLINE_QUERIES]
@@ -535,7 +524,6 @@ class TestCacheTiers:
 
         async def serve_once():
             fe = frontend(cache_dir=tmp_path)
-            await fe.start()
             try:
                 return await fe.submit("fig6_point", FIG6), fe.stats
             finally:
@@ -594,7 +582,6 @@ def run_job(tmp_path, units):
             ResultCache(tmp_path / "cache"),
             fe.execute_units,
         )
-        await fe.start()
         await manager.start()
         try:
             job = manager.submit(

@@ -5,6 +5,7 @@ executor — real unit execution rides the frontend/runner path covered
 elsewhere; the contract under test here is the queue."""
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -41,14 +42,25 @@ def echo_executor(calls=None):
     return execute
 
 
-def make_manager(tmp_path, execute, cache=True, **cfg):
-    cfg.setdefault("retry_backoff_s", 0.001)
-    return JobManager(
-        JobJournal(tmp_path / "journal", fsync=False),
-        ResultCache(tmp_path / "cache") if cache else None,
-        execute,
-        JobsConfig(**cfg),
-    )
+@pytest.fixture
+def make_manager():
+    """Build a manager on a journal under a test's ``tmp_path``, as
+    often as the test needs; every journal opened is closed at
+    teardown, whether or not the test closed its manager."""
+
+    def make(tmp_path, execute, cache=True, **cfg):
+        cfg.setdefault("retry_backoff_s", 0.001)
+        return JobManager(
+            journals.enter_context(
+                JobJournal(tmp_path / "journal", fsync=False)
+            ),
+            ResultCache(tmp_path / "cache") if cache else None,
+            execute,
+            JobsConfig(**cfg),
+        )
+
+    with contextlib.ExitStack() as journals:
+        yield make
 
 
 async def wait_terminal(mgr, *jobs, timeout_s=5.0):
@@ -63,29 +75,29 @@ async def wait_terminal(mgr, *jobs, timeout_s=5.0):
 
 
 class TestSubmitValidation:
-    def test_empty_units_rejected(self, tmp_path):
+    def test_empty_units_rejected(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         with pytest.raises(ValueError, match="at least one unit"):
             mgr.submit("t", [])
 
-    def test_unknown_kind_rejected(self, tmp_path):
+    def test_unknown_kind_rejected(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         with pytest.raises(ValueError, match="unknown work-unit kind"):
             mgr.submit("t", [{"kind": "nonsense", "params": {}}])
 
-    def test_bad_tenant_rejected(self, tmp_path):
+    def test_bad_tenant_rejected(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         with pytest.raises(ValueError, match="tenant"):
             mgr.submit("", specs(1))
 
-    def test_duplicate_job_id_rejected(self, tmp_path):
+    def test_duplicate_job_id_rejected(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         mgr.submit("t", specs(1), job_id="fixed")
         with pytest.raises(ValueError, match="duplicate job id"):
             mgr.submit("t", specs(1, tag="other"), job_id="fixed")
 
     @pytest.mark.parametrize("seed", ["abc", 1.5, True])
-    def test_non_integer_seed_rejected(self, tmp_path, seed):
+    def test_non_integer_seed_rejected(self, tmp_path, seed, make_manager):
         """Regression: a string seed was journaled and then bricked the
         next ``recover()``; a float resumed as a different job."""
         mgr = make_manager(tmp_path, echo_executor())
@@ -93,9 +105,12 @@ class TestSubmitValidation:
             mgr.submit("t", specs(1), seed=seed)
         assert mgr.jobs == {}
         mgr.close()
-        assert JobJournal(tmp_path / "journal", fsync=False).replay() == []
+        with JobJournal(tmp_path / "journal", fsync=False) as journal:
+            assert journal.replay() == []
 
-    def test_campaign_decomposition_is_submittable(self, tmp_path):
+    def test_campaign_decomposition_is_submittable(
+        self, tmp_path, make_manager
+    ):
         units = campaign_job_units(quick=True)
         assert len(units) > 10
         mgr = make_manager(tmp_path, echo_executor())
@@ -104,7 +119,7 @@ class TestSubmitValidation:
 
 
 class TestExecution:
-    def test_job_runs_to_done_with_values(self, tmp_path):
+    def test_job_runs_to_done_with_values(self, tmp_path, make_manager):
         async def scenario():
             mgr = make_manager(tmp_path, echo_executor(), batch_units=4)
             await mgr.start()
@@ -121,14 +136,14 @@ class TestExecution:
 
         run_async(scenario())
 
-    def test_result_before_terminal_raises(self, tmp_path):
+    def test_result_before_terminal_raises(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         job = mgr.submit("t", specs(1))
         with pytest.raises(JobNotReady) as exc:
             mgr.result(job.job_id)
         assert exc.value.state == "queued"
 
-    def test_batches_never_mix_jobs_or_seeds(self, tmp_path):
+    def test_batches_never_mix_jobs_or_seeds(self, tmp_path, make_manager):
         async def scenario():
             calls = []
             mgr = make_manager(tmp_path, echo_executor(calls), batch_units=8)
@@ -145,7 +160,7 @@ class TestExecution:
 
         run_async(scenario())
 
-    def test_values_land_in_cache(self, tmp_path):
+    def test_values_land_in_cache(self, tmp_path, make_manager):
         async def scenario():
             mgr = make_manager(tmp_path, echo_executor())
             await mgr.start()
@@ -161,7 +176,7 @@ class TestExecution:
 
 
 class TestFairScheduling:
-    def test_tenants_interleave_round_robin(self, tmp_path):
+    def test_tenants_interleave_round_robin(self, tmp_path, make_manager):
         """Two tenants with queued backlogs must alternate batches —
         neither waits for the other's whole job to finish first."""
 
@@ -187,7 +202,7 @@ class TestFairScheduling:
 
         run_async(scenario())
 
-    def test_within_tenant_oldest_job_first(self, tmp_path):
+    def test_within_tenant_oldest_job_first(self, tmp_path, make_manager):
         async def scenario():
             calls = []
             mgr = make_manager(tmp_path, echo_executor(calls), batch_units=4)
@@ -202,7 +217,9 @@ class TestFairScheduling:
 
         run_async(scenario())
 
-    def test_quota_rejects_with_hint_and_spares_other_tenant(self, tmp_path):
+    def test_quota_rejects_with_hint_and_spares_other_tenant(
+        self, tmp_path, make_manager
+    ):
         mgr = make_manager(
             tmp_path, echo_executor(), tenant_quota_units=5
         )
@@ -215,7 +232,7 @@ class TestFairScheduling:
         job = mgr.submit("modest", specs(5, tag="m"))
         assert job.state == "queued"
 
-    def test_quota_frees_as_units_complete(self, tmp_path):
+    def test_quota_frees_as_units_complete(self, tmp_path, make_manager):
         async def scenario():
             mgr = make_manager(
                 tmp_path, echo_executor(), tenant_quota_units=4
@@ -232,7 +249,9 @@ class TestFairScheduling:
 
 
 class TestRetryAndQuarantine:
-    def test_transient_failure_retries_to_success(self, tmp_path):
+    def test_transient_failure_retries_to_success(
+        self, tmp_path, make_manager
+    ):
         attempts = {}
 
         async def flaky(units, seed):
@@ -259,7 +278,7 @@ class TestRetryAndQuarantine:
         run_async(scenario())
 
     def test_poison_unit_quarantined_job_fails_with_partial_results(
-        self, tmp_path
+        self, tmp_path, make_manager
     ):
         async def poison_one(units, seed):
             return [
@@ -292,7 +311,9 @@ class TestRetryAndQuarantine:
 
         run_async(scenario())
 
-    def test_whole_batch_executor_crash_is_contained(self, tmp_path):
+    def test_whole_batch_executor_crash_is_contained(
+        self, tmp_path, make_manager
+    ):
         async def explode(units, seed):
             raise RuntimeError("executor died")
 
@@ -310,7 +331,7 @@ class TestRetryAndQuarantine:
 
 
 class TestCancel:
-    def test_cancel_queued_job(self, tmp_path):
+    def test_cancel_queued_job(self, tmp_path, make_manager):
         async def scenario():
             mgr = make_manager(tmp_path, echo_executor())
             job = mgr.submit("t", specs(4))
@@ -325,7 +346,7 @@ class TestCancel:
 
         run_async(scenario())
 
-    def test_cancel_survives_restart(self, tmp_path):
+    def test_cancel_survives_restart(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         job = mgr.submit("t", specs(2))
         mgr.cancel(job.job_id)
@@ -338,7 +359,9 @@ class TestCancel:
 
 
 class TestDrain:
-    def test_drain_parks_incomplete_jobs_recoverably(self, tmp_path):
+    def test_drain_parks_incomplete_jobs_recoverably(
+        self, tmp_path, make_manager
+    ):
         gate = asyncio.Event()
 
         async def slow(units, seed):
@@ -366,7 +389,9 @@ class TestDrain:
 
         run_async(scenario())
 
-    def test_drain_waits_for_inflight_batch_when_it_finishes(self, tmp_path):
+    def test_drain_waits_for_inflight_batch_when_it_finishes(
+        self, tmp_path, make_manager
+    ):
         async def scenario():
             mgr = make_manager(tmp_path, echo_executor())
             await mgr.start()
@@ -379,7 +404,7 @@ class TestDrain:
 
 
 class TestRecovery:
-    def test_completed_units_resume_from_cache(self, tmp_path):
+    def test_completed_units_resume_from_cache(self, tmp_path, make_manager):
         async def scenario():
             mgr = make_manager(tmp_path, echo_executor())
             await mgr.start()
@@ -412,7 +437,9 @@ class TestRecovery:
 
         run_async(scenario())
 
-    def test_partially_cached_job_recomputes_only_the_rest(self, tmp_path):
+    def test_partially_cached_job_recomputes_only_the_rest(
+        self, tmp_path, make_manager
+    ):
         async def scenario():
             calls = []
             mgr = make_manager(tmp_path, echo_executor(calls), batch_units=8)
@@ -444,7 +471,9 @@ class TestRecovery:
 
         run_async(scenario())
 
-    def test_terminal_jobs_survive_restart_with_results(self, tmp_path):
+    def test_terminal_jobs_survive_restart_with_results(
+        self, tmp_path, make_manager
+    ):
         async def scenario():
             mgr = make_manager(tmp_path, echo_executor())
             await mgr.start()
@@ -462,7 +491,7 @@ class TestRecovery:
         run_async(scenario())
 
     def test_replay_skips_submit_records_with_non_integer_seeds(
-        self, tmp_path
+        self, tmp_path, make_manager
     ):
         """A journal written before seeds were validated may hold a
         string or float seed: recovery skips that job (and its unit
@@ -486,7 +515,9 @@ class TestRecovery:
         assert info["jobs"] == 1
         mgr2.close()
 
-    def test_rotation_compacts_and_preserves_state(self, tmp_path):
+    def test_rotation_compacts_and_preserves_state(
+        self, tmp_path, make_manager
+    ):
         async def scenario():
             mgr = make_manager(
                 tmp_path, echo_executor(), rotate_bytes=1, keep_terminal=2
@@ -523,14 +554,14 @@ class TestRecovery:
 
 
 class TestCheckpointPolicyBatching:
-    def test_flush_batch_is_clamped(self, tmp_path):
+    def test_flush_batch_is_clamped(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         mgr._unit_cost_s = 1e9  # absurdly expensive units
         assert mgr._flush_every_units() == 1
         mgr._unit_cost_s = 1e-9  # absurdly cheap units
         assert mgr._flush_every_units() == 256
 
-    def test_expensive_fsync_raises_batching(self, tmp_path):
+    def test_expensive_fsync_raises_batching(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
         mgr._unit_cost_s = 0.05
         mgr._fsync_cost_s = 1e-4

@@ -19,7 +19,6 @@ def label_runner(units):
 async def start_server(tmp_path, runner=label_runner, jobs_cfg=None,
                        **config_kw):
     config_kw.setdefault("cache_dir", tmp_path / "cache")
-    config_kw.setdefault("batch_window_s", 0.005)
     config = ServeConfig(**config_kw)
     frontend = CampaignFrontEnd(config, runner)
     manager = JobManager(
@@ -275,8 +274,7 @@ class TestJobOps:
 
     def test_jobs_disabled_is_a_clean_error(self, tmp_path):
         async def scenario():
-            config = ServeConfig(cache_dir=tmp_path / "cache",
-                                 batch_window_s=0.005)
+            config = ServeConfig(cache_dir=tmp_path / "cache")
             server = ServeServer(CampaignFrontEnd(config, label_runner))
             await server.start()
             run_task = asyncio.ensure_future(server.serve_until_shutdown())

@@ -23,7 +23,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 # A dozen real operating points: cheap enough for CI, numerous enough
-# (with --max-batch 1) that a poller reliably catches the job mid-run.
+# (with --job-batch 1) that a poller reliably catches the job mid-run.
 UNITS = [
     {"kind": "sweep_point",
      "params": {"mode": mode, "platform": "Tegra2", "freq": round(f, 1)}}
@@ -38,8 +38,7 @@ def boot_serve(tmp_path, extra=()):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--jobs", "1", "--max-batch", "1",
-            "--job-batch", "1",
+            "--port", "0", "--jobs", "1", "--job-batch", "1",
             "--cache-dir", str(tmp_path / "cache"),
             "--journal-dir", str(tmp_path / "journal"),
             *extra,

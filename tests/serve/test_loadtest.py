@@ -24,7 +24,7 @@ def label_runner(units):
 async def start_server(tmp_path):
     server = ServeServer(
         CampaignFrontEnd(
-            ServeConfig(cache_dir=tmp_path, batch_window_s=0.005),
+            ServeConfig(cache_dir=tmp_path),
             label_runner,
         )
     )

@@ -66,7 +66,6 @@ async def boot_endpoint(
     binary_wire=True, backend_binary=True, backend_wire="json",
     **config_kw
 ) -> Endpoint:
-    config_kw.setdefault("batch_window_s", 0.005)
     servers, tasks = [], []
     n = 2 if kind == "router" else 1
     for i in range(n):
@@ -276,8 +275,7 @@ class TestWireContract:
                 return [u.label() for u in units]
 
             ep = await boot_endpoint(
-                kind, tmp_path, runner=slow_runner,
-                queue_limit=1, batch_window_s=0.0, max_batch=1,
+                kind, tmp_path, runner=slow_runner, queue_limit=1,
             )
             loop_holder["loop"] = asyncio.get_running_loop()
             reader, writer = await connect(ep.port)
@@ -640,8 +638,7 @@ class TestJobHomeDown:
     def test_job_ops_to_down_home_are_structured(self, tmp_path):
         async def scenario():
             live = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path / "b1",
-                            batch_window_s=0.005),
+                ServeConfig(cache_dir=tmp_path / "b1"),
                 label_runner,
             ))
             await live.start()
@@ -925,7 +922,7 @@ class TestAdvertiseHost:
     def test_server_on_wildcard_advertises_connectable_host(self, tmp_path):
         async def scenario():
             server = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path, batch_window_s=0.005),
+                ServeConfig(cache_dir=tmp_path),
                 label_runner,
             ), host="0.0.0.0")
             await server.start()
@@ -949,7 +946,7 @@ class TestAdvertiseHost:
     def test_server_advertise_override_wins(self, tmp_path):
         async def scenario():
             server = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path, batch_window_s=0.005),
+                ServeConfig(cache_dir=tmp_path),
                 label_runner,
             ), host="0.0.0.0", advertise_host="198.51.100.7")
             await server.start()

@@ -29,7 +29,6 @@ def label_runner(units):
 
 async def start_backend(cache_dir, runner=label_runner, **config_kw):
     config_kw.setdefault("cache_dir", cache_dir)
-    config_kw.setdefault("batch_window_s", 0.005)
     server = ServeServer(CampaignFrontEnd(ServeConfig(**config_kw), runner))
     await server.start()
     run_task = asyncio.ensure_future(server.serve_until_shutdown())

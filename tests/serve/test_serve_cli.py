@@ -52,11 +52,7 @@ class TestSharedJobsValidation:
 class TestServeArgs:
     @pytest.mark.parametrize(
         "flag,value",
-        [
-            ("--max-batch", "0"),
-            ("--queue-limit", "0"),
-            ("--batch-window", "-0.5"),
-        ],
+        [("--queue-limit", "0")],
     )
     def test_bad_config_is_a_parse_error(self, flag, value, capsys):
         from repro.serve.cli import serve_main
@@ -160,7 +156,7 @@ class TestServeLoadtestEndToEnd:
         async def scenario():
             server = ServeServer(
                 CampaignFrontEnd(
-                    ServeConfig(cache_dir=None, batch_window_s=0.0),
+                    ServeConfig(cache_dir=None),
                     runner=lambda units: [u.label() for u in units],
                 )
             )

@@ -18,7 +18,6 @@ def label_runner(units):
 
 async def start_server(tmp_path=None, runner=label_runner, **config_kw):
     config_kw.setdefault("cache_dir", tmp_path)
-    config_kw.setdefault("batch_window_s", 0.005)
     server = ServeServer(CampaignFrontEnd(ServeConfig(**config_kw), runner))
     await server.start()
     run_task = asyncio.ensure_future(server.serve_until_shutdown())
@@ -121,7 +120,6 @@ class TestProtocol:
 
             server, run_task = await start_server(
                 tmp_path, runner=blocking, queue_limit=1,
-                batch_window_s=0.0, max_batch=1,
             )
             reader, writer = await connect(server)
             send(writer, {"op": "query", "id": 1, "kind": "sweep_base",
@@ -163,7 +161,7 @@ class TestGracefulShutdown:
                 return [u.label() for u in units]
 
             server, run_task = await start_server(
-                tmp_path, runner=blocking, batch_window_s=0.0
+                tmp_path, runner=blocking
             )
             reader, writer = await connect(server)
             for i, freq in enumerate((0.5, 0.8, 1.0)):
