@@ -24,11 +24,6 @@ iteration numbers (23.93 J Tegra 2, 19.62 J Tegra 3, 16.95 J Exynos,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 @dataclass(frozen=True)
 class PowerModel:
@@ -106,33 +101,18 @@ class PowerModel:
         if not (0.0 <= mem_bw_utilisation <= 1.0):
             raise ValueError("mem_bw_utilisation must be in [0, 1]")
         return (
-            self._frequency_watts(freq_ghz, active_cores, total_cores)
+            self.frequency_watts(freq_ghz, active_cores, total_cores)
             + self.mem_dynamic_watts * mem_bw_utilisation
         )
 
-    def platform_powers(
-        self,
-        freq_ghz: float,
-        active_cores: int,
-        total_cores: int,
-        mem_bw_utilisation: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`platform_power` at one operating point for a whole
-        array of memory utilisations (one per kernel): the frequency
-        terms are priced once and each entry adds its own memory term,
-        so entry ``i`` equals ``platform_power(..., mem_bw_utilisation[i])``
-        bit for bit.  The utilisations must lie in [0, 1]."""
-        return (
-            self._frequency_watts(freq_ghz, active_cores, total_cores)
-            + self.mem_dynamic_watts * mem_bw_utilisation
-        )
-
-    def _frequency_watts(
+    def frequency_watts(
         self, freq_ghz: float, active_cores: int, total_cores: int
     ) -> float:
         """Everything in :meth:`platform_power` but the memory term,
         summed in the same order: ``((board + static) + active*cp) +
-        (idle*frac)*cp``."""
+        (idle*frac)*cp``.  A caller pricing many utilisations at one
+        operating point adds ``mem_dynamic_watts * u`` to it per entry,
+        bit for bit :meth:`platform_power`."""
         if not (0 <= active_cores <= total_cores):
             raise ValueError("active_cores must be within [0, total_cores]")
         idle_cores = total_cores - active_cores

@@ -32,7 +32,7 @@ from repro.timing.measurement import PowerMeter, measure_kernel
 
 def _scalar_sweep() -> bool:
     """Whether ``REPRO_SCALAR_SWEEP=1`` forces the scalar reference
-    oracle instead of the vectorized sweep (checked at call time so a
+    oracle instead of the plan-based sweep pass (checked at call time so a
     test can flip it per case)."""
     return bool(os.environ.get("REPRO_SCALAR_SWEEP"))
 
@@ -92,12 +92,24 @@ def _check_sweep_freq(freq: Any) -> None:
         raise ValueError("frequency must be positive")
 
 
+def _sweep_result(
+    freq: float, speedup: float, energy: float
+) -> dict[str, float]:
+    """One sweep point's value; ``ValueError`` when an extreme frequency
+    overflows its speedup or energy (no client can use an infinity)."""
+    if not (speedup < math.inf and energy < math.inf):
+        raise ValueError(f"no finite speedup and energy at {freq!r} GHz")
+    return {"freq_ghz": freq, "speedup": speedup, "energy_j": energy}
+
+
 def _geomean(xs: list[float]) -> float:
     if not xs:
         raise ValueError("geometric mean of an empty sequence is undefined")
     if any(x <= 0 for x in xs):
         raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(xs))))
+    # np.mean's value (numpy's sum divided by the count), without its
+    # Python-level dispatch.
+    return float(np.exp(np.add.reduce(np.log(xs)) / len(xs)))
 
 
 class MobileSoCStudy:
@@ -111,7 +123,7 @@ class MobileSoCStudy:
         # Executors are cached per platform so their memoized kernel
         # timings survive across figures — figure 3, figure 4, the
         # speedup tables and the comparison report all re-time the same
-        # operating points.  Keyed by platform *name* with an equality
+        # operating points.  Keyed by platform *name* with an identity
         # guard: a swapped-in platform model replaces (and releases) the
         # old executor, and the table stays bounded by the number of
         # platform names rather than growing one entry per object
@@ -125,10 +137,11 @@ class MobileSoCStudy:
 
     def _executor(self, platform) -> SimulatedExecutor:
         """The memoizing executor for ``platform`` (name-keyed with an
-        equality guard, so a swapped platform model gets a fresh
-        executor and the stale one is released)."""
+        identity guard, so a swapped platform model gets a fresh
+        executor and its sweep plans, and the stale one is released;
+        the guard costs no field-by-field comparison per point)."""
         ex = self._executors.get(platform.name)
-        if ex is None or ex.platform != platform:
+        if ex is None or ex.platform is not platform:
             ex = SimulatedExecutor(platform)
             self._executors[platform.name] = ex
         return ex
@@ -213,34 +226,34 @@ class MobileSoCStudy:
             )
         return platform
 
-    def _suite_energy(
-        self, platform, freq_ghz: float, cores: int, meter: PowerMeter,
-        time_s: list[float], mem_util: np.ndarray,
-    ) -> float:
-        """Mean metered energy of the kernel suite at one operating
-        point, from its kernel column of
-        :meth:`SimulatedExecutor.time_suite_batch`: what
-        :func:`measure_kernel` meters per kernel, drawn from ``meter``
-        in kernel order in one batched draw."""
-        powers = platform.soc.power.platform_powers(
-            freq_ghz, cores, platform.soc.n_cores, mem_util
+    def _price_point(
+        self, platform, freq_ghz: float, cores: int, label: str,
+    ) -> tuple[list[float], float]:
+        """Per-kernel times and the mean metered energy of the kernel
+        suite at one operating point, in one scalar pass: the
+        executor's :meth:`~SimulatedExecutor.suite_times`, then what
+        :func:`measure_kernel` meters per kernel, drawn from the point's
+        own ``PowerMeter`` in kernel order in one batched draw."""
+        times, mems = self._executor(platform).suite_times(
+            self.kernels, freq_ghz, cores
         )
-        metered = meter.integrate_batch(powers.tolist(), time_s)
-        return float(np.mean([energy for energy, _n in metered]))
+        power = platform.soc.power
+        watts = power.frequency_watts(freq_ghz, cores, platform.soc.n_cores)
+        mem_watts = power.mem_dynamic_watts
+        powers = [
+            watts + mem_watts * min(1.0, m / t) for t, m in zip(times, mems)
+        ]
+        meter = PowerMeter(seed=self._meter_seed(label))
+        energies = [e for e, _n in meter.integrate_batch(powers, times)]
+        # np.mean's value: numpy's sum divided by the count.
+        return times, float(np.add.reduce(energies) / len(energies))
 
     def sweep_base_energy(self) -> float:
         """Mean per-kernel energy of Tegra 2 @1 GHz serial — the
         denominator of every ``energy_norm`` in Figures 3/4."""
         if _scalar_sweep():
             return self._sweep_base_energy_scalar()
-        meter = PowerMeter(seed=self._meter_seed("sweep:base"))
-        time_s, mem_s = self._executor(self.baseline).time_suite_batch(
-            self.kernels, [1.0], cores=1
-        )
-        mem_util = np.minimum(1.0, mem_s[:, 0] / time_s[:, 0])
-        return self._suite_energy(
-            self.baseline, 1.0, 1, meter, time_s[:, 0].tolist(), mem_util
-        )
+        return self._price_point(self.baseline, 1.0, 1, "sweep:base")[1]
 
     def _sweep_base_energy_scalar(self) -> float:
         """Scalar reference oracle for :meth:`sweep_base_energy` (one
@@ -267,9 +280,9 @@ class MobileSoCStudy:
         the kernel suite plus the *absolute* mean energy (normalisation
         happens at merge time, against :meth:`sweep_base_energy`).
 
-        Routes through the batched :meth:`sweep_points` path (the
-        campaign units in :mod:`repro.parallel` therefore get the
-        vectorized model by default, with unchanged unit granularity and
+        Routes through :meth:`sweep_points` (the campaign units in
+        :mod:`repro.parallel` and ``repro serve`` therefore get the
+        plan-based pass by default, with unchanged unit granularity and
         cache keys); ``REPRO_SCALAR_SWEEP=1`` forces the scalar oracle.
         """
         if _scalar_sweep():
@@ -280,9 +293,9 @@ class MobileSoCStudy:
         self, mode: str, platform_name: str, freq_ghz: float
     ) -> dict[str, float]:
         """Scalar reference oracle for one operating point — the
-        original one-frequency-at-a-time walk, kept verbatim so the
-        equivalence suite has ground truth to diff the vectorized path
-        against."""
+        original one-kernel-at-a-time walk through ``time_kernel`` and
+        ``measure_kernel``, kept so the equivalence suite has ground
+        truth to diff the plan-based pass against."""
         if mode not in ("single", "multi"):
             raise ValueError(f"unknown sweep mode {mode!r}")
         platform = self._sweep_platform(platform_name)
@@ -311,63 +324,47 @@ class MobileSoCStudy:
                 ]
             )
         )
-        return {"freq_ghz": freq_ghz, "speedup": sp, "energy_j": energy}
+        return _sweep_result(freq_ghz, sp, energy)
 
     def sweep_points(
         self,
         mode: str,
         points: list[tuple[str, float]] | None = None,
     ) -> list[dict[str, float]]:
-        """Batched Figure 3/4 evaluation over many operating points.
+        """Figure 3/4 evaluation over many operating points.
 
-        ``points`` defaults to the full :meth:`sweep_plan` grid.  Points
-        are grouped by platform, and each group times the whole kernel
-        suite at all its frequencies in one
-        :meth:`SimulatedExecutor.time_suite_batch` pass (NumPy over the
-        kernel x frequency axes).  Energy keeps the per-point
-        sha256-seeded meter streams exactly: each point owns its own
-        :class:`PowerMeter`, which draws the whole kernel batch in one
-        call.  Results are bit-identical to the scalar
-        :meth:`sweep_point` loop, in ``points`` order (enforced by
+        ``points`` defaults to the full :meth:`sweep_plan` grid.  Each
+        point is priced in one scalar pass (:meth:`_price_point`) over
+        the executor's cached plan of the kernel suite at the mode's
+        core count.  Energy keeps the per-point sha256-seeded meter
+        streams exactly: each point owns its own :class:`PowerMeter`,
+        which draws the whole kernel suite in one call.  Results are
+        bit-identical to the scalar :meth:`_sweep_point_scalar` loop, in
+        ``points`` order (enforced by
         tests/timing/test_sweep_equivalence.py).  A point that names an
         unknown platform, or a frequency that is not a finite positive
-        number, raises ``ValueError``.
+        number or has no finite result, raises ``ValueError``.
         """
         if mode not in ("single", "multi"):
             raise ValueError(f"unknown sweep mode {mode!r}")
         if points is None:
             points = self.sweep_plan()
-        base_times = self.baseline_times()
-        base = [base_times[k.tag] for k in self.kernels]
-        groups: dict[str, list[int]] = {}
-        for i, (name, freq) in enumerate(points):
+        for name, freq in points:
             self._sweep_platform(name)
             _check_sweep_freq(freq)
-            groups.setdefault(name, []).append(i)
-        out: list[dict[str, float] | None] = [None] * len(points)
-        for name, idxs in groups.items():
+        base_times = self.baseline_times()
+        base = [base_times[k.tag] for k in self.kernels]
+        out = []
+        for name, freq in points:
             platform = self.platforms[name]
             cores = 1 if mode == "single" else platform.soc.n_cores
-            freqs = [points[i][1] for i in idxs]
-            time_s, mem_s = self._executor(platform).time_suite_batch(
-                self.kernels, freqs, cores=cores
+            # The seed and the reported frequency keep the caller's
+            # value as given: 1 and 1.0 name different meters.
+            times, energy = self._price_point(
+                platform, freq, cores, f"sweep:{mode}:{name}:{freq!r}"
             )
-            mem_util = np.minimum(1.0, mem_s / time_s)
-            for j, i in enumerate(idxs):
-                # The seed and the reported frequency keep the caller's
-                # value as given: 1 and 1.0 name different meters.
-                freq = freqs[j]
-                times = time_s[:, j].tolist()
-                sp = _geomean([b / t for b, t in zip(base, times)])
-                meter = PowerMeter(
-                    seed=self._meter_seed(f"sweep:{mode}:{name}:{freq!r}")
-                )
-                energy = self._suite_energy(
-                    platform, freq, cores, meter, times, mem_util[:, j]
-                )
-                out[i] = {
-                    "freq_ghz": freq, "speedup": sp, "energy_j": energy,
-                }
+            sp = _geomean([b / t for b, t in zip(base, times)])
+            out.append(_sweep_result(freq, sp, energy))
         return out
 
     def sweep_plan(self) -> list[tuple[str, float]]:

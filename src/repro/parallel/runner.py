@@ -8,7 +8,7 @@ Execution model
    batched read.
 3. Execute the misses in this process through
    :func:`repro.parallel.units.execute_batch` (sweep points grouped
-   into one vectorized call per mode), caching each value as it
+   into one ``sweep_points`` call per mode), caching each value as it
    resolves.
 4. Merge by *plan order*: platform order is the catalog's, frequency
    order the DVFS table's, Figure 6 order the application registry's.
@@ -81,7 +81,7 @@ def run_units(
 
     Cache hits are resolved first; only misses are computed.  They run
     in this process through :func:`~repro.parallel.units.execute_batch`
-    (sweep points grouped into one vectorized call per mode), and each
+    (sweep points grouped into one ``sweep_points`` call per mode), and each
     fresh value is written to ``cache`` as soon as it arrives, so an
     interrupted run keeps every unit already finished.
 

@@ -65,7 +65,7 @@ front end's executor; :mod:`~repro.serve.server` puts a JSON-lines TCP
 protocol in front of both; :mod:`~repro.serve.router` shards that
 protocol across backends, and both serve it through
 :class:`~repro.serve.wire.WireEndpoint`: each connection is one
-``asyncio.Protocol`` that parses what it reads with the shared
+``asyncio.BufferedProtocol`` that parses what it reads with the shared
 :class:`~repro.serve.wire.FrameParser` and answers a read-path request
 in the same callback (DESIGN.md section 14); :mod:`~repro.serve.cli` is the
 ``repro serve`` / ``repro loadtest`` argument surface,

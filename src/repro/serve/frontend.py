@@ -19,7 +19,7 @@ funnel, cheapest mechanism first:
    point is cheap to recompute, its repeats are LRU hits, and the
    writes cost more than they saved (DESIGN.md section 11);
 3. **compute** — ``submit_nowait`` computes a sweep-kind miss itself,
-   on the read path, through :func:`repro.parallel.units.execute_batch`
+   on the read path, through :func:`repro.parallel.units.execute_unit`
    (so the ``REPRO_SCALAR_SWEEP=1`` oracle holds): a point costs less
    than a task and a future around it (DESIGN.md section 11).  Each
    distinct simulation miss (Figure 6 and headline units, milliseconds
@@ -80,8 +80,9 @@ from typing import Any, Callable
 
 from repro.obs.recorder import current as _obs_current
 from repro.parallel import runner as _runner
+from repro.parallel import units as _units
 from repro.parallel.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, unit_key
-from repro.parallel.units import UnitFailure, WorkUnit, execute_batch
+from repro.parallel.units import UnitFailure, WorkUnit
 from repro.serve.wire import UNIT_KINDS
 
 #: Kinds a query miss computes on the caller's thread (the transport's
@@ -339,12 +340,11 @@ class CampaignFrontEnd:
         # A sweep miss costs less to compute than to hand to a thread:
         # memory only, the hot LRU keeps what it resolves to.
         self.stats.accepted += 1
-        [(_, value)] = execute_batch(
-            [WorkUnit(kind, params)], self.config.seed, safe=True
-        )
-        if isinstance(value, UnitFailure):
+        try:
+            value = _units.execute_unit(kind, params, self.config.seed)
+        except Exception:
             self.stats.failed += 1
-            raise value.exc or RuntimeError(value.error)
+            raise
         self._remember(key, value)
         self.stats.computed += 1
         rec = _obs_current()

@@ -51,6 +51,7 @@ from repro.serve.wire import (
     BadFrame,
     DecodeMemo,
     EncodeMemo,
+    ReadBuffer,
     ServedConnection,
     WireConnection,
     WireEndpoint,
@@ -170,8 +171,8 @@ class HashRing:
 ReplyCallback = Callable[[dict[str, Any] | None, Exception | None], None]
 
 
-class _LinkConnection(WireConnection, asyncio.Protocol):
-    """A backend link's connection: :meth:`data_received` parses every
+class _LinkConnection(WireConnection, ReadBuffer):
+    """A backend link's connection: :meth:`buffer_updated` parses every
     reply in the bytes just read and hands each to its callback in the
     same callback, so a forward's answer costs the router one loop
     turn."""
@@ -197,9 +198,9 @@ class _LinkConnection(WireConnection, asyncio.Protocol):
         self.writer.write(HELLO_LINE)
         return await self._ack
 
-    def data_received(self, data: bytes) -> None:
+    def buffer_updated(self, nbytes: int) -> None:
         parser = self.parser
-        parser.feed(data)
+        parser.feed(self._read_buf[:nbytes])
         try:
             while (doc := parser.next()) is not None:
                 ack = self._ack

@@ -60,10 +60,11 @@ still framed, and the server answers ``bad_request`` and keeps reading.
 
 Transport: every reader of this wire parses through one sans-IO
 :class:`FrameParser`.  Servers and routers serve each connection from
-an ``asyncio.Protocol`` (:class:`ServedConnection`, driven by
-:class:`WireEndpoint`) that dispatches every complete request in the
-``data_received`` callback that read it: a request answered on the
-read path costs one event-loop turn.  Clients read through
+an ``asyncio.BufferedProtocol`` (:class:`ServedConnection`, driven by
+:class:`WireEndpoint`) that reads into one reused buffer per connection
+and dispatches every complete request in the ``buffer_updated``
+callback that read it: a request answered on the read path costs one
+event-loop turn.  Clients read through
 :meth:`WireConnection.recv` over a stream pair, or
 :class:`SyncWireClient` over a blocking socket.
 
@@ -524,7 +525,7 @@ class WireConnection:
     Around an asyncio stream pair it is a client: :meth:`recv` reads
     through the parser and :meth:`negotiate` flips to binary1.  The
     served side (:class:`ServedConnection`) and the router's backend
-    links are ``asyncio.Protocol`` subclasses whose ``writer`` is the
+    links are :class:`ReadBuffer` protocols whose ``writer`` is the
     transport itself.  ``allow_binary=True`` makes the parser sniff the
     first byte for the magic.
 
@@ -690,10 +691,31 @@ def hello_accepted(ack: dict[str, Any] | None) -> bool:
     return bool(ack.get("ok")) and ack.get("wire") == WIRE_BINARY1
 
 
+class ReadBuffer(asyncio.BufferedProtocol):
+    """The read side of a served connection and a backend link: the
+    transport reads each packet into one :data:`READ_CHUNK`-byte buffer
+    of the connection's own (``recv_into``), allocated on the first
+    read and reused for every later one, and the subclass's
+    ``buffer_updated`` feeds what arrived to its :class:`FrameParser`.
+
+    A plain ``asyncio.Protocol`` gets a fresh 256 KiB ``bytes`` per
+    read instead, which glibc may serve by ``mmap``: a page-faulting
+    allocation per packet, or not, depending on what the process
+    allocated and freed before."""
+
+    _read_buf: memoryview | None = None
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        buf = self._read_buf
+        if buf is None:
+            buf = self._read_buf = memoryview(bytearray(READ_CHUNK))
+        return buf
+
+
 # -- the served side: one Protocol for every endpoint -----------------------
 
-class ServedConnection(WireConnection, asyncio.Protocol):
-    """One served connection.  :meth:`data_received` parses every
+class ServedConnection(WireConnection, ReadBuffer):
+    """One served connection.  :meth:`buffer_updated` parses every
     complete request in the bytes just read and hands each to the
     endpoint in the same callback, so a request answered on the read
     path costs one event-loop turn, with no task and no future.
@@ -730,14 +752,14 @@ class ServedConnection(WireConnection, asyncio.Protocol):
         self._held: asyncio.Future | None = None
         self.closed = asyncio.get_running_loop().create_future()
 
-    # -- asyncio.Protocol ----------------------------------------------------
+    # -- asyncio.BufferedProtocol --------------------------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.writer = transport
         transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
         self.endpoint._conns.add(self)
 
-    def data_received(self, data: bytes) -> None:
-        self.parser.feed(data)
+    def buffer_updated(self, nbytes: int) -> None:
+        self.parser.feed(self._read_buf[:nbytes])
         self._pump()
 
     def eof_received(self) -> bool:

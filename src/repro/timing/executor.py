@@ -23,9 +23,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from repro.arch.soc import Platform
 from repro.kernels.base import Kernel, OperationProfile
@@ -65,13 +63,12 @@ class SimulatedRun:
         return min(1.0, self.memory_time_s / self.time_s) if self.time_s else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class _KernelPlan:
+class _KernelPlan(NamedTuple):
     """The frequency-independent terms of one kernel at one core count,
     default size and pass count: each field is the value the scalar
     model computes before it first touches the frequency, so the suite
     pass that consumes them performs the scalar path's IEEE operations
-    in the scalar path's order."""
+    in the scalar path's order.  A plain tuple, unpacked in one step."""
 
     flops: float            #: FP work of one pass
     eff: float              #: achieved fraction of peak
@@ -86,36 +83,24 @@ class _KernelPlan:
 
 
 @dataclass(frozen=True, slots=True)
-class _SuitePlan:
-    """A kernel suite's :class:`_KernelPlan` fields at one core count as
-    ``(kernel, 1)`` columns (and the terms every kernel shares as
-    scalars), so :meth:`SimulatedExecutor.time_suite_batch` broadcasts
-    them against a ``(1, frequency)`` row in one pass."""
+class _SweepPlan:
+    """A kernel suite's :class:`_KernelPlan` rows at one core count and
+    the terms every kernel shares, read by
+    :meth:`SimulatedExecutor.suite_times` at each operating point.
+    ``kernels`` is the suite it was built for: a plan serves only a
+    call naming the same kernel objects."""
 
-    flops: np.ndarray
-    eff: np.ndarray
-    issue_cycles: np.ndarray
-    par_scale: np.ndarray | None
-    resident: np.ndarray
-    l2_factor: np.ndarray
-    dram_bw: np.ndarray
-    traffic: np.ndarray
-    barriers: np.ndarray
-    reps: np.ndarray
+    kernels: tuple[Kernel, ...]
+    rows: tuple[_KernelPlan, ...]
+    fp64_per_cycle: float
     abi_penalty: float
     l2_bytes_per_cycle: float  #: the SoC's L2 bytes per cycle
     l2_scale: float            #: core-contention L2 scale
     barrier_cores: float       #: ``BARRIER_US_PER_THREAD_AT_1GHZ * cores``
 
-    def bandwidth_gbs(self, f: np.ndarray) -> np.ndarray:
-        """The memory roof (GB/s) of every kernel at every frequency of
-        the ``(1, n)`` row ``f``: :meth:`SimulatedExecutor.
-        effective_bandwidth_gbs` with ``SoC.l2_bandwidth_gbs`` inlined
-        (same product order),
-        on-chip bandwidth scaling with the clock where resident and the
-        fixed DRAM bandwidth elsewhere."""
-        l2 = self.l2_bytes_per_cycle * f * self.l2_scale
-        return np.where(self.resident, l2 * self.l2_factor, self.dram_bw)
+
+def _no_time(freq_ghz: float) -> ValueError:
+    return ValueError(f"no finite, positive time at {freq_ghz!r} GHz")
 
 
 class SimulatedExecutor:
@@ -139,13 +124,12 @@ class SimulatedExecutor:
         # safe when a serving process times sweeps from two threads.
         self._memo: OrderedDict[tuple, SimulatedRun] = OrderedDict()
         self._memo_lock = threading.Lock()
-        # (kernel, cores) -> _KernelPlan and (kernel tuple, cores) ->
-        # _SuitePlan: the frequency-independent terms of
-        # time_suite_batch, built once.  A plan is stored only once it
-        # is complete, so a sweep on another thread never sees half of
-        # one.
-        self._plans: dict[tuple, _KernelPlan] = {}
-        self._suite_plans: dict[tuple, _SuitePlan] = {}
+        # cores -> _SweepPlan: the frequency-independent terms of
+        # suite_times, built once per core count (one suite at a time:
+        # a call naming other kernels replaces it).  A plan is stored
+        # only once it is complete, so a sweep on another thread never
+        # sees half of one.
+        self._sweep_plans: dict[int, _SweepPlan] = {}
 
     # ------------------------------------------------------------------
     def _abi_penalty(self) -> float:
@@ -218,6 +202,22 @@ class SimulatedExecutor:
         cached = self._memo_get(key)
         if cached is not None:
             return cached
+        try:
+            run = self._simulate(kernel, freq_ghz, cores, size, passes)
+        except ZeroDivisionError:  # a frequency so small a roof is 0
+            raise _no_time(freq_ghz) from None
+        self._memo_put(key, run)
+        return run
+
+    def _simulate(
+        self,
+        kernel: Kernel,
+        freq_ghz: float,
+        cores: int,
+        size: int | None,
+        passes: int | None,
+    ) -> SimulatedRun:
+        """:meth:`time_kernel`'s model, unmemoized."""
         soc = self.platform.soc
         if freq_ghz <= 0:
             raise ValueError("frequency must be positive")
@@ -265,9 +265,9 @@ class SimulatedExecutor:
         t_pass = max(t_comp, t_mem) + t_over
         time_s = t_pass * reps
         if not 0.0 < time_s < math.inf:
-            raise ValueError(f"no finite, positive time at {freq_ghz!r} GHz")
+            raise _no_time(freq_ghz)
         bound = "memory" if t_mem > t_comp else "compute"
-        run = SimulatedRun(
+        return SimulatedRun(
             kernel=kernel.tag,
             platform=self.platform.name,
             freq_ghz=freq_ghz,
@@ -279,77 +279,91 @@ class SimulatedExecutor:
             flops=profile.flops * reps,
             bound=bound,
         )
-        self._memo_put(key, run)
-        return run
 
-    def time_suite_batch(
+    def suite_times(
         self,
         kernels: Sequence[Kernel],
-        freqs: Sequence[float],
+        freq_ghz: float,
         cores: int = 1,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every kernel of ``kernels`` at every frequency of ``freqs``
-        in one ``(kernel, frequency)`` NumPy pass, at each kernel's
-        default size and pass count.
+    ) -> tuple[list[float], list[float]]:
+        """``(time_s, memory_time_s)`` of every kernel of ``kernels`` at
+        one operating point, at each kernel's default size and pass
+        count, as two lists of Python floats.
 
-        Returns ``(time_s, memory_time_s)``, two arrays of shape
-        ``(len(kernels), len(freqs))``.  Entry ``[i, j]`` equals
-        ``time_kernel(kernels[i], freqs[j], cores)``'s ``time_s`` and
-        ``memory_time_s`` bit for bit: the pass broadcasts the suite's
-        plan columns against the frequency row and performs the scalar
-        model's IEEE operations in the scalar model's order (enforced
-        by tests/timing/test_sweep_equivalence.py).  It neither reads
-        nor fills the run memo.
+        Entry ``i`` equals ``time_kernel(kernels[i], freq_ghz, cores)``'s
+        ``time_s`` and ``memory_time_s`` bit for bit: the pass reads the
+        suite's cached plan and performs the scalar model's IEEE
+        operations in the scalar model's order, on the caller's
+        frequency as given (enforced by
+        tests/timing/test_sweep_equivalence.py).  It neither reads nor
+        fills the run memo.
         """
-        f = np.array(freqs, dtype=float)[None, :]
-        if not (f > 0).all():
+        if not freq_ghz > 0:
             raise ValueError("frequency must be positive")
-        plan = self._suite_plan(kernels, cores)
-        # An extreme frequency over- or underflows to a time of 0 or
-        # inf, which the check below rejects; the warnings add nothing.
-        with np.errstate(all="ignore"):
-            # --- compute time (cf. time_kernel) -----------------------
-            fp64_per_cycle = self.platform.soc.core.fp64_flops_per_cycle
-            achieved_gflops_1 = fp64_per_cycle * f * plan.eff
-            t_fp = plan.flops / (achieved_gflops_1 * 1e9)
-            t_issue = plan.issue_cycles / (f * 1e9)
-            t_comp = np.maximum(t_fp, t_issue) * plan.abi_penalty
-            if plan.par_scale is not None:
-                t_comp = t_comp * plan.par_scale
-            # --- memory time ------------------------------------------
-            t_mem = plan.traffic / (plan.bandwidth_gbs(f) * 1e9)
-            # --- synchronisation overhead -----------------------------
-            t_pass = np.maximum(t_comp, t_mem)
-            if cores > 1:
-                per_barrier = (plan.barrier_cores / f) * 1e-6
-                t_pass = t_pass + (
-                    plan.barriers * per_barrier
-                    + calibration.FORK_JOIN_US_AT_1GHZ / f * 1e-6
-                )
-            time_s = t_pass * plan.reps
-        if not (time_s.min() > 0.0 and time_s.max() < math.inf):
-            raise ValueError(
-                f"no finite, positive time at {list(freqs)!r} GHz"
-            )
-        return time_s, t_mem * plan.reps
+        plan = self._sweep_plan(kernels, cores)
+        # The terms every kernel shares, in the scalar expressions'
+        # shapes: peak_gflops, l2_bandwidth_gbs, the barrier cost.
+        peak = plan.fp64_per_cycle * freq_ghz
+        cycles = freq_ghz * 1e9
+        l2 = plan.l2_bytes_per_cycle * freq_ghz * plan.l2_scale
+        abi = plan.abi_penalty
+        multi = cores > 1
+        if multi:
+            per_barrier = (plan.barrier_cores / freq_ghz) * 1e-6
+            fork = calibration.FORK_JOIN_US_AT_1GHZ / freq_ghz * 1e-6
+        times: list[float] = []
+        mems: list[float] = []
+        try:
+            for (flops, eff, issue, par, resident, l2_factor, dram_bw,
+                 traffic, barriers, reps) in plan.rows:
+                t_comp = max(flops / (peak * eff * 1e9), issue / cycles) * abi
+                if par is not None:
+                    t_comp = t_comp * par
+                bw = l2 * l2_factor if resident else dram_bw
+                t_mem = traffic / (bw * 1e9)
+                t_pass = max(t_comp, t_mem)
+                if multi:
+                    t_pass = t_pass + (barriers * per_barrier + fork)
+                time_s = t_pass * reps
+                if not 0.0 < time_s < math.inf:
+                    raise _no_time(freq_ghz)
+                times.append(time_s)
+                mems.append(t_mem * reps)
+        except ZeroDivisionError:  # a frequency so small a roof is 0
+            raise _no_time(freq_ghz) from None
+        return times, mems
 
-    def _plan(self, kernel: Kernel, cores: int) -> _KernelPlan:
-        """The cached :class:`_KernelPlan` of ``kernel`` at ``cores``;
+    def _sweep_plan(self, kernels: Sequence[Kernel], cores: int) -> _SweepPlan:
+        """The cached :class:`_SweepPlan` of ``kernels`` at ``cores``;
         validates ``cores`` on first build."""
-        key = (kernel, cores)
-        plan = self._plans.get(key)
-        if plan is not None:
+        plan = self._sweep_plans.get(cores)
+        suite = tuple(kernels)
+        if plan is not None and plan.kernels == suite:
             return plan
         soc = self.platform.soc
         if not (1 <= cores <= soc.n_cores):
             raise ValueError(
                 f"cores must be in [1, {soc.n_cores}] for {self.platform.name}"
             )
+        plan = self._sweep_plans[cores] = _SweepPlan(
+            kernels=suite,
+            rows=tuple(self._kernel_plan(k, cores) for k in suite),
+            fp64_per_cycle=soc.core.fp64_flops_per_cycle,
+            abi_penalty=self._abi_penalty(),
+            l2_bytes_per_cycle=soc.l2_bw_bytes_per_cycle,
+            l2_scale=soc.l2_core_scale(cores),
+            barrier_cores=calibration.BARRIER_US_PER_THREAD_AT_1GHZ * cores,
+        )
+        return plan
+
+    def _kernel_plan(self, kernel: Kernel, cores: int) -> _KernelPlan:
+        """The :class:`_KernelPlan` of ``kernel`` at ``cores``."""
+        soc = self.platform.soc
         profile = kernel.profile(kernel.default_size())
         ch = profile.characteristics
         pf = ch.parallel_fraction
         resident = self.is_resident(profile)
-        plan = self._plans[key] = _KernelPlan(
+        return _KernelPlan(
             flops=profile.flops,
             eff=calibration.fp_efficiency(soc.core.name, ch),
             issue_cycles=soc.core.issue_cycles(profile.mix),
@@ -373,37 +387,6 @@ class SimulatedExecutor:
             barriers=ch.barriers_per_iteration,
             reps=calibration.passes_for(kernel.tag),
         )
-        return plan
-
-    def _suite_plan(self, kernels: Sequence[Kernel], cores: int) -> _SuitePlan:
-        """The cached :class:`_SuitePlan` of ``kernels`` at ``cores``."""
-        key = (tuple(kernels), cores)
-        suite = self._suite_plans.get(key)
-        if suite is not None:
-            return suite
-        plans = [self._plan(k, cores) for k in kernels]
-
-        def column(field: str, dtype: type = float) -> np.ndarray:
-            return np.array([getattr(p, field) for p in plans], dtype)[:, None]
-
-        suite = _SuitePlan(
-            flops=column("flops"),
-            eff=column("eff"),
-            issue_cycles=column("issue_cycles"),
-            par_scale=None if cores == 1 else column("par_scale"),
-            resident=column("resident", bool),
-            l2_factor=column("l2_factor"),
-            dram_bw=column("dram_bw"),
-            traffic=column("traffic"),
-            barriers=column("barriers"),
-            reps=column("reps"),
-            abi_penalty=self._abi_penalty(),
-            l2_bytes_per_cycle=self.platform.soc.l2_bw_bytes_per_cycle,
-            l2_scale=self.platform.soc.l2_core_scale(cores),
-            barrier_cores=calibration.BARRIER_US_PER_THREAD_AT_1GHZ * cores,
-        )
-        self._suite_plans[key] = suite
-        return suite
 
     def _memo_get(self, key: tuple) -> SimulatedRun | None:
         with self._memo_lock:
@@ -420,8 +403,8 @@ class SimulatedExecutor:
                 self._memo.popitem(last=False)
 
     def evict_kernel(self, kernel_or_tag: Kernel | str) -> int:
-        """Drop every memoized run, kernel plan and suite plan of one
-        kernel, by object or by tag.
+        """Drop every memoized run and sweep plan of one kernel, by
+        object or by tag.
 
         The memo keys kernels by identity, so re-registering a kernel
         implementation under an existing tag would otherwise keep this
@@ -433,11 +416,9 @@ class SimulatedExecutor:
         else:
             def doomed(kernel: Kernel) -> bool:
                 return kernel is kernel_or_tag
-        for key in [key for key in list(self._plans) if doomed(key[0])]:
-            del self._plans[key]
-        for key in list(self._suite_plans):
-            if any(map(doomed, key[0])):
-                del self._suite_plans[key]
+        for cores, plan in list(self._sweep_plans.items()):
+            if any(map(doomed, plan.kernels)):
+                del self._sweep_plans[cores]
         with self._memo_lock:
             keys = [key for key in self._memo if doomed(key[0])]
             for key in keys:

@@ -11,6 +11,7 @@ behave like the real instrument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,17 @@ class PowerMeter:
         self.precision = precision
         self._rng = np.random.default_rng(seed)
 
+    def _samples(self, duration_s: float) -> int:
+        """Readings the meter takes over ``duration_s``; ``ValueError``
+        unless the duration is positive and their count finite."""
+        samples = duration_s * self.sample_hz
+        if not (duration_s > 0 and samples < math.inf):
+            raise ValueError("duration must be positive and finite")
+        return max(1, int(round(samples)))
+
     def sample_trace(self, power_watts: float, duration_s: float) -> np.ndarray:
         """Sampled power readings over a constant-power interval."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        n = max(1, int(round(duration_s * self.sample_hz)))
+        n = self._samples(duration_s)
         noise = self._rng.normal(0.0, self.precision, n)
         return power_watts * (1.0 + noise)
 
@@ -93,21 +100,18 @@ class PowerMeter:
         """
         if len(powers_watts) != len(durations_s):
             raise ValueError("need one power per duration")
-        counts = []
-        for duration in durations_s:
-            if duration <= 0:
-                raise ValueError("duration must be positive")
-            counts.append(max(1, int(round(duration * self.sample_hz))))
+        counts = [self._samples(d) for d in durations_s]
         noise = self._rng.normal(0.0, self.precision, sum(counts))
         # Every sample scaled in one elementwise pass (the same IEEE
-        # products as sample_trace), then one mean per interval.
+        # products as sample_trace), then trace.mean() per interval:
+        # numpy's sum over its n readings, divided by n.
         traces = np.repeat(powers_watts, counts) * (1.0 + noise)
         out: list[tuple[float, int]] = []
         offset = 0
         for duration, n in zip(durations_s, counts):
-            trace = traces[offset : offset + n]
+            total = np.add.reduce(traces[offset:offset + n])
             offset += n
-            out.append((float(trace.mean() * duration), n))
+            out.append((float(total / n * duration), n))
         return out
 
 

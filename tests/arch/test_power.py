@@ -93,7 +93,8 @@ class TestPlatformPower:
 
     @pytest.mark.parametrize("name", sorted(PLATFORMS))
     def test_platform_powers_prices_each_utilisation_exactly(self, name):
-        """The hoisted frequency terms plus each memory term equal the
+        """The sweep's per-kernel powers: the frequency terms priced
+        once (``frequency_watts``) plus each memory term equal the
         scalar sum, bit for bit, over the DVFS range and every split of
         active and idle cores."""
         m = PLATFORMS[name].soc.power
@@ -102,15 +103,15 @@ class TestPlatformPower:
         for freq in freqs:
             for total in (2, 4):
                 for active in range(total + 1):
-                    got = m.platform_powers(
-                        freq, active, total, np.array(utils)
-                    )
-                    assert got.tolist() == [
+                    watts = m.frequency_watts(freq, active, total)
+                    assert [
+                        watts + m.mem_dynamic_watts * u for u in utils
+                    ] == [
                         m.platform_power(freq, active, total, u)
                         for u in utils
                     ]
         with pytest.raises(ValueError):
-            m.platform_powers(1.0, 3, 2, np.array(utils))
+            m.frequency_watts(1.0, 3, 2)
 
 
 class TestEnergyEfficiencyShape:

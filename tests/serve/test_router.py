@@ -395,12 +395,14 @@ def _stalled_link():
 
 
 def _answer_all(conn, transport):
-    """The backend's side: answer every request written so far."""
+    """The backend's side: answer every request written so far, each
+    reply one read into the link's buffer, as its transport would."""
     for data in transport.writes:
-        conn.data_received(
-            (json.dumps({"id": json.loads(data)["id"], "ok": True}) + "\n")
-            .encode()
-        )
+        reply = (
+            json.dumps({"id": json.loads(data)["id"], "ok": True}) + "\n"
+        ).encode()
+        conn.get_buffer(-1)[:len(reply)] = reply
+        conn.buffer_updated(len(reply))
 
 
 class TestBackendLinkNoHeadOfLineBlocking:

@@ -203,6 +203,7 @@ class _Transport:
 
     def __init__(self):
         self.writes = []
+        self.calls = []
 
     def set_write_buffer_limits(self, high):
         pass
@@ -212,6 +213,29 @@ class _Transport:
 
     def write(self, data):
         self.writes.append(bytes(data))
+
+    def pause_reading(self):
+        self.calls.append("pause_reading")
+
+    def resume_reading(self):
+        self.calls.append("resume_reading")
+
+    def close(self):
+        self.calls.append("close")
+
+
+def feed(proto, data, chunk=None):
+    """Deliver ``data`` to a buffered protocol as its transport does:
+    ``recv_into`` the buffer ``get_buffer`` returns, then
+    ``buffer_updated``, at most ``chunk`` bytes (or the buffer's size)
+    per read."""
+    view = memoryview(data)
+    while view:
+        buf = proto.get_buffer(-1)
+        n = min(len(buf), len(view), chunk or len(buf))
+        buf[:n] = view[:n]
+        proto.buffer_updated(n)
+        view = view[n:]
 
 
 class TestFramingChosenAtWriteTime:
@@ -228,10 +252,11 @@ class TestFramingChosenAtWriteTime:
             transport = _Transport()
             conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
             conn.connection_made(transport)
-            conn.data_received(
+            feed(
+                conn,
                 b'{"op": "ping", "id": 0}\n'
                 b'{"op": "hello", "id": 1, "wire": "binary1"}\n'
-                + encode_doc_frame({"op": "ping", "id": 2})
+                + encode_doc_frame({"op": "ping", "id": 2}),
             )
             conn.write_response({"id": 3, "ok": True, "value": [1.5],
                                  "served": "cache", "latency_s": 0.25})
@@ -254,6 +279,141 @@ class TestFramingChosenAtWriteTime:
             "latency_s": 0.25,
         })
         assert frames[2][0] == frames[4][0] == FRAME_DOC
+
+
+def _served(stream_parts):
+    """The bytes a served connection writes back for ``stream_parts``,
+    each delivered as one read."""
+    async def scenario():
+        transport = _Transport()
+        conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
+        conn.connection_made(transport)
+        for part in stream_parts:
+            feed(conn, part)
+        return b"".join(transport.writes)
+
+    return asyncio.run(scenario())
+
+
+class TestBufferedRead:
+    """Served connections and backend links read into one reused buffer
+    per connection (``asyncio.BufferedProtocol``), so a packet costs no
+    allocation; what is parsed must not depend on where reads end."""
+
+    STREAM = (
+        b'{"op": "ping", "id": 0}\n'
+        b'{"op": "hello", "id": 1, "wire": "binary1"}\n'
+        + encode_doc_frame({"op": "ping", "id": 2})
+        + encode_doc_frame({"op": "ping", "id": 3})
+    )
+
+    def test_both_classes_are_buffered_protocols(self):
+        from repro.serve.router import _LinkConnection
+
+        for cls in (ServedConnection, _LinkConnection):
+            assert issubclass(cls, asyncio.BufferedProtocol)
+            assert issubclass(cls, wire.ReadBuffer)
+            assert "data_received" not in vars(cls)
+
+    def test_one_buffer_allocated_on_first_read_and_reused(self):
+        async def scenario():
+            conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
+            conn.connection_made(_Transport())
+            assert conn._read_buf is None
+            first = conn.get_buffer(-1)
+            feed(conn, b'{"op": "ping", "id": 0}\n')
+            return first, conn.get_buffer(4096)
+
+        first, later = asyncio.run(scenario())
+        assert later is first
+        assert len(first) == wire.READ_CHUNK
+
+    def test_stream_cut_at_every_byte_boundary(self):
+        whole = _served([self.STREAM])
+        assert whole.count(b'"ok": true') == 2  # ping 0 and the ack
+        for cut in range(1, len(self.STREAM)):
+            assert _served(
+                [self.STREAM[:cut], self.STREAM[cut:]]
+            ) == whole, cut
+
+    def test_byte_at_a_time(self):
+        async def scenario():
+            transport = _Transport()
+            conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
+            conn.connection_made(transport)
+            feed(conn, self.STREAM, chunk=1)
+            return b"".join(transport.writes)
+
+        assert asyncio.run(scenario()) == _served([self.STREAM])
+
+    def test_json_line_longer_than_the_read_buffer(self):
+        pad = "x" * (2 * wire.READ_CHUNK + 17)
+        line = json.dumps({"op": "ping", "id": 7, "pad": pad}).encode()
+        out = _served([line + b"\n" + b'{"op": "ping", "id": 8}\n'])
+        assert [json.loads(x) for x in out.splitlines()] == [
+            {"id": 7, "ok": True}, {"id": 8, "ok": True},
+        ]
+
+    def test_nothing_parsed_while_reading_is_paused(self):
+        async def scenario():
+            transport = _Transport()
+            conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
+            conn.connection_made(transport)
+            conn.pause_writing()  # one reason to stop reading
+            feed(conn, b'{"op": "ping", "id": 0}\n{"op": "ping", "id": 1}\n')
+            held = list(transport.writes)
+            conn.resume_writing()
+            return transport, held
+
+        transport, held = asyncio.run(scenario())
+        assert held == []
+        assert transport.calls == ["pause_reading", "resume_reading"]
+        assert [json.loads(w) for w in transport.writes] == [
+            {"id": 0, "ok": True}, {"id": 1, "ok": True},
+        ]
+
+    def test_eof_answers_an_unterminated_last_line(self):
+        async def scenario():
+            transport = _Transport()
+            conn = ServedConnection(WireEndpoint("127.0.0.1", 0, True))
+            conn.connection_made(transport)
+            feed(conn, b'{"op": "ping", "id": 0}\n{"op": "ping", "id": 1}')
+            before = len(transport.writes)
+            assert conn.eof_received() is True
+            return transport, before
+
+        transport, before = asyncio.run(scenario())
+        assert before == 1
+        assert [json.loads(w) for w in transport.writes] == [
+            {"id": 0, "ok": True}, {"id": 1, "ok": True},
+        ]
+        assert transport.calls[-1] == "close"
+
+    def test_link_replies_cut_at_every_byte_boundary(self):
+        from repro.serve.router import BackendLink, _LinkConnection
+
+        replies = b"".join(
+            (json.dumps({"id": i, "ok": True, "value": [i, 0.5]}) + "\n")
+            .encode()
+            for i in range(3)
+        )
+
+        async def scenario(parts):
+            link = BackendLink("b0", "127.0.0.1", 1)
+            got = []
+            link._reply = got.append
+            conn = _LinkConnection(link)
+            conn.connection_made(_Transport())
+            for part in parts:
+                feed(conn, part)
+            return got
+
+        whole = asyncio.run(scenario([replies]))
+        assert [doc["id"] for doc in whole] == [0, 1, 2]
+        for cut in range(1, len(replies)):
+            assert asyncio.run(
+                scenario([replies[:cut], replies[cut:]])
+            ) == whole, cut
 
 
 class TestMemos:

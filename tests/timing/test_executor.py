@@ -234,32 +234,35 @@ class TestMemoEviction:
         assert any(key[0].tag == "dmmm" for key in ex._memo)
 
     def test_batch_repopulates_after_eviction(self, t2, kernels):
-        """time_suite_batch rebuilds the evicted kernel's plans and
-        agrees with itself and with time_kernel across an eviction."""
+        """suite_times rebuilds the evicted kernel's plan and agrees
+        with itself and with time_kernel across an eviction."""
         ex = SimulatedExecutor(t2)
         k = get_kernel("vecop")
-        before = ex.time_suite_batch(kernels, [0.456, 1.0])
-        plan = ex._suite_plan(kernels, 1)
+        freqs = (0.456, 1.0)
+        before = [ex.suite_times(kernels, f) for f in freqs]
+        plan = ex._sweep_plan(kernels, 1)
         ex.evict_kernel("vecop")
-        after = ex.time_suite_batch(kernels, [0.456, 1.0])
-        assert ex._suite_plan(kernels, 1) is not plan  # rebuilt
-        assert [a.tolist() for a in after] == [b.tolist() for b in before]
+        after = [ex.suite_times(kernels, f) for f in freqs]
+        assert ex._sweep_plan(kernels, 1) is not plan  # rebuilt
+        assert after == before
         i = kernels.index(k)
-        assert after[0][i].tolist() == [
-            ex.time_kernel(k, f).time_s for f in (0.456, 1.0)
+        assert [times[i] for times, _mem in after] == [
+            ex.time_kernel(k, f).time_s for f in freqs
         ]
 
     def test_evict_drops_the_kernel_plan(self, t2, kernels):
         ex = SimulatedExecutor(t2)
         vecop = get_kernel("vecop")
         dmmm = get_kernel("dmmm")
-        ex.time_suite_batch(kernels, [0.5, 1.0], cores=2)
-        ex.time_suite_batch([dmmm], [0.5], cores=2)
+        ex.suite_times(kernels, 0.5, cores=2)
+        ex.suite_times([dmmm], 0.5, cores=1)
         ex.evict_kernel("vecop")
-        assert not any(key[0] is vecop for key in ex._plans)
-        assert any(key[0] is dmmm for key in ex._plans)
-        # The suite plan that held vecop goes too; dmmm's own stays.
-        assert list(ex._suite_plans) == [((dmmm,), 2)]
+        # The plan that held vecop goes; dmmm's own stays.
+        assert list(ex._sweep_plans) == [1]
+        assert ex._sweep_plans[1].kernels == (dmmm,)
+        assert all(
+            vecop not in plan.kernels for plan in ex._sweep_plans.values()
+        )
 
 
 class TestMemoBound:

@@ -1,11 +1,12 @@
-"""Sweep-equivalence suite: the vectorized sweep == the scalar oracle.
+"""Sweep-equivalence suite: the plan-based sweep == the scalar oracle.
 
-The Figure 3/4 frequency sweep evaluates as NumPy array ops over the
-kernel and operating-point axes (``SimulatedExecutor.time_suite_batch``,
-``PowerMeter.integrate_batch``, ``MobileSoCStudy.sweep_points``); the
-original one-point-at-a-time walk is preserved verbatim as the reference
-oracle (``_sweep_point_scalar`` / ``_sweep_base_energy_scalar``, or
-``REPRO_SCALAR_SWEEP=1`` process-wide).  This suite drives both paths
+The Figure 3/4 frequency sweep prices each operating point in one
+scalar pass over a cached per-(platform, cores) plan of the kernel
+suite (``SimulatedExecutor.suite_times``, ``PowerMeter.integrate_batch``,
+``MobileSoCStudy.sweep_points``); the original one-kernel-at-a-time walk
+is preserved as the reference oracle (``_sweep_point_scalar`` /
+``_sweep_base_energy_scalar``, or ``REPRO_SCALAR_SWEEP=1``
+process-wide).  This suite drives both paths
 over randomized platform/frequency/seed grids plus the full golden
 figure set and asserts **float-for-float identical** results — ``==``,
 never ``approx`` — and unchanged ``.repro-cache`` keys and object
@@ -60,25 +61,25 @@ def _random_freq_grid(rng: random.Random, platform) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Executor level: time_suite_batch == time_kernel, bit for bit.
+# Executor level: suite_times == time_kernel, bit for bit.
 # ---------------------------------------------------------------------------
 class TestExecutorBatch:
     @pytest.mark.parametrize("case", range(6))
     def test_time_kernel_batch_matches_scalar(self, case, kernels):
-        """The suite pass's ``(kernel, frequency)`` arrays against one
-        scalar ``time_kernel`` call per entry."""
+        """The suite pass's per-kernel times at every frequency of a
+        randomized grid against one scalar ``time_kernel`` call per
+        entry."""
         rng = random.Random(1000 + case)
         platform = rng.choice(list(PLATFORMS.values()))
         cores = rng.choice([1, platform.soc.n_cores])
         freqs = _random_freq_grid(rng, platform)
         scalar_ex = SimulatedExecutor(platform)
-        batch_ex = SimulatedExecutor(platform)
-        time_s, mem_s = batch_ex.time_suite_batch(kernels, freqs, cores=cores)
-        assert time_s.shape == mem_s.shape == (len(kernels), len(freqs))
-        for i, k in enumerate(kernels):
-            want = [scalar_ex.time_kernel(k, f, cores=cores) for f in freqs]
-            assert time_s[i].tolist() == [run.time_s for run in want]
-            assert mem_s[i].tolist() == [run.memory_time_s for run in want]
+        pass_ex = SimulatedExecutor(platform)
+        for f in freqs:
+            time_s, mem_s = pass_ex.suite_times(kernels, f, cores)
+            want = [scalar_ex.time_kernel(k, f, cores=cores) for k in kernels]
+            assert time_s == [run.time_s for run in want]
+            assert mem_s == [run.memory_time_s for run in want]
 
     def test_suite_batch_leaves_the_memo_alone(self, t2, kernels):
         """The pass neither fills nor reads the run memo, and agrees
@@ -87,10 +88,11 @@ class TestExecutorBatch:
         k = kernels[0]
         scalar_run = ex.time_kernel(k, 1.0, cores=2)
         memo = dict(ex._memo)
-        time_s, mem_s = ex.time_suite_batch(kernels, [1.0, 0.76], cores=2)
+        time_s, mem_s = ex.suite_times(kernels, 1.0, cores=2)
+        ex.suite_times(kernels, 0.76, cores=2)
         assert ex._memo == memo
-        assert time_s[0, 0] == scalar_run.time_s
-        assert mem_s[0, 0] == scalar_run.memory_time_s
+        assert time_s[0] == scalar_run.time_s
+        assert mem_s[0] == scalar_run.memory_time_s
 
     def test_batch_seeds_the_scalar_memo(self, t2, kernels):
         """``time_suite`` times through the memo, unlike the pass."""
@@ -111,14 +113,18 @@ class TestExecutorBatch:
         ex = SimulatedExecutor(t2)
         for bad in (-0.5, 0.0, float("nan")):
             with pytest.raises(ValueError, match="frequency must be positive"):
-                ex.time_suite_batch(kernels, [1.0, bad])
+                ex.suite_times(kernels, bad)
         with pytest.raises(ValueError):
-            ex.time_suite_batch(kernels, [1.0], cores=99)
-        # So fast that every time underflows to 0: no run, on either path.
-        with pytest.raises(ValueError, match="no finite, positive time"):
-            ex.time_suite_batch(kernels, [1e308])
-        with pytest.raises(ValueError, match="no finite, positive time"):
-            ex.time_kernel(kernels[0], 1e308)
+            ex.suite_times(kernels, 1.0, cores=99)
+        # So fast that every time underflows to 0, or so slow that a
+        # roof is 0: no run, on either path, and never a
+        # ZeroDivisionError.
+        for extreme in (1e308, 5e-324):
+            with pytest.raises(ValueError, match="no finite, positive time"):
+                ex.suite_times(kernels, extreme)
+            for k in kernels:
+                with pytest.raises(ValueError, match="no finite, positive"):
+                    ex.time_kernel(k, extreme)
 
     @pytest.mark.parametrize("case", range(4))
     def test_roofline_batch_matches_scalar(self, case, kernels):
@@ -129,48 +135,62 @@ class TestExecutorBatch:
         cores = rng.choice([1, platform.soc.n_cores])
         freqs = _random_freq_grid(rng, platform)
         ex = SimulatedExecutor(platform)
-        _time_s, mem_s = ex.time_suite_batch(kernels, freqs, cores=cores)
-        for i, k in enumerate(kernels):
-            profile = k.profile(k.default_size())
-            traffic = (
-                profile.cache_traffic if ex.is_resident(profile)
-                else profile.bytes_from_dram
-            )
-            reps = calibration.passes_for(k.tag)
-            for j, f in enumerate(freqs):
+        for f in freqs:
+            _time_s, mem_s = ex.suite_times(kernels, f, cores)
+            for i, k in enumerate(kernels):
+                profile = k.profile(k.default_size())
+                traffic = (
+                    profile.cache_traffic if ex.is_resident(profile)
+                    else profile.bytes_from_dram
+                )
+                reps = calibration.passes_for(k.tag)
                 roof = ex.roofline(f, cores, profile)
-                assert mem_s[i, j] == roof.time_seconds(0.0, traffic) * reps
+                assert mem_s[i] == roof.time_seconds(0.0, traffic) * reps
 
     def test_effective_bandwidth_batch_matches_scalar(self, kernels):
         """DVFS points plus a dense off-grid sweep: the L2 roof's
-        product order shows only at some frequencies."""
+        product order shows only at some frequencies.  The pass's memory
+        time equals the scalar one, which divides by
+        :meth:`SimulatedExecutor.effective_bandwidth_gbs`."""
         for platform in PLATFORMS.values():
             ex = SimulatedExecutor(platform)
             freqs = list(platform.soc.dvfs.frequencies())
             freqs += np.linspace(freqs[0], freqs[-1], 41).tolist()
             for cores in (1, platform.soc.n_cores):
-                bw = ex._suite_plan(kernels, cores).bandwidth_gbs(
-                    np.array(freqs)[None, :]
-                )
-                for i, k in enumerate(kernels):
-                    profile = k.profile(k.default_size())
-                    assert bw[i].tolist() == [
-                        ex.effective_bandwidth_gbs(f, cores, profile)
-                        for f in freqs
+                for f in freqs:
+                    _time_s, mem_s = ex.suite_times(kernels, f, cores)
+                    assert mem_s == [
+                        ex.memory_time_s(f, cores, k.profile(k.default_size()))
+                        * calibration.passes_for(k.tag)
+                        for k in kernels
                     ]
 
     def test_efficiency_table_matches_scalar_lookup(self, kernels):
         for platform in PLATFORMS.values():
             ex = SimulatedExecutor(platform)
-            plan = ex._suite_plan(kernels, 1)
-            assert plan is ex._suite_plan(list(kernels), 1)  # cached
-            assert plan.eff[:, 0].tolist() == [
+            plan = ex._sweep_plan(kernels, 1)
+            assert plan is ex._sweep_plan(list(kernels), 1)  # cached
+            assert [row.eff for row in plan.rows] == [
                 calibration.fp_efficiency(
                     platform.soc.core.name,
                     k.profile(k.default_size()).characteristics,
                 )
                 for k in kernels
             ]
+
+    def test_one_plan_per_core_count(self, t2, kernels):
+        """A call naming another suite replaces the core count's plan,
+        so the cache is bounded by the core counts, and a plan never
+        serves kernel objects it was not built from."""
+        ex = SimulatedExecutor(t2)
+        ex.suite_times(kernels, 1.0)
+        ex.suite_times(kernels, 1.0, cores=2)
+        ex.suite_times(kernels[:3], 1.0)
+        assert sorted(ex._sweep_plans) == [1, 2]
+        assert ex._sweep_plans[1].kernels == tuple(kernels[:3])
+        assert ex.suite_times(kernels[:3], 0.5)[0] == [
+            ex.time_kernel(k, 0.5).time_s for k in kernels[:3]
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +222,8 @@ class TestMeterBatch:
     def test_measure_kernel_batch_matches_scalar(self, t2, kernels):
         """The sweep's suite metering — one pass, the frequency terms
         of the power priced once, one meter draw — against
-        :func:`measure_kernel` per kernel on the same meter stream."""
+        :func:`measure_kernel` per kernel on the same meter stream, and
+        the study's per-point pricing against its mean."""
         ex = SimulatedExecutor(t2)
         scalar_meter = PowerMeter(seed=99)
         batch_meter = PowerMeter(seed=99)
@@ -212,20 +233,44 @@ class TestMeterBatch:
             )
             for k in kernels
         ]
-        time_s, mem_s = ex.time_suite_batch(kernels, [1.0], cores=2)
-        util = np.minimum(1.0, mem_s[:, 0] / time_s[:, 0])
-        powers = t2.soc.power.platform_powers(1.0, 2, t2.soc.n_cores, util)
-        assert powers.tolist() == [
-            t2.soc.power.platform_power(
+        time_s, mem_s = ex.suite_times(kernels, 1.0, cores=2)
+        power = t2.soc.power
+        watts = power.frequency_watts(1.0, 2, t2.soc.n_cores)
+        powers = [
+            watts + power.mem_dynamic_watts * min(1.0, m / t)
+            for t, m in zip(time_s, mem_s)
+        ]
+        assert powers == [
+            power.platform_power(
                 1.0, 2, t2.soc.n_cores, run.memory_bw_utilisation
             )
             for run, _m in want
         ]
-        got = batch_meter.integrate_batch(
-            powers.tolist(), time_s[:, 0].tolist()
-        )
+        got = batch_meter.integrate_batch(powers, time_s)
         assert got == [(m.energy_j, m.n_samples) for _run, m in want]
-        assert time_s[:, 0].tolist() == [m.duration_s for _run, m in want]
+        assert time_s == [m.duration_s for _run, m in want]
+
+        study = MobileSoCStudy()
+        label = "sweep:multi:Tegra2:1.0"
+        meter = PowerMeter(seed=study._meter_seed(label))
+        runs = [
+            measure_kernel(t2, k, 1.0, cores=2, meter=meter, executor=ex)
+            for k in study.kernels
+        ]
+        assert study._price_point(t2, 1.0, 2, label) == (
+            [run.time_s for run, _m in runs],
+            float(np.mean([m.energy_j for _run, m in runs])),
+        )
+
+    def test_infinite_sample_count_is_a_value_error(self):
+        """A duration whose sample count overflows is refused like a
+        non-positive one, on the scalar and the batched draw alike."""
+        meter = PowerMeter(seed=0)
+        for bad in (float("inf"), 1.7e308, float("nan"), -1.0):
+            with pytest.raises(ValueError, match="duration must be positive"):
+                meter.integrate(1.0, bad)
+            with pytest.raises(ValueError, match="duration must be positive"):
+                meter.integrate_batch([1.0, 1.0], [1.0, bad])
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +355,135 @@ class TestSweepEquivalence:
     def test_sweep_points_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             MobileSoCStudy().sweep_points("turbo")
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s value, or the type and text of the ``ValueError``
+    it raised (any other exception propagates and fails the test)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+#: Frequencies at the ends of the float range: a time that underflows
+#: to 0, a roof that is 0, a sample count that overflows.
+EXTREME_FREQS = (
+    1e308, 1.7976931348623157e308, 5e-324, 1e-310,
+    2.2250738585072014e-308, 8.900295434028806e-308,
+)
+
+
+class TestScalarPassDifferential:
+    """One point at a time, as ``repro serve`` asks for them: the
+    plan-based pass against the scalar oracle on every field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_single_points_match_oracle_property(self, data):
+        name = data.draw(st.sampled_from(sorted(PLATFORMS)), label="platform")
+        mode = data.draw(st.sampled_from(["single", "multi"]), label="mode")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        freq = data.draw(
+            st.one_of(
+                st.floats(0.05, 20.0),
+                st.integers(1, 4),
+                st.sampled_from(PLATFORMS[name].soc.dvfs.frequencies()),
+            ),
+            label="freq",
+        )
+        study, oracle = MobileSoCStudy(seed=seed), MobileSoCStudy(seed=seed)
+        study.sweep_points(mode, [(name, 1.0)])  # plans built and reused
+        [got] = study.sweep_points(mode, [(name, freq)])
+        want = oracle._sweep_point_scalar(mode, name, freq)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PLATFORMS)),
+        mode=st.sampled_from(["single", "multi"]),
+        freq=st.one_of(
+            st.floats(5e-324, 1e-290), st.floats(1e290, 1.7976931348623157e308)
+        ),
+    )
+    def test_extreme_float_range_matches_oracle(self, name, mode, freq):
+        """Either both paths answer the same value or both raise
+        ``ValueError`` with the same text; never ``ZeroDivisionError``
+        or ``OverflowError``."""
+        got = _outcome(lambda: MobileSoCStudy().sweep_points(
+            mode, [(name, freq)])[0])
+        want = _outcome(
+            MobileSoCStudy()._sweep_point_scalar, mode, name, freq
+        )
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("freq", EXTREME_FREQS)
+    def test_extreme_frequencies_are_value_errors(self, freq):
+        study, oracle = MobileSoCStudy(), MobileSoCStudy()
+        for name in PLATFORMS:
+            for mode in ("single", "multi"):
+                with pytest.raises(ValueError):
+                    study.sweep_points(mode, [(name, freq)])
+                with pytest.raises(ValueError):
+                    oracle._sweep_point_scalar(mode, name, freq)
+
+    def test_int_and_float_frequency_name_different_meters(self):
+        study, oracle = MobileSoCStudy(), MobileSoCStudy()
+        as_int, as_float = study.sweep_points(
+            "single", [("Tegra2", 1), ("Tegra2", 1.0)]
+        )
+        assert as_int == oracle._sweep_point_scalar("single", "Tegra2", 1)
+        assert as_float == oracle._sweep_point_scalar("single", "Tegra2", 1.0)
+        assert repr(as_int["freq_ghz"]) == "1"
+        assert as_int["speedup"] == as_float["speedup"]
+        assert as_int["energy_j"] != as_float["energy_j"]
+
+    def test_replaced_and_evicted_kernel_is_not_served(self):
+        """``register_kernel(..., replace=True)`` and ``evict_kernel``:
+        the next sweep prices the new kernel, not a cached plan of the
+        old one."""
+        import dataclasses
+
+        from repro.kernels import registry
+        from repro.kernels.registry import all_kernels
+        from repro.kernels.vecop import VecOp
+
+        class HeavierVecOp(VecOp):
+            def profile(self, n):
+                p = super().profile(n)
+                return dataclasses.replace(p, flops=p.flops * 40)
+
+        study = MobileSoCStudy()
+        point = [("Tegra3", 0.9)]
+        stale = study.sweep_points("multi", point)
+        old = registry.get_kernel("vecop")
+        registry.register_kernel(HeavierVecOp(), replace=True)
+        try:
+            study.kernels = all_kernels()
+            for ex in study._executors.values():
+                ex.evict_kernel("vecop")
+            got = study.sweep_points("multi", point)
+            assert got == [study._sweep_point_scalar("multi", "Tegra3", 0.9)]
+            assert got != stale
+        finally:
+            registry.register_kernel(old, replace=True)
+
+    def test_swapped_platform_model_gets_fresh_plans(self):
+        import dataclasses
+
+        study = MobileSoCStudy()
+        point = [("Tegra3", 0.9)]
+        before = study.sweep_points("single", point)
+        old = study.platforms["Tegra3"]
+        soc = dataclasses.replace(
+            old.soc, l2_bw_bytes_per_cycle=old.soc.l2_bw_bytes_per_cycle / 4
+        )
+        study.platforms["Tegra3"] = dataclasses.replace(old, soc=soc)
+        got = study.sweep_points("single", point)
+        assert got == [study._sweep_point_scalar("single", "Tegra3", 0.9)]
+        assert got != before
+        assert study._executors["Tegra3"].platform is study.platforms["Tegra3"]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +682,7 @@ class TestCacheStability:
 
 
 # ---------------------------------------------------------------------------
-# Golden figures: the vectorized campaign reproduces the committed JSON
+# Golden figures: the default campaign reproduces the committed JSON
 # byte for byte (regenerate with --update-goldens after an *intended*
 # model change).
 # ---------------------------------------------------------------------------
