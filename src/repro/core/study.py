@@ -130,7 +130,7 @@ class MobileSoCStudy:
         # identity (``id()`` keys resurrect after reuse and pin dropped
         # platform models alive through the executor's back-reference).
         self._executors: dict[str, SimulatedExecutor] = {}
-        self._base_times: dict[str, float] | None = None
+        self._base_times: tuple[tuple, dict[str, float]] | None = None
         # Memoized figure-level results; the parallel campaign runner
         # pre-seeds this so rendering after a sharded run is free.
         self._results_memo: dict[tuple, Any] = {}
@@ -148,14 +148,17 @@ class MobileSoCStudy:
 
     def baseline_times(self) -> dict[str, float]:
         """Tegra 2 @1 GHz serial per-kernel times — the denominator of
-        every speedup in Figures 3/4; computed once per study."""
-        if self._base_times is None:
+        every speedup in Figures 3/4; computed once per kernel suite
+        (a reassigned ``self.kernels`` gets fresh times)."""
+        suite = tuple(self.kernels)
+        cached = self._base_times
+        if cached is None or cached[0] != suite:
             base_ex = self._executor(self.baseline)
-            self._base_times = {
+            cached = self._base_times = (suite, {
                 k.tag: base_ex.time_kernel(k, 1.0, cores=1).time_s
-                for k in self.kernels
-            }
-        return self._base_times
+                for k in suite
+            })
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Section 1 artefacts.
@@ -279,14 +282,7 @@ class MobileSoCStudy:
         """One Figure 3/4 operating point: geometric-mean speedup over
         the kernel suite plus the *absolute* mean energy (normalisation
         happens at merge time, against :meth:`sweep_base_energy`).
-
-        Routes through :meth:`sweep_points` (the campaign units in
-        :mod:`repro.parallel` and ``repro serve`` therefore get the
-        plan-based pass by default, with unchanged unit granularity and
-        cache keys); ``REPRO_SCALAR_SWEEP=1`` forces the scalar oracle.
-        """
-        if _scalar_sweep():
-            return self._sweep_point_scalar(mode, platform_name, freq_ghz)
+        A one-point :meth:`sweep_points` call."""
         return self.sweep_points(mode, [(platform_name, freq_ghz)])[0]
 
     def _sweep_point_scalar(
@@ -341,14 +337,20 @@ class MobileSoCStudy:
         which draws the whole kernel suite in one call.  Results are
         bit-identical to the scalar :meth:`_sweep_point_scalar` loop, in
         ``points`` order (enforced by
-        tests/timing/test_sweep_equivalence.py).  A point that names an
-        unknown platform, or a frequency that is not a finite positive
-        number or has no finite result, raises ``ValueError``.
+        tests/timing/test_sweep_equivalence.py); ``REPRO_SCALAR_SWEEP=1``
+        prices each point with that oracle instead.  A point that names
+        an unknown platform, or a frequency that is not a finite
+        positive number or has no finite result, raises ``ValueError``.
         """
         if mode not in ("single", "multi"):
             raise ValueError(f"unknown sweep mode {mode!r}")
         if points is None:
             points = self.sweep_plan()
+        if _scalar_sweep():
+            return [
+                self._sweep_point_scalar(mode, name, freq)
+                for name, freq in points
+            ]
         for name, freq in points:
             self._sweep_platform(name)
             _check_sweep_freq(freq)
@@ -386,10 +388,7 @@ class MobileSoCStudy:
         """
         base_energy = self.sweep_base_energy()
         plan = self.sweep_plan()
-        if _scalar_sweep():
-            pts = [self.sweep_point(cores_mode, name, freq) for name, freq in plan]
-        else:
-            pts = self.sweep_points(cores_mode, plan)
+        pts = self.sweep_points(cores_mode, plan)
         out: dict[str, list[dict[str, float]]] = {}
         for (name, _freq), pt in zip(plan, pts):
             out.setdefault(name, []).append(

@@ -6,10 +6,9 @@ Execution model
 1. Build the unit plan (:func:`repro.parallel.units.campaign_units`).
 2. Probe the result cache, when there is one, for every unit in one
    batched read.
-3. Execute the misses in this process through
-   :func:`repro.parallel.units.execute_batch` (sweep points grouped
-   into one ``sweep_points`` call per mode), caching each value as it
-   resolves.
+3. Execute the misses in this process, one
+   :func:`repro.parallel.units.execute_unit` call each in plan order,
+   caching each value as it resolves.
 4. Merge by *plan order*: platform order is the catalog's, frequency
    order the DVFS table's, Figure 6 order the application registry's.
    The merged dict is byte-identical (through ``json.dumps``) to
@@ -34,40 +33,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.parallel import units as _units
 from repro.parallel.cache import MISS, CacheStats, ResultCache, unit_key
 from repro.parallel.units import (
     UnitFailure,
     WorkUnit,
     app_run_result,
     campaign_units,
-    execute_batch,
 )
-
-
-def probe_units(
-    units: list[WorkUnit],
-    cache: ResultCache | None,
-    seed: int = 0,
-) -> tuple[list[Any], list[int]]:
-    """Resolve whatever the cache already holds: ``(values, todo)``
-    where ``values`` carries the hits in unit order (misses ``None``)
-    and ``todo`` lists the miss indices.  One batched probe
-    (:meth:`ResultCache.get_many`), not a per-unit ``get`` — this is
-    also the job tier's restart-resume hook: completed units land in
-    the cache, so the probe *is* the checkpoint read."""
-    values: list[Any] = [None] * len(units)
-    if cache is None:
-        return values, list(range(len(units)))
-    hits = cache.get_many(
-        [unit_key(u.kind, u.params, seed) for u in units]
-    )
-    todo: list[int] = []
-    for i, hit in enumerate(hits):
-        if hit is MISS:
-            todo.append(i)
-        else:
-            values[i] = hit
-    return values, todo
 
 
 def run_units(
@@ -79,29 +52,37 @@ def run_units(
 ) -> list[Any]:
     """Execute ``units``, returning their values in input order.
 
-    Cache hits are resolved first; only misses are computed.  They run
-    in this process through :func:`~repro.parallel.units.execute_batch`
-    (sweep points grouped into one ``sweep_points`` call per mode), and each
-    fresh value is written to ``cache`` as soon as it arrives, so an
-    interrupted run keeps every unit already finished.
+    Cache hits are resolved first, in one batched probe
+    (:meth:`ResultCache.get_many`); only misses are computed, one
+    :func:`~repro.parallel.units.execute_unit` call each in input
+    order.  Each fresh value is written to ``cache`` as soon as it
+    resolves, so an interrupted run keeps every unit already finished.
 
-    ``safe=True`` captures each unit's exception as a
+    ``safe=True`` captures each unit's ``Exception`` as a
     :class:`UnitFailure` in its slot (never cached) instead of raising
-    and discarding the batch.  ``write=False`` only probes ``cache``:
-    the caller writes the values (the serve job tier's checkpoints).
+    and discarding the batch; a ``BaseException`` such as
+    ``KeyboardInterrupt`` still propagates.  ``write=False`` only
+    probes ``cache``: the caller writes the values (the serve job
+    tier's checkpoints).
     """
-    values, todo = probe_units(units, cache, seed)
-    if not todo:
-        return values
-    for j, value in execute_batch([units[i] for i in todo], seed, safe=safe):
-        i = todo[j]
-        values[i] = value
-        if write and cache is not None and not isinstance(value, UnitFailure):
-            cache.put(
-                unit_key(units[i].kind, units[i].params, seed),
-                value,
-                kind=units[i].kind,
-            )
+    if cache is None:
+        keys, hits = [], [MISS] * len(units)
+    else:
+        keys = [unit_key(u.kind, u.params, seed) for u in units]
+        hits = cache.get_many(keys)
+    values: list[Any] = []
+    for i, (unit, value) in enumerate(zip(units, hits)):
+        if value is MISS:
+            try:  # read off the module, so a patched execute_unit runs
+                value = _units.execute_unit(unit.kind, unit.params, seed)
+            except Exception as exc:  # noqa: BLE001 - per-unit containment
+                if not safe:
+                    raise
+                value = UnitFailure(f"{type(exc).__name__}: {exc}", exc)
+            else:
+                if write and cache is not None:
+                    cache.put(keys[i], value, kind=unit.kind)
+        values.append(value)
     return values
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.apps import APPLICATIONS
 from repro.apps.base import AppRunResult
@@ -36,7 +36,6 @@ from repro.core.study import (
     FIG6_FULL_COUNTS,
     FIG6_QUICK_COUNTS,
     MobileSoCStudy,
-    _scalar_sweep,
     figure6_counts,
 )
 
@@ -177,51 +176,6 @@ def execute_unit(kind: str, params: dict[str, Any], seed: int = 0) -> Any:
     if kind == "headline":
         return study.headline_hpl(_headline_args(params))
     raise ValueError(f"unknown work-unit kind {kind!r}")
-
-
-def execute_batch(
-    batch: list[WorkUnit], seed: int = 0, safe: bool = False
-) -> Iterator[tuple[int, Any]]:
-    """Run ``batch`` in this process, yielding ``(index, value)`` as
-    each value resolves, so a caller can cache every unit the moment it
-    is done (a cached unit is the campaign's checkpoint).
-
-    Every kind but ``sweep_point`` runs through :func:`execute_unit`,
-    one unit at a time in batch order.  The ``sweep_point`` units are
-    then grouped into one :meth:`MobileSoCStudy.sweep_points` call per
-    mode — bit-identical to running them one by one through
-    :func:`execute_unit`, which is what ``REPRO_SCALAR_SWEEP=1`` still
-    does (the scalar oracle).
-
-    ``safe=True`` yields a :class:`UnitFailure` for a failed unit
-    instead of raising; when a grouped sweep call raises, each of its
-    units is re-run alone, so only the bad ones fail.
-    """
-
-    def one(unit: WorkUnit) -> Any:
-        if not safe:
-            return execute_unit(unit.kind, unit.params, seed)
-        try:
-            return execute_unit(unit.kind, unit.params, seed)
-        except Exception as exc:  # noqa: BLE001 - per-unit containment
-            return UnitFailure(f"{type(exc).__name__}: {exc}", exc)
-
-    by_mode: dict[str | None, list[int]] = {}
-    for i, unit in enumerate(batch):
-        if unit.kind == "sweep_point" and not _scalar_sweep():
-            mode = unit.params.get("mode")
-            by_mode.setdefault(
-                mode if isinstance(mode, str) else None, []
-            ).append(i)
-        else:
-            yield i, one(unit)
-    for mode, idxs in by_mode.items():
-        try:
-            points = [_sweep_args(batch[i].params)[1:] for i in idxs]
-            values = _plan_study(seed).sweep_points(mode, points)
-        except Exception:
-            values = [one(batch[i]) for i in idxs]
-        yield from zip(idxs, values)
 
 
 def app_run_result(value: dict[str, Any]) -> AppRunResult:

@@ -37,7 +37,6 @@ import argparse
 import asyncio
 import contextlib
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -55,21 +54,10 @@ BACKEND_BOOT_TIMEOUT_S = 30.0
 BACKEND_EXIT_TIMEOUT_S = 30.0
 
 
-def free_port(host: str = "127.0.0.1") -> int:
-    """An ephemeral port that was free a moment ago.
-
-    Backends start on ports picked here, not on port 0: that cost the
-    ``serve_cluster`` router 12–25% more CPU per request (DESIGN.md
-    §14).  The tiny reuse race is acceptable for a dev/CI cluster; a
-    backend that loses it fails to bind and the boot aborts loudly.
-    """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-
-
 class _Backend:
-    """One backend subprocess plus its stdout pump."""
+    """One backend subprocess plus its stdout pump.  A backend started
+    on port 0 learns its bound port from its ``listening on HOST:PORT``
+    line, before :attr:`ready` is set."""
 
     def __init__(self, name: str, host: str, port: int, argv: list[str]) -> None:
         self.name = name
@@ -95,7 +83,9 @@ class _Backend:
     def _pump_stdout(self) -> None:
         assert self.proc is not None and self.proc.stdout is not None
         for line in self.proc.stdout:
-            if "listening on" in line:
+            if "listening on " in line and not self.ready.is_set():
+                address = line.split("listening on ", 1)[1].split()[0]
+                self.port = int(address.rpartition(":")[2])
                 self.ready.set()
             # Prefixed passthrough: backend logs stay attributable.
             sys.stdout.write(f"[{self.name}] {line}")
@@ -179,14 +169,12 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
     # Backend addresses travel out to ring clients via locate: they
     # must be connectable even when the bind host is a wildcard.
     adv = advertised_host(args.host, args.advertise_host)
-    names = [f"b{i}" for i in range(args.backends)]
-    ports = [free_port(args.host) for _ in names]
     backends: list[_Backend] = []
-    for name, port in zip(names, ports):
+    for name in (f"b{i}" for i in range(args.backends)):
         backend_argv = [
             sys.executable, "-m", "repro", "serve",
             "--host", args.host,
-            "--port", str(port),
+            "--port", "0",
             "--name", name,
             "--queue-limit", str(args.queue_limit),
             "--cache-dir", str(args.cache_dir / name),
@@ -198,7 +186,7 @@ def cluster_serve_main(argv: list[str] | None = None) -> int:
             backend_argv += ["--wire", "json"]
         if args.drain_timeout is not None:
             backend_argv += ["--drain-timeout", str(args.drain_timeout)]
-        backends.append(_Backend(name, adv, port, backend_argv))
+        backends.append(_Backend(name, adv, 0, backend_argv))
 
     for backend in backends:
         backend.start()

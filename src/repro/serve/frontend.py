@@ -141,7 +141,6 @@ class ServeConfig:
 
     queue_limit: int = 256        #: pending distinct computations bound
     cache_dir: Path | None = DEFAULT_CACHE_DIR  #: None = no cache
-    cache_max_bytes: int | None = None  #: None = ResultCache default
     seed: int = 0                  #: study seed baked into cache keys
     #: In-memory LRU fronting the disk cache (entries; 0 disables).
     #: Sound because cached values are immutable per (kind, params,
@@ -227,19 +226,16 @@ class CampaignFrontEnd:
         self.stats = ServeStats()
         self._runner = runner
         cfg = self.config
-        cache_kw: dict[str, Any] = {}
-        if cfg.cache_max_bytes is not None:
-            cache_kw["max_bytes"] = cfg.cache_max_bytes
         # Two cache handles on the same directory: the probe cache is
         # touched only from the event-loop thread, the batch cache only
         # from the single executor thread — no shared mutable state, and
         # every write (with its size scan and eviction) off the loop.
         self._probe_cache = (
-            ResultCache(cfg.cache_dir, **cache_kw)
+            ResultCache(cfg.cache_dir)
             if cfg.cache_dir is not None else None
         )
         self._batch_cache = (
-            ResultCache(cfg.cache_dir, **cache_kw)
+            ResultCache(cfg.cache_dir)
             if cfg.cache_dir is not None else None
         )
         self._hot_values: OrderedDict[tuple[str, str], Any] | None = (
@@ -515,13 +511,13 @@ class CampaignFrontEnd:
     async def execute_units(
         self, units: list[WorkUnit], seed: int | None = None
     ) -> list[Any]:
-        """Run a job-tier unit batch on the serve executor thread, one
-        at a time with the query path's simulation units, sweep
-        points grouped per mode as in the campaign.  Failures come back
-        as :class:`~repro.parallel.runner.UnitFailure` slots (an
-        injected runner's exception propagates; the job tier fails each
-        unit with it).  Units already cached are not recomputed, and
-        nothing is written: the job manager writes each checkpoint.
+        """Run a job-tier unit batch on the serve executor thread, in
+        turn with the query path's simulation units, one
+        ``execute_unit`` call per unit as in the campaign.  Failures
+        come back as :class:`~repro.parallel.runner.UnitFailure` slots
+        (an injected runner's exception propagates; the job tier fails
+        each unit with it).  Units already cached are not recomputed,
+        and nothing is written: the job manager writes each checkpoint.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(

@@ -1,30 +1,23 @@
-"""In-process batch execution: sweep points grouped into one vectorized
-``sweep_points`` call per mode, bit-identical to running each unit
-alone, the scalar oracle under ``REPRO_SCALAR_SWEEP=1``, per-unit
-failure isolation for ``run_units(safe=True)``, and every value cached
-the moment it is computed."""
+"""In-process unit execution through ``run_units``: each cache miss is
+one ``execute_unit`` call in input order, bit-identical to running the
+unit alone, the scalar oracle under ``REPRO_SCALAR_SWEEP=1``, per-unit
+failure isolation for ``safe=True``, and every value cached the moment
+it is computed."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.study import MobileSoCStudy
 from repro.parallel import units as units_mod
 from repro.parallel.cache import ResultCache
 from repro.parallel.runner import UnitFailure, run_units
-from repro.parallel.units import WorkUnit, execute_batch, execute_unit
+from repro.parallel.units import WorkUnit, execute_unit
 
 
 def canon(data) -> str:
     return json.dumps(data, sort_keys=True)
-
-
-def batch_values(batch, **kwargs):
-    """``execute_batch``'s yields, placed back in batch order."""
-    out = [None] * len(batch)
-    for i, value in execute_batch(batch, **kwargs):
-        out[i] = value
-    return out
 
 
 def sweep(mode, platform, freq):
@@ -43,39 +36,56 @@ MIXED = [
 ]
 
 
-@pytest.fixture
-def sweep_calls(monkeypatch):
-    """Record the point count of every ``sweep_points`` call."""
-    calls = []
-    original = MobileSoCStudy.sweep_points
-
-    def counting(self, mode, points=None):
-        calls.append((mode, len(points)))
-        return original(self, mode, points)
-
-    monkeypatch.setattr(MobileSoCStudy, "sweep_points", counting)
-    return calls
+def alone(unit):
+    """``execute_unit``'s value for ``unit``, or the ``UnitFailure``
+    ``run_units(safe=True)`` must put in its slot."""
+    try:
+        return execute_unit(unit.kind, unit.params)
+    except Exception as exc:  # noqa: BLE001 - the oracle of containment
+        return UnitFailure(f"{type(exc).__name__}: {exc}", exc)
 
 
 class TestGrouping:
-    def test_one_sweep_points_call_per_mode(self, sweep_calls):
-        batch_values(MIXED)
-        assert sorted(sweep_calls) == [("multi", 2), ("single", 3)]
+    """Each unit's value is the one ``execute_unit`` gives it alone."""
 
     def test_bit_identical_to_one_unit_at_a_time(self):
-        alone = [execute_unit(u.kind, u.params) for u in MIXED]
-        assert canon(batch_values(MIXED)) == canon(alone)
-        assert canon(run_units(MIXED)) == canon(alone)
+        assert canon(run_units(MIXED)) == canon([alone(u) for u in MIXED])
 
-    def test_scalar_oracle_under_env_flag(self, monkeypatch, sweep_calls):
-        vectorized = batch_values(MIXED)
-        sweep_calls.clear()
+    def test_scalar_oracle_under_env_flag(self, monkeypatch):
+        fast = run_units(MIXED)
+        priced = []
+        price_point = MobileSoCStudy._price_point
+
+        def spy(self, *args):
+            priced.append(args)
+            return price_point(self, *args)
+
+        monkeypatch.setattr(MobileSoCStudy, "_price_point", spy)
         monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
         scalar = run_units(MIXED)
-        assert sweep_calls == []  # the oracle path never batches
-        assert canon(scalar) == canon(vectorized)
+        assert priced == []  # the plan-based pass never ran
+        assert canon(scalar) == canon(fast)
         study = MobileSoCStudy()
         assert scalar[0] == study._sweep_point_scalar("single", "Tegra2", 0.777)
+
+
+VALID = st.builds(
+    sweep,
+    st.sampled_from(["single", "multi"]),
+    st.sampled_from(["Tegra2", "Tegra3", "Exynos5250", "Corei7-2760QM"]),
+    st.floats(0.2, 3.0),
+)
+INVALID = st.one_of(
+    st.builds(sweep, st.just("single"), st.just("Tegra2"),
+              st.floats(-2.0, 0.0)),
+    st.builds(sweep, st.just("multi"), st.just("Tegra3"),
+              st.sampled_from(["1.0", None, True, [1.0]])),
+    st.builds(sweep, st.just("single"), st.sampled_from(["NoSuch", 3]),
+              st.just(1.0)),
+    st.builds(lambda freq: WorkUnit(
+        "sweep_point", {"platform": "Tegra2", "freq": freq}),
+        st.floats(0.5, 2.0)),
+)
 
 
 class TestFailureIsolation:
@@ -106,6 +116,21 @@ class TestFailureIsolation:
         run_units(self.BATCH, cache=cache, safe=True)
         assert len(cache._object_files()) == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.lists(
+        st.one_of(VALID, INVALID, st.just(WorkUnit("sweep_base", {}))),
+        max_size=6,
+    ))
+    def test_safe_run_matches_each_unit_alone(self, batch):
+        """Differential: slot ``i`` of a safe run is ``execute_unit``'s
+        value for unit ``i``, or a failure with its exact error text."""
+        got = run_units(batch, safe=True)
+        want = [alone(u) for u in batch]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert g == w
+
 
 class TestCheckpointing:
     SIMS = [
@@ -113,18 +138,27 @@ class TestCheckpointing:
         for n in (1, 2, 4, 8)
     ]
 
-    def test_each_value_is_yielded_as_it_resolves(self, monkeypatch):
+    def test_each_value_is_written_as_it_resolves(
+        self, monkeypatch, tmp_path
+    ):
+        """Unit ``i``'s value is in the cache before unit ``i + 1``
+        starts."""
         events = []
+        put = ResultCache.put
 
-        def spy(kind, params, seed=0):
+        def spy_unit(kind, params, seed=0):
             events.append(("run", params["n"]))
             return execute_unit(kind, params, seed)
 
-        monkeypatch.setattr(units_mod, "execute_unit", spy)
-        for i, _value in execute_batch(self.SIMS):
-            events.append(("yield", self.SIMS[i].params["n"]))
+        def spy_put(self, key, value, kind=""):
+            events.append(("write", value["n_nodes"]))
+            return put(self, key, value, kind=kind)
+
+        monkeypatch.setattr(units_mod, "execute_unit", spy_unit)
+        monkeypatch.setattr(ResultCache, "put", spy_put)
+        run_units(self.SIMS, cache=ResultCache(tmp_path))
         assert events == [
-            (step, n) for n in (1, 2, 4, 8) for step in ("run", "yield")
+            (step, n) for n in (1, 2, 4, 8) for step in ("run", "write")
         ]
 
     def test_an_interrupted_in_process_run_keeps_finished_units(
@@ -143,7 +177,7 @@ class TestCheckpointing:
         monkeypatch.setattr(units_mod, "execute_unit", dies_third)
         cache = ResultCache(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            run_units(self.SIMS, cache=cache)
+            run_units(self.SIMS, cache=cache, safe=True)
         assert len(cache._object_files()) == 2
         monkeypatch.undo()
         values = run_units(self.SIMS, cache=cache)

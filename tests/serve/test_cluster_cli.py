@@ -132,3 +132,21 @@ def test_cluster_serve_has_no_jobs_option(capsys):
         cluster_serve_main(["--jobs", "1"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("host", ["127.0.0.1", "::1"])
+def test_backend_port_is_read_from_its_readiness_line(host):
+    """A backend started on port 0 reports the port it bound; the pump
+    records it before the backend counts as ready."""
+    from repro.serve.cluster import _Backend
+
+    line = f"repro serve: listening on {host}:43210 (queue_limit=1)"
+    backend = _Backend(
+        "b0", host, 0, [sys.executable, "-c", f"print({line!r})"]
+    )
+    backend.start()
+    try:
+        assert backend.ready.wait(30.0)
+        assert backend.port == 43210
+    finally:
+        backend.stop(30.0)

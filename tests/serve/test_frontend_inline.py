@@ -396,9 +396,10 @@ class TestExecutionSplit:
             *(execute_unit("fig6_point", p) for p in sims),
         ]
 
-    def test_job_batch_groups_sweep_points_per_mode(self, monkeypatch):
-        """A job batch of sweep points makes one ``sweep_points`` call
-        per mode, in process, bit-identical to the scalar units."""
+    def test_job_batch_prices_each_sweep_point_alone(self, monkeypatch):
+        """A job batch of sweep points makes one one-point
+        ``sweep_points`` call per unit, in process and in batch order,
+        bit-identical to the scalar units."""
         calls = []
         sweep_points = MobileSoCStudy.sweep_points
 
@@ -420,7 +421,7 @@ class TestExecutionSplit:
                 await fe.drain()
 
         values = run_async(scenario())
-        assert calls == [("single", 3), ("multi", 3)]
+        assert calls == [("single", 1)] * 3 + [("multi", 1)] * 3
         study = MobileSoCStudy()
         assert values == [
             study._sweep_point_scalar(
@@ -431,13 +432,13 @@ class TestExecutionSplit:
 
     def test_inline_batch_honours_the_scalar_oracle(self, monkeypatch):
         calls = []
-        sweep_points = MobileSoCStudy.sweep_points
+        price_point = MobileSoCStudy._price_point
 
-        def counting(self, mode, points=None):
-            calls.append(mode)
-            return sweep_points(self, mode, points)
+        def counting(self, *args):
+            calls.append(args)
+            return price_point(self, *args)
 
-        monkeypatch.setattr(MobileSoCStudy, "sweep_points", counting)
+        monkeypatch.setattr(MobileSoCStudy, "_price_point", counting)
         monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
         points = [{**GOOD, "freq": f} for f in (0.5, 0.6, 0.7)]
 

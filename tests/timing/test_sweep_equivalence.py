@@ -442,7 +442,8 @@ class TestScalarPassDifferential:
     def test_replaced_and_evicted_kernel_is_not_served(self):
         """``register_kernel(..., replace=True)`` and ``evict_kernel``:
         the next sweep prices the new kernel, not a cached plan of the
-        old one."""
+        old one, against the new kernel's Tegra 2 baseline — what a
+        fresh study answers."""
         import dataclasses
 
         from repro.kernels import registry
@@ -464,6 +465,8 @@ class TestScalarPassDifferential:
             for ex in study._executors.values():
                 ex.evict_kernel("vecop")
             got = study.sweep_points("multi", point)
+            fresh = MobileSoCStudy()
+            assert got == fresh.sweep_points("multi", point)
             assert got == [study._sweep_point_scalar("multi", "Tegra3", 0.9)]
             assert got != stale
         finally:
