@@ -7,26 +7,20 @@ Where the query path (:class:`~repro.serve.frontend.CampaignFrontEnd`)
 answers one unit per request or not at all, the job tier accepts
 minutes of work and guarantees it survives the process:
 
-* **Durability** — every submit, terminal transition and quarantine is
+* **Durability** — every submit, quarantine and terminal transition is
   appended to a crash-safe :class:`~repro.serve.journal.JobJournal`
-  before it is acknowledged.  Unit completions are journaled too, but
-  batched: the *authoritative* checkpoint for a completed unit is its
-  value landing in the content-addressed result cache, so losing a few
-  unit records to a crash costs a cache probe, not recomputation.
+  (fsync'd) before it is acknowledged.  Unit completions are not
+  journaled: a completed unit's one record is its value in the
+  content-addressed result cache.
 * **Checkpoint/restart** — :meth:`JobManager.recover` replays the
-  journal, then probes the cache for every pending unit of every
-  non-terminal job (:meth:`ResultCache.get_many`); whatever already
-  landed is marked done (counted as ``resumed_units``) and only the
-  remainder re-enters dispatch.  This is the paper's Section 6
-  discipline — commodity-SoC clusters are HPC-viable only with
-  checkpoint/restart baked in — applied to our own serving layer.
-* **Journal-flush batching** — fsync per unit would dominate cheap
-  units.  The flush cadence reuses
-  :meth:`repro.fault.checkpoint.CheckpointPolicy.interval_for`: with
-  the observed fsync cost as the checkpoint cost and a configured
-  process MTBF, Daly's interval says how much work may sit unflushed;
-  divided by the observed unit cost that becomes a records-per-fsync
-  batch size.
+  journal, then probes the cache for every unit of every job that is
+  not ``done``/``failed`` (one :meth:`ResultCache.get_many` per job);
+  whatever landed is marked done (counted as ``resumed_units``) and
+  only the remainder re-enters dispatch.  A unit whose entry was
+  evicted is recomputed, never reported done without a value.  This is
+  the paper's Section 6 discipline — commodity-SoC clusters are
+  HPC-viable only with checkpoint/restart baked in — applied to our
+  own serving layer.
 * **Fair scheduling** — dispatch is round-robin across tenants, and
   within a tenant oldest job first (the oldest-first discipline of
   :meth:`repro.cluster.slurm.SlurmScheduler.drain`), so one tenant's
@@ -50,10 +44,9 @@ import asyncio
 import itertools
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
-from repro.fault.checkpoint import CheckpointPolicy
 from repro.obs.recorder import current as _obs_current
 from repro.parallel.cache import MISS, ResultCache, unit_key
 from repro.parallel.runner import UnitFailure
@@ -84,7 +77,6 @@ class JobsConfig:
     retry_backoff_s: float = 0.05    #: base of the exponential backoff
     backoff_cap_s: float = 5.0       #: backoff ceiling
     batch_units: int = 16            #: units per dispatched batch
-    process_mtbf_s: float = 1800.0   #: assumed serve-process MTBF
     keep_terminal: int = 64          #: terminal jobs kept for status
     rotate_bytes: int = DEFAULT_ROTATE_BYTES  #: journal compaction bound
     seed: int = 0                    #: default study seed for jobs
@@ -98,8 +90,6 @@ class JobsConfig:
             raise ValueError("backoff times must be non-negative")
         if self.batch_units < 1:
             raise ValueError("batch_units must be at least 1")
-        if self.process_mtbf_s <= 0:
-            raise ValueError("process_mtbf_s must be positive")
         if self.keep_terminal < 0:
             raise ValueError("keep_terminal must be non-negative")
 
@@ -199,9 +189,6 @@ class JobManager:
         :class:`~repro.parallel.runner.UnitFailure` slots.  It writes
         nothing to ``cache``: each completed unit's checkpoint is
         written here, once.
-    :param policy: checkpoint-cost arithmetic for journal-flush
-        batching; the default derives the Daly interval from the
-        observed fsync cost and ``config.process_mtbf_s``.
     """
 
     def __init__(
@@ -210,15 +197,11 @@ class JobManager:
         cache: ResultCache | None,
         execute: Callable[[list[WorkUnit], int], Awaitable[list[Any]]],
         config: JobsConfig | None = None,
-        policy: CheckpointPolicy | None = None,
     ) -> None:
         self.journal = journal
         self.cache = cache
         self.config = config or JobsConfig()
         self._execute = execute
-        self._policy = policy or CheckpointPolicy(
-            checkpoint_cost_s=1e-3, restart_cost_s=1.0
-        )
         self.jobs: dict[str, Job] = {}
         self.totals: dict[str, int] = {
             "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
@@ -232,12 +215,7 @@ class JobManager:
         self._running = False
         self._parked = False
         self._t0 = time.monotonic()
-        # Flush batching: EWMA of fsync cost and unit cost feed the
-        # CheckpointPolicy arithmetic; _unflushed counts unit records
-        # appended since the last fsync.
-        self._fsync_cost_s = 1e-3
-        self._unit_cost_s = 0.05
-        self._unflushed = 0
+        self._unit_cost_s = 0.05         # EWMA: the quota's retry hint
 
     # -- obs helpers -------------------------------------------------------
     def _bump(self, name: str, value: int = 1) -> None:
@@ -248,39 +226,6 @@ class JobManager:
 
     def _clock(self) -> float:
         return time.monotonic() - self._t0
-
-    # -- durability helpers ------------------------------------------------
-    def _flush_every_units(self) -> int:
-        """How many unit-done records may sit unflushed: the Daly
-        interval (observed fsync cost as checkpoint cost, configured
-        process MTBF) divided by the observed unit cost — cheap units
-        amortise one fsync over many records, expensive units flush
-        nearly every time."""
-        policy = self._policy
-        if policy.interval_s is None:
-            policy = replace(
-                policy, checkpoint_cost_s=max(self._fsync_cost_s, 1e-6)
-            )
-        interval = policy.interval_for(self.config.process_mtbf_s)
-        per_flush = int(interval / max(self._unit_cost_s, 1e-6))
-        return max(1, min(per_flush, 256))
-
-    def _journal_flush(self, force: bool = False) -> None:
-        if not force and self._unflushed < self._flush_every_units():
-            return
-        t0 = time.monotonic()
-        self.journal.flush()
-        cost = time.monotonic() - t0
-        self._fsync_cost_s = 0.8 * self._fsync_cost_s + 0.2 * cost
-        self._unflushed = 0
-
-    def _append(self, doc: dict[str, Any], flush: bool = True) -> None:
-        self.journal.append(doc, flush=False)
-        if flush:
-            self._journal_flush(force=True)
-        else:
-            self._unflushed += 1
-            self._journal_flush(force=False)
 
     # -- submission --------------------------------------------------------
     def _queued_units(self, tenant: str) -> int:
@@ -340,7 +285,7 @@ class JobManager:
         if job.job_id in self.jobs:
             raise ValueError(f"duplicate job id {job.job_id!r}")
         self.jobs[job.job_id] = job
-        self._append(self._submit_record(job), flush=True)
+        self.journal.append(self._submit_record(job))
         self._bump("submitted")
         self._wake.set()
         return job
@@ -442,30 +387,38 @@ class JobManager:
 
         Replay is tolerant by construction (the journal truncates its
         own corrupt tail); records that reference unknown jobs or
-        out-of-range units are skipped.  Every pending unit of every
-        non-terminal job is probed against the cache in one batched
-        ``get_many``; hits become done units (``resumed_units``) —
-        *that* is the checkpoint/restart contract: unit completion was
-        the checkpoint, the probe is the restore.
+        out-of-range units are skipped, and so are unit-done records
+        (older journals wrote them): the cache alone says which units
+        completed.  A ``done``/``failed`` job reached that state with
+        nothing pending, so each of its units not quarantined is done.
+        Every other job's units are probed against the cache in one
+        batched ``get_many``; hits become done units (counted as
+        ``resumed_units`` for the jobs that re-enter dispatch) — *that*
+        is the checkpoint/restart contract: the cache write was the
+        checkpoint, the probe is the restore.
         """
-        records = self.journal.replay()
-        restored = 0
-        for doc in records:
+        for doc in self.journal.replay():
             self._apply_record(doc)
-        resumed = 0
+        restored = resumed = 0
         for job in self.jobs.values():
-            if job.state in TERMINAL_STATES:
+            if job.state in (JOB_DONE, JOB_FAILED):
+                for unit in job.units:
+                    if unit.state == UNIT_PENDING:
+                        unit.state = UNIT_DONE
+                continue
+            hits = self._resume_from_cache(job)
+            if job.state == JOB_CANCELLED:
                 continue
             restored += 1
+            resumed += hits
+            job.resumed_units += hits
             job.state = JOB_QUEUED  # a crashed "running" job re-queues
-            resumed += self._resume_from_cache(job)
             self._finish_if_complete(job)
         if self.jobs:
             self._order = itertools.count(
                 max(j.order for j in self.jobs.values()) + 1
             )
         self._bump("resumed_units", resumed) if resumed else None
-        self._journal_flush(force=True)
         self._maybe_rotate(force=True)
         self._wake.set()
         return {
@@ -499,19 +452,14 @@ class JobManager:
                 order=next(self._order),
                 created_unix=float(doc.get("created", 0.0)),
             )
-        elif kind == "unit":
+        elif kind == "unit" and doc.get("state") == UNIT_QUARANTINED:
             job = self.jobs.get(doc.get("job"))
             index = doc.get("i")
             if job is None or not isinstance(index, int) \
                     or not 0 <= index < len(job.units):
                 return
-            unit = job.units[index]
-            state = doc.get("state")
-            if state == UNIT_DONE:
-                unit.state = UNIT_DONE
-            elif state == UNIT_QUARANTINED:
-                unit.state = UNIT_QUARANTINED
-                unit.error = doc.get("error")
+            job.units[index].state = UNIT_QUARANTINED
+            job.units[index].error = doc.get("error")
         elif kind == "state":
             job = self.jobs.get(doc.get("job"))
             state = doc.get("state")
@@ -519,34 +467,23 @@ class JobManager:
                 job.state = state
 
     def _resume_from_cache(self, job: Job) -> int:
+        """Mark the job's cached pending units done; returns how many."""
         if self.cache is None:
             return 0
-        pending = [
-            (i, u) for i, u in enumerate(job.units)
-            if u.state == UNIT_PENDING
-        ]
+        pending = [u for u in job.units if u.state == UNIT_PENDING]
         if not pending:
             return 0
         hits = self.cache.get_many(
-            [
-                unit_key(u.unit.kind, u.unit.params, job.seed)
-                for _, u in pending
-            ]
+            [unit_key(u.unit.kind, u.unit.params, job.seed) for u in pending]
         )
         resumed = 0
-        for (i, unit), value in zip(pending, hits):
+        for unit, value in zip(pending, hits):
             if value is MISS:
                 continue
             unit.state = UNIT_DONE
             unit.value = value
             unit.have_value = True
             resumed += 1
-            self._append(
-                {"t": "unit", "job": job.job_id, "i": i,
-                 "state": UNIT_DONE},
-                flush=False,
-            )
-        job.resumed_units += resumed
         return resumed
 
     # -- lifecycle ---------------------------------------------------------
@@ -560,9 +497,10 @@ class JobManager:
     async def drain(self, timeout_s: float | None = None) -> bool:
         """Stop dispatching and park incomplete jobs in the journal.
 
-        Unlike the query path, nothing is lost on a timeout: jobs are
-        durable, so parking is a journal flush plus stopping the loop —
-        a restarted manager resumes them from the cache.  Returns
+        Unlike the query path, nothing is lost on a timeout: every
+        journal record is durable when appended and every completed
+        unit is in the cache, so parking is stopping the loop — a
+        restarted manager resumes the jobs from the cache.  Returns
         ``True`` when the in-flight batch (if any) completed within the
         bound, ``False`` when it was abandoned to the executor.
         """
@@ -583,7 +521,6 @@ class JobManager:
                 except (asyncio.CancelledError, Exception):
                     pass
             self._task = None
-        self._journal_flush(force=True)
         return drained
 
     def close(self) -> None:
@@ -693,10 +630,9 @@ class JobManager:
                 if unit.attempts >= self.config.max_attempts:
                     unit.state = UNIT_QUARANTINED
                     self._bump("units_quarantined")
-                    self._append(
+                    self.journal.append(
                         {"t": "unit", "job": job.job_id, "i": i,
-                         "state": UNIT_QUARANTINED, "error": unit.error},
-                        flush=True,
+                         "state": UNIT_QUARANTINED, "error": unit.error}
                     )
                 else:
                     self._bump("units_retried")
@@ -719,11 +655,6 @@ class JobManager:
                         kind=unit.unit.kind,
                     )
                 self._bump("units_done")
-                self._append(
-                    {"t": "unit", "job": job.job_id, "i": i,
-                     "state": UNIT_DONE},
-                    flush=False,
-                )
         if rec is not None:
             rec.span(
                 "serve.jobs.batch", "serve", t0, self._clock(),
@@ -743,9 +674,7 @@ class JobManager:
 
     def _set_state(self, job: Job, state: str) -> None:
         job.state = state
-        self._append(
-            {"t": "state", "job": job.job_id, "state": state}, flush=True
-        )
+        self.journal.append({"t": "state", "job": job.job_id, "state": state})
         self._bump(state)
         self._maybe_rotate()
 
@@ -759,12 +688,7 @@ class JobManager:
         for job in sorted(self.jobs.values(), key=lambda j: j.order):
             docs.append(self._submit_record(job))
             for i, unit in enumerate(job.units):
-                if unit.state == UNIT_DONE:
-                    docs.append(
-                        {"t": "unit", "job": job.job_id, "i": i,
-                         "state": UNIT_DONE}
-                    )
-                elif unit.state == UNIT_QUARANTINED:
+                if unit.state == UNIT_QUARANTINED:
                     docs.append(
                         {"t": "unit", "job": job.job_id, "i": i,
                          "state": UNIT_QUARANTINED, "error": unit.error}
@@ -774,7 +698,6 @@ class JobManager:
                     {"t": "state", "job": job.job_id, "state": job.state}
                 )
         self.journal.rotate(docs)
-        self._unflushed = 0
 
     def _prune_terminal(self) -> None:
         terminal = sorted(

@@ -1,15 +1,13 @@
 """Crash-safe append-only journal for the job tier.
 
 The write-ahead log behind :mod:`repro.serve.jobs`: every state change
-a restarted server must not forget (a job submitted, a unit completed,
-a job reaching a terminal state) is appended here *before* it is
-acknowledged.  The design goals, in order:
+a restarted server must not forget that the result cache cannot hold
+(a job submitted, a unit quarantined, a job reaching a terminal state)
+is appended here *before* it is acknowledged.  The design goals, in
+order:
 
 1. **Never lose an acknowledged record.**  ``append`` writes one
-   newline-terminated record and (by default) ``fsync``\\ s before
-   returning.  Callers that can afford to lose a few records batch with
-   ``flush=False`` and an explicit :meth:`flush` — the job tier sizes
-   that batching with :class:`repro.fault.checkpoint.CheckpointPolicy`.
+   newline-terminated record and ``fsync``\\ s before returning.
 2. **Never crash on a corrupt log.**  A SIGKILL mid-append leaves a
    torn tail; a disk error can flip bits anywhere.  :meth:`replay`
    verifies a CRC-32 per record and, at the first bad record, truncates
@@ -50,8 +48,7 @@ class JobJournal:
     """One durable journal segment under ``root`` (see module docstring).
 
     :param root: directory holding the segment (created eagerly).
-    :param fsync: ``False`` disables fsync entirely (tests only —
-        batching callers want ``append(..., flush=False)`` instead).
+    :param fsync: ``False`` disables fsync entirely (tests only).
     """
 
     def __init__(self, root: str | Path, fsync: bool = True) -> None:
@@ -61,7 +58,6 @@ class JobJournal:
         self.fsync = fsync
         self._seq = 0
         self._fh = open(self.path, "ab")
-        self._dirty = False
         if self.path.stat().st_size:
             # Reopening a live segment: resume the seq counter past the
             # existing records, so appends before (or without) a replay
@@ -70,12 +66,8 @@ class JobJournal:
             self.replay()
 
     # -- writing -----------------------------------------------------------
-    def append(self, doc: dict[str, Any], flush: bool = True) -> int:
-        """Append one record; returns its seq.  ``flush=False`` leaves
-        the record in the OS buffer until :meth:`flush` (or a flushed
-        append) makes it durable — a crash in between loses it, which
-        is safe exactly when the record is re-derivable (a unit-done
-        record is: the unit's value is already in the result cache)."""
+    def append(self, doc: dict[str, Any]) -> int:
+        """Append one record and make it durable; returns its seq."""
         self._seq += 1
         payload = json.dumps(
             {**doc, "seq": self._seq}, sort_keys=True,
@@ -85,21 +77,17 @@ class JobJournal:
             raise ValueError("journal records must be single-line")
         record = b"%08x %s\n" % (zlib.crc32(payload), payload)
         self._fh.write(record)
-        self._dirty = True
-        if flush:
-            self.flush()
+        self.flush()
         return self._seq
 
     def flush(self) -> None:
         """Make every appended record durable (flush + fsync)."""
         self._fh.flush()
-        if self.fsync and self._dirty:
+        if self.fsync:
             os.fsync(self._fh.fileno())
-        self._dirty = False
 
     @property
     def size_bytes(self) -> int:
-        self._fh.flush()
         try:
             return self.path.stat().st_size
         except OSError:
@@ -115,7 +103,6 @@ class JobJournal:
         resumes past the largest replayed seq, so post-replay appends
         never collide with surviving records.
         """
-        self._fh.flush()
         try:
             data = self.path.read_bytes()
         except OSError:
@@ -167,7 +154,6 @@ class JobJournal:
             if self.fsync:
                 os.fsync(fh.fileno())
         self._fh = open(self.path, "ab")
-        self._dirty = False
 
     # -- compaction --------------------------------------------------------
     def rotate(self, docs: list[dict[str, Any]]) -> None:
@@ -199,16 +185,11 @@ class JobJournal:
                 os.close(dir_fd)
         self._fh = open(self.path, "ab")
         self._seq = len(docs)
-        self._dirty = False
 
     def close(self) -> None:
-        """Flush and close the segment; closing again does nothing."""
-        if self._fh.closed:
-            return
-        try:
-            self.flush()
-        finally:
-            self._fh.close()
+        """Close the segment (every record is already durable);
+        closing again does nothing."""
+        self._fh.close()
 
     def __enter__(self) -> JobJournal:
         return self

@@ -262,6 +262,25 @@ class TestCommittedBaseline:
             assert name in doc["benchmarks"], f"tolerance for unknown {name}"
 
 
+@pytest.fixture
+def stub_suites(monkeypatch):
+    """Two instant suites in place of the real ones, for the CLI tests:
+    they check arguments, files and the gate, not any suite's timings
+    (``test_engine_suite_*`` run the real engine suite)."""
+    from repro.perf import cli
+
+    def suite(name):
+        def run(repeats, quick):
+            result = run_bench(f"{name}.tick", _counting_fn(), repeats)
+            return [result], {result.name: result.ops_per_s / 2}
+
+        return run
+
+    monkeypatch.setattr(
+        cli, "SUITES", {"stub": suite("stub"), "other": suite("other")}
+    )
+
+
 class TestSuitesAndCli:
     def test_engine_suite_quick_produces_valid_doc(self):
         from repro.perf.suites import engine_suite
@@ -442,83 +461,84 @@ class TestSuitesAndCli:
         assert e.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
-    def test_bench_cli_writes_valid_json(self, tmp_path, capsys):
+    def test_bench_cli_writes_valid_json(self, tmp_path, capsys, stub_suites):
         from repro.perf.cli import bench_main
 
         assert bench_main(
-            ["engine", "--quick", "--out-dir", str(tmp_path), "--repeats", "1"]
+            ["stub", "--quick", "--out-dir", str(tmp_path), "--repeats", "1"]
         ) == 0
-        doc = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        doc = json.loads((tmp_path / "BENCH_stub.json").read_text())
         validate_bench_doc(doc)
-        assert doc["suite"] == "engine"
+        assert doc["suite"] == "stub"
         assert "speedup_vs_seed" in doc["benchmarks"][0]
-        assert "BENCH_engine.json" in capsys.readouterr().out
+        assert "BENCH_stub.json" in capsys.readouterr().out
+        assert not (tmp_path / "BENCH_other.json").exists()
 
-    def test_bench_cli_check_fails_on_regression(self, tmp_path):
+    def test_bench_cli_check_fails_on_regression(self, tmp_path, stub_suites):
         from repro.perf.cli import bench_main
 
         impossible = {
             "schema_version": 1,
             "default_tolerance": 0.2,
-            "benchmarks": {"engine.timer_cascade": 1e15},
+            "benchmarks": {"stub.tick": 1e15},
         }
         bad = tmp_path / "baseline.json"
         bad.write_text(json.dumps(impossible))
         rc = bench_main(
             [
-                "engine", "--quick", "--repeats", "1",
+                "stub", "--quick", "--repeats", "1",
                 "--out-dir", str(tmp_path), "--check", "--baseline", str(bad),
             ]
         )
         assert rc == 1
 
-    def test_bench_cli_subset_check_ignores_other_suites(self, tmp_path):
-        # A baseline covering all suites must not fail an engine-only
-        # run over the un-run mpi/apps entries.
+    def test_bench_cli_subset_check_ignores_other_suites(
+        self, tmp_path, stub_suites
+    ):
+        # A baseline covering all suites must not fail a one-suite run
+        # over the un-run suites' entries.
         from repro.perf.cli import bench_main
 
         base = {
             "schema_version": 1,
             "default_tolerance": 0.99,
             "benchmarks": {
-                "engine.timer_cascade": 1.0,
-                "engine.event_chain": 1.0,
-                "engine.timeouts": 1.0,
+                "stub.tick": 1.0,
+                "other.tick": 1e15,
                 "mpi.pingpong_small": 1e15,
-                "apps.hpl96_headline": 1e15,
             },
         }
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(base))
         rc = bench_main(
-            ["engine", "--quick", "--repeats", "1",
+            ["stub", "--quick", "--repeats", "1",
              "--out-dir", str(tmp_path), "--check", "--baseline", str(path)]
         )
         assert rc == 0
 
-    def test_bench_cli_dispatch_through_main(self, tmp_path):
+    def test_bench_cli_dispatch_through_main(self, tmp_path, stub_suites):
         from repro.cli import main
 
         assert main(
-            ["bench", "engine", "--quick", "--out-dir", str(tmp_path),
+            ["bench", "stub", "--quick", "--out-dir", str(tmp_path),
              "--repeats", "1"]
         ) == 0
-        assert (tmp_path / "BENCH_engine.json").exists()
+        assert (tmp_path / "BENCH_stub.json").exists()
 
-    def test_update_baseline_roundtrip(self, tmp_path):
+    def test_update_baseline_roundtrip(self, tmp_path, stub_suites):
         from repro.perf.cli import bench_main
 
         path = tmp_path / "baseline.json"
         assert bench_main(
-            ["engine", "--quick", "--repeats", "1",
+            ["stub", "--quick", "--repeats", "1",
              "--out-dir", str(tmp_path),
              "--update-baseline", "--baseline", str(path)]
         ) == 0
         doc = json.loads(path.read_text())
-        assert "engine.timer_cascade" in doc["benchmarks"]
+        assert "stub.tick" in doc["benchmarks"]
         # A self-recorded baseline must pass its own gate immediately.
         rc = bench_main(
-            ["engine", "--quick", "--repeats", "2",
+            ["stub", "--quick", "--repeats", "2",
              "--out-dir", str(tmp_path),
              "--check", "--baseline", str(path), "--tolerance", "0.9"]
         )

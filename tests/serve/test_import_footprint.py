@@ -40,6 +40,17 @@ def test_router_modules_load_no_simulator(module):
     assert out == "[]"
 
 
+def test_serve_server_loads_no_fault_module():
+    """The job tier checkpoints into the result cache, so the serve
+    path needs none of the simulated-fault machinery."""
+    out = _python(
+        "import sys, repro.serve.server\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['repro', 'fault']))"
+    )
+    assert out == "[]"
+
+
 def test_public_names_still_resolve():
     out = _python(
         "import sys\n"

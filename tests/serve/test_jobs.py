@@ -74,6 +74,14 @@ async def wait_terminal(mgr, *jobs, timeout_s=5.0):
     await asyncio.wait_for(poll(), timeout=timeout_s)
 
 
+async def wait_until(condition, timeout_s=5.0):
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(poll(), timeout=timeout_s)
+
+
 class TestSubmitValidation:
     def test_empty_units_rejected(self, tmp_path, make_manager):
         mgr = make_manager(tmp_path, echo_executor())
@@ -553,18 +561,143 @@ class TestRecovery:
         run_async(scenario())
 
 
-class TestCheckpointPolicyBatching:
-    def test_flush_batch_is_clamped(self, tmp_path, make_manager):
-        mgr = make_manager(tmp_path, echo_executor())
-        mgr._unit_cost_s = 1e9  # absurdly expensive units
-        assert mgr._flush_every_units() == 1
-        mgr._unit_cost_s = 1e-9  # absurdly cheap units
-        assert mgr._flush_every_units() == 256
+class TestCacheIsTheUnitCheckpoint:
+    """The result cache is the only record of unit completion; the
+    journal holds submits, quarantines and terminal states."""
 
-    def test_expensive_fsync_raises_batching(self, tmp_path, make_manager):
+    @staticmethod
+    def gated_after_first_batch(calls):
+        """An executor that answers its first batch and blocks every
+        later one on the returned gate."""
+        gate = asyncio.Event()
+
+        async def execute(units, seed):
+            calls.append([u.params["i"] for u in units])
+            if len(calls) > 1:
+                await gate.wait()
+            return [{"i": u.params["i"]} for u in units]
+
+        return execute, gate
+
+    def test_evicted_unit_is_recomputed_not_expired(
+        self, tmp_path, make_manager
+    ):
+        """A parked job's units 0 and 1 completed, then unit 1's cache
+        entry was evicted: after a restart unit 1 is computed again
+        instead of being reported done without a value."""
+
+        async def scenario():
+            calls = []
+            execute, gate = self.gated_after_first_batch(calls)
+            mgr = make_manager(tmp_path, execute, batch_units=2)
+            await mgr.start()
+            job = mgr.submit("t", specs(4), seed=2)
+            await wait_until(lambda: job.counts["done"] == 2)
+            assert await mgr.drain(timeout_s=0.05) is False
+            gate.set()
+            mgr.close()
+            cache = ResultCache(tmp_path / "cache")
+            key0, key1 = (
+                unit_key("sweep_point", {"tag": "u", "i": i}, 2)
+                for i in (0, 1)
+            )
+            assert cache.get(key0) == {"i": 0}
+            cache._path(key1).unlink()  # evicted
+
+            calls2 = []
+            mgr2 = make_manager(tmp_path, echo_executor(calls2))
+            mgr2.recover()
+            await mgr2.start()
+            await wait_terminal(mgr2, mgr2.get(job.job_id))
+            result = mgr2.result(job.job_id)
+            assert [u["state"] for u in result["units"]] == ["done"] * 4
+            assert [u["value"]["i"] for u in result["units"]] == [0, 1, 2, 3]
+            assert mgr2.get(job.job_id).resumed_units == 1
+            dispatched = sorted(l for labels, _ in calls2 for l in labels)
+            assert len(dispatched) == 3 and "i=1" in dispatched[0]
+            await mgr2.drain()
+            mgr2.close()
+
+        run_async(scenario())
+
+    def test_completed_job_journals_no_unit_done_records(
+        self, tmp_path, make_manager
+    ):
+        async def poison_one(units, seed):
+            return [
+                UnitFailure("ValueError: poison")
+                if u.params == {"tag": "bad", "i": 1}
+                else {"ok": u.params["i"]}
+                for u in units
+            ]
+
+        async def scenario():
+            mgr = make_manager(tmp_path, poison_one, max_attempts=1)
+            await mgr.start()
+            ok = mgr.submit("t", specs(3, tag="ok"))
+            bad = mgr.submit("t", specs(3, tag="bad"))
+            await wait_terminal(mgr, ok, bad)
+            assert (ok.state, bad.state) == ("done", "failed")
+            await mgr.drain()
+            mgr.close()
+
+        run_async(scenario())
+        with JobJournal(tmp_path / "journal", fsync=False) as journal:
+            docs = journal.replay()
+        kinds = [
+            (d["t"], d["state"]) if d["t"] != "submit" else ("submit",)
+            for d in docs
+        ]
+        assert sorted(kinds) == [
+            ("state", "done"), ("state", "failed"),
+            ("submit",), ("submit",), ("unit", "quarantined"),
+        ]
+
+    def test_cancelled_job_result_is_unchanged_by_restart(
+        self, tmp_path, make_manager
+    ):
+        async def scenario():
+            calls = []
+            execute, gate = self.gated_after_first_batch(calls)
+            mgr = make_manager(tmp_path, execute, batch_units=2)
+            await mgr.start()
+            job = mgr.submit("t", specs(4), seed=6)
+            # First batch done, second in flight.
+            await wait_until(lambda: len(calls) == 2)
+            assert mgr.cancel(job.job_id) is True
+            gate.set()
+            await mgr.drain()
+            before = mgr.result(job.job_id)
+            mgr.close()
+
+            mgr2 = make_manager(tmp_path, echo_executor())
+            assert mgr2.recover()["restored"] == 0
+            after = mgr2.result(job.job_id)
+            assert after == before
+            assert [u["state"] for u in after["units"]] == [
+                "done", "done", "pending", "pending",
+            ]
+            mgr2.close()
+
+        run_async(scenario())
+
+    def test_older_journal_unit_done_records_are_ignored(
+        self, tmp_path, make_manager
+    ):
+        """A journal written when unit completions were journaled still
+        replays; its unit-done records are ignored (the cache decides)
+        and compacted away."""
         mgr = make_manager(tmp_path, echo_executor())
-        mgr._unit_cost_s = 0.05
-        mgr._fsync_cost_s = 1e-4
-        cheap_fsync = mgr._flush_every_units()
-        mgr._fsync_cost_s = 0.1
-        assert mgr._flush_every_units() > cheap_fsync
+        job = mgr.submit("t", specs(3), seed=1)
+        for i in (0, 1):
+            mgr.journal.append(
+                {"t": "unit", "job": job.job_id, "i": i, "state": "done"}
+            )
+        mgr.close()
+
+        mgr2 = make_manager(tmp_path, echo_executor())
+        info = mgr2.recover()
+        assert (info["restored"], info["resumed_units"]) == (1, 0)
+        assert mgr2.get(job.job_id).counts["pending"] == 3
+        assert [d["t"] for d in mgr2.journal.replay()] == ["submit"]
+        mgr2.close()

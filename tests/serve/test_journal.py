@@ -31,7 +31,7 @@ class TestRoundTrip:
         j = make_journal()
         docs = [{"t": "submit", "job": f"job{i}"} for i in range(5)]
         for doc in docs:
-            j.append(doc, flush=False)
+            j.append(doc)
         j.close()
 
         j2 = make_journal()
@@ -41,7 +41,7 @@ class TestRoundTrip:
 
     def test_seq_stamps_are_monotonic(self, make_journal):
         j = make_journal()
-        seqs = [j.append({"t": "x"}, flush=False) for _ in range(4)]
+        seqs = [j.append({"t": "x"}) for _ in range(4)]
         assert seqs == [1, 2, 3, 4]
         j.close()
         assert [d["seq"] for d in make_journal().replay()] == seqs
@@ -73,7 +73,7 @@ class TestCorruptionRecovery:
     def fill(self, make_journal, tmp_path, n=6):
         j = make_journal()
         for i in range(n):
-            j.append({"t": "rec", "i": i}, flush=False)
+            j.append({"t": "rec", "i": i})
         j.close()
         return tmp_path / "j" / "jobs.wal"
 
@@ -169,7 +169,7 @@ class TestRotation:
     def test_rotate_replaces_segment_with_compacted_docs(self, make_journal):
         j = make_journal()
         for i in range(50):
-            j.append({"t": "noise", "i": i}, flush=False)
+            j.append({"t": "noise", "i": i})
         j.rotate([{"t": "keep", "i": 1}, {"t": "keep", "i": 2}])
 
         docs = make_journal().replay()
@@ -195,7 +195,7 @@ class TestRotation:
     def test_size_bytes_tracks_growth(self, make_journal):
         j = make_journal()
         assert j.size_bytes == 0
-        j.append({"t": "x"}, flush=False)
+        j.append({"t": "x"})
         assert j.size_bytes > 0
 
 
