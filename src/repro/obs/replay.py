@@ -174,10 +174,6 @@ def record_scenario(name: str, seed: int = 0) -> TraceRecorder:
     return rec
 
 
-def scenario_hash(name: str, seed: int = 0) -> str:
-    return trace_hash(record_scenario(name, seed))
-
-
 def scenario_canonical_text(name: str, seed: int = 0) -> str:
     return canonical_text(record_scenario(name, seed))
 

@@ -37,8 +37,9 @@ sweeps — the **durable job tier** (:mod:`~repro.serve.jobs`) accepts
 write-ahead journal (:mod:`~repro.serve.journal`): jobs survive a
 SIGKILL, resume from the result cache on restart (unit completion is
 the checkpoint), are dispatched fairly across tenants under per-tenant
-quotas, and retry-then-quarantine failing units.  ``repro jobs``
-(:mod:`~repro.serve.jobs_cli`) is the matching client.
+quotas, and quarantine a failing unit on its one attempt (a resubmit
+is the retry).  ``repro jobs`` (:mod:`~repro.serve.jobs_cli`) is the
+matching client.
 
 Horizontal scale comes from the **cluster tier**
 (:mod:`~repro.serve.router`): ``repro cluster-serve`` boots N backend
@@ -47,7 +48,9 @@ door that consistent-hashes every query's ``(kind, params)`` key to its
 home shard, so each backend's cache and single-flight table see only
 their slice of the hot set, and cluster shutdown drains
 router-then-backends in boot order.  The protocol through the
-router is byte-identical to a single backend's.
+router is byte-identical to a single backend's; the backends run no
+job tier, so the router answers job ops as a ``--no-jobs`` server
+does.
 
 The router proxies by default, but it is a single process and caps
 cluster throughput; routing on the client takes it off the data

@@ -117,14 +117,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         help="max queued job units per tenant (default: 4096)",
     )
     parser.add_argument(
-        "--unit-attempts", type=int, default=3, metavar="N",
-        help="unit attempts before quarantine (default: 3)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.05, metavar="S",
-        help="base of the exponential unit-retry backoff (default: 0.05)",
-    )
-    parser.add_argument(
         "--job-batch", type=int, default=16, metavar="N",
         help="job units dispatched per batch — the checkpoint "
         "granularity a crash can lose (default: 16)",
@@ -150,8 +142,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         )
         jobs_config = JobsConfig(
             tenant_quota_units=args.tenant_quota,
-            max_attempts=args.unit_attempts,
-            retry_backoff_s=args.retry_backoff,
             batch_units=args.job_batch,
             seed=args.seed,
         )

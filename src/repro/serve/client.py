@@ -5,7 +5,7 @@ flowed through the single-process router, so four backends scaled like
 one (``scaling_vs_1`` ~ 1.0 in BENCH_serve.json).  Routing on the
 client takes the router off the data path the way ARM-server HPC
 front ends keep thin cores off theirs — the router stays the *control*
-plane (topology discovery, fallback, job ops) while queries flow
+plane (topology discovery, fallback) while queries flow
 client -> home shard directly.  ``locate`` returns the whole topology:
 every backend's ``(host, port)`` plus the **topology epoch** (a
 deterministic hash of the backend set, see

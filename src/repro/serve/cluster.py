@@ -24,11 +24,10 @@ forwards, then each backend drains in boot order, and the final
 ``drained and stopped`` line confirms none of it was dropped.
 
 Backends run ``--no-jobs``: the durable job tier journals against one
-process's journal directory, and sharding jobs across the ring (or
-electing a job home with failover) is out of scope for this tier — the
-router forwards job ops to the first backend, whose tier is disabled,
-so clients get a clean ``bad_request`` instead of half a cluster's
-answer.
+process's journal directory, and sharding jobs across the ring is out
+of scope for this tier.  The router answers job ops itself, with the
+``bad_request`` a ``--no-jobs`` server gives; run jobs on a plain
+``repro serve``.
 """
 
 from __future__ import annotations

@@ -28,14 +28,16 @@ minutes of work and guarantees it survives the process:
   bound queued units; over quota, ``submit`` raises
   :class:`~repro.serve.frontend.Overloaded` with a retry hint while
   other tenants are untouched.
-* **Retry and quarantine** — a failed unit retries with exponential
-  backoff up to ``max_attempts``; then it is quarantined (journaled)
-  and the job completes as ``failed`` with partial results, instead of
-  one poison unit wedging the queue forever.
+* **One attempt per unit** — a unit is a pure function of
+  ``(kind, params, seed)``, so a failure would only repeat: the unit is
+  quarantined (journaled) on its first failure, and the job completes
+  as ``failed`` with partial results instead of one poison unit
+  wedging the queue.  A resubmit is the retry, and a cheap one: every
+  unit that completed is a cache hit.
 
 Observability: ``serve.jobs.*`` totals (submitted/done/failed/
-cancelled/units_done/units_retried/units_quarantined/resumed_units)
-and a ``serve.jobs.batch`` span per dispatched batch.
+cancelled/units_done/units_quarantined/resumed_units) and a
+``serve.jobs.batch`` span per dispatched batch.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.parallel.cache import MISS, ResultCache, unit_key
 from repro.parallel.runner import UnitFailure
 from repro.parallel.units import WorkUnit
 from repro.serve.frontend import UNIT_KINDS, Overloaded
-from repro.serve.journal import DEFAULT_ROTATE_BYTES, JobJournal
+from repro.serve.journal import JobJournal
 
 # Job states.  queued -> running -> done | failed | cancelled.
 JOB_QUEUED = "queued"
@@ -67,31 +69,26 @@ UNIT_PENDING = "pending"
 UNIT_DONE = "done"
 UNIT_QUARANTINED = "quarantined"
 
+#: Terminal jobs kept for ``status``/``result``; older ones are pruned.
+KEEP_TERMINAL = 64
+
+#: Journal size past which a state change compacts the journal.
+ROTATE_BYTES = 4 * 1024 * 1024
+
 
 @dataclass
 class JobsConfig:
     """Tunables for the job tier."""
 
     tenant_quota_units: int = 4096   #: max queued units per tenant
-    max_attempts: int = 3            #: unit attempts before quarantine
-    retry_backoff_s: float = 0.05    #: base of the exponential backoff
-    backoff_cap_s: float = 5.0       #: backoff ceiling
     batch_units: int = 16            #: units per dispatched batch
-    keep_terminal: int = 64          #: terminal jobs kept for status
-    rotate_bytes: int = DEFAULT_ROTATE_BYTES  #: journal compaction bound
     seed: int = 0                    #: default study seed for jobs
 
     def __post_init__(self) -> None:
         if self.tenant_quota_units < 1:
             raise ValueError("tenant_quota_units must be at least 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.retry_backoff_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff times must be non-negative")
         if self.batch_units < 1:
             raise ValueError("batch_units must be at least 1")
-        if self.keep_terminal < 0:
-            raise ValueError("keep_terminal must be non-negative")
 
 
 @dataclass
@@ -100,8 +97,6 @@ class _Unit:
 
     unit: WorkUnit
     state: str = UNIT_PENDING
-    attempts: int = 0
-    not_before: float = 0.0          #: monotonic retry-eligibility time
     error: str | None = None
     value: Any = None                #: in-memory copy (cache is durable)
     have_value: bool = False
@@ -205,8 +200,7 @@ class JobManager:
         self.jobs: dict[str, Job] = {}
         self.totals: dict[str, int] = {
             "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
-            "units_done": 0, "units_retried": 0,
-            "units_quarantined": 0, "resumed_units": 0,
+            "units_done": 0, "units_quarantined": 0, "resumed_units": 0,
         }
         self._order = itertools.count()
         self._rr_offset = 0              # tenant round-robin cursor
@@ -527,18 +521,11 @@ class JobManager:
         self.journal.close()
 
     # -- dispatch ----------------------------------------------------------
-    def _eligible(self, job: Job, now: float) -> list[int]:
-        return [
-            i for i, u in enumerate(job.units)
-            if u.state == UNIT_PENDING and u.not_before <= now
-        ]
-
     def _next_batch(self) -> tuple[Job, list[int]] | None:
         """Fair pick: tenants in round-robin rotation; within the
         chosen tenant, oldest job first (SLURM's oldest-first requeue
         discipline); within a job, unit order.  One batch draws from
         one job, so values map back trivially and seeds never mix."""
-        now = time.monotonic()
         tenants = sorted(
             {
                 job.tenant
@@ -560,49 +547,29 @@ class JobManager:
                 key=lambda j: j.order,
             )
             for job in jobs:
-                eligible = self._eligible(job, now)
-                if eligible:
+                pending = [
+                    i for i, u in enumerate(job.units)
+                    if u.state == UNIT_PENDING
+                ]
+                if pending:
                     self._rr_offset = (self._rr_offset + hop + 1) % n
-                    return job, eligible[: self.config.batch_units]
+                    return job, pending[: self.config.batch_units]
         return None
-
-    def _retry_delay(self) -> float | None:
-        """Seconds until the nearest backoff expiry, or ``None``."""
-        now = time.monotonic()
-        times = [
-            u.not_before
-            for job in self.jobs.values()
-            if job.state not in TERMINAL_STATES
-            for u in job.units
-            if u.state == UNIT_PENDING
-        ]
-        if not times:
-            return None
-        return max(0.0, min(times) - now)
 
     async def _dispatch_loop(self) -> None:
         while self._running:
             picked = self._next_batch()
             if picked is None:
-                delay = self._retry_delay()
                 self._wake.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._wake.wait(),
-                        timeout=delay if delay and delay > 0 else None,
-                    )
-                except asyncio.TimeoutError:
-                    pass
+                await self._wake.wait()
                 continue
-            job, indices = picked
-            await self._run_batch(job, indices)
+            await self._run_batch(*picked)
 
     async def _run_batch(self, job: Job, indices: list[int]) -> None:
         job.state = JOB_RUNNING
         units = [job.units[i].unit for i in indices]
         rec = _obs_current()
         t0 = self._clock()
-        wall0 = time.monotonic()
         try:
             values = await self._execute(units, job.seed)
             if len(values) != len(units):
@@ -615,45 +582,39 @@ class JobManager:
                 UnitFailure(f"{type(exc).__name__}: {exc}")
                 for _ in units
             ]
-        wall = time.monotonic() - wall0
         if units:
-            per_unit = wall / len(units)
+            per_unit = (self._clock() - t0) / len(units)
             self._unit_cost_s = 0.8 * self._unit_cost_s + 0.2 * per_unit
         if job.state == JOB_CANCELLED:
             return  # cancelled mid-flight: nothing to checkpoint
-        now = time.monotonic()
         for i, value in zip(indices, values):
             unit = job.units[i]
-            if isinstance(value, UnitFailure):
-                unit.attempts += 1
-                unit.error = value.error
-                if unit.attempts >= self.config.max_attempts:
-                    unit.state = UNIT_QUARANTINED
-                    self._bump("units_quarantined")
-                    self.journal.append(
-                        {"t": "unit", "job": job.job_id, "i": i,
-                         "state": UNIT_QUARANTINED, "error": unit.error}
-                    )
-                else:
-                    self._bump("units_retried")
-                    backoff = min(
-                        self.config.retry_backoff_s
-                        * (2 ** (unit.attempts - 1)),
-                        self.config.backoff_cap_s,
-                    )
-                    unit.not_before = now + backoff
-            else:
-                unit.state = UNIT_DONE
-                unit.value = value
-                unit.have_value = True
-                if self.cache is not None:
-                    # The cache entry IS the restart checkpoint, and
-                    # this is its one write: executors write nothing.
+            if not isinstance(value, UnitFailure) and self.cache is not None:
+                # The cache entry IS the restart checkpoint, and this
+                # is its one write: executors write nothing.  A unit
+                # whose checkpoint cannot be written fails like any
+                # other, so a full disk cannot stop dispatch.
+                try:
                     self.cache.put(
                         unit_key(unit.unit.kind, unit.unit.params, job.seed),
                         value,
                         kind=unit.unit.kind,
                     )
+                except OSError as exc:
+                    value = UnitFailure(f"{type(exc).__name__}: {exc}")
+            if isinstance(value, UnitFailure):
+                # Units are deterministic: a retry would fail alike.
+                unit.state = UNIT_QUARANTINED
+                unit.error = value.error
+                self._bump("units_quarantined")
+                self.journal.append(
+                    {"t": "unit", "job": job.job_id, "i": i,
+                     "state": UNIT_QUARANTINED, "error": unit.error}
+                )
+            else:
+                unit.state = UNIT_DONE
+                unit.value = value
+                unit.have_value = True
                 self._bump("units_done")
         if rec is not None:
             rec.span(
@@ -680,7 +641,7 @@ class JobManager:
 
     # -- compaction --------------------------------------------------------
     def _maybe_rotate(self, force: bool = False) -> None:
-        if not force and self.journal.size_bytes < self.config.rotate_bytes:
+        if not force and self.journal.size_bytes < ROTATE_BYTES:
             self._prune_terminal()
             return
         self._prune_terminal()
@@ -704,7 +665,7 @@ class JobManager:
             (j for j in self.jobs.values() if j.state in TERMINAL_STATES),
             key=lambda j: j.order,
         )
-        for job in terminal[: max(0, len(terminal) - self.config.keep_terminal)]:
+        for job in terminal[: max(0, len(terminal) - KEEP_TERMINAL)]:
             del self.jobs[job.job_id]
 
 

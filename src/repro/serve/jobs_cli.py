@@ -36,10 +36,8 @@ def _fail(resp: dict[str, Any]) -> int:
     error = resp.get("error", "unknown")
     detail = resp.get("detail") or resp.get("reason") or ""
     hint = ""
-    if "job_home" in resp:
-        hint += f" (job home: {resp['job_home']})"
     if "retry_after_s" in resp:
-        hint += f" (retry after {resp['retry_after_s']:.2f} s)"
+        hint = f" (retry after {resp['retry_after_s']:.2f} s)"
     print(f"repro jobs: {error}{': ' if detail else ''}{detail}{hint}",
           file=sys.stderr)
     return 1

@@ -38,9 +38,6 @@ import zlib
 from pathlib import Path
 from typing import Any
 
-#: Default segment size that triggers compaction in the job tier.
-DEFAULT_ROTATE_BYTES = 4 * 1024 * 1024
-
 _SEGMENT = "jobs.wal"
 
 

@@ -23,11 +23,13 @@ the single-process tier's cache economics:
   the ``id`` is remapped, and the framing re-encoded for the client's
   negotiated wire), so the serving skin — values, ``served``, error
   shapes, ``retry_after_s`` — is byte-identical to talking to the
-  backend directly.  ``stats`` fans in per-backend snapshots plus an
-  ``aggregate`` rollup; ``shutdown`` drains the whole cluster: the
-  router stops admitting (``overloaded``/``reason="draining"``),
-  awaits its in-flight forwards, then shuts each backend down in boot
-  order.
+  backend directly.  Job ops are answered here, exactly as a
+  ``--no-jobs`` backend answers them: the cluster's backends run no
+  job tier, so there is nowhere to forward them.  ``stats`` fans in
+  per-backend snapshots plus an ``aggregate`` rollup; ``shutdown``
+  drains the whole cluster: the router stops admitting
+  (``overloaded``/``reason="draining"``), awaits its in-flight
+  forwards, then shuts each backend down in boot order.
 
 Nothing here touches values: the forward path moves the backend's
 answer through unchanged, which is what the byte-identity acceptance
@@ -46,7 +48,6 @@ from typing import Any, Awaitable, Callable
 
 from repro.serve.wire import (
     HELLO_LINE,
-    JOB_OPS,
     WRITE_HIGH_WATER,
     BadFrame,
     DecodeMemo,
@@ -64,8 +65,7 @@ from repro.serve.wire import (
 DEFAULT_VNODES = 64
 
 #: After a failure a shard is skipped for this long — a dead shard
-#: must not put a connect-timeout on every request's path.  Also the
-#: retry hint of a ``job_home_down`` answer.
+#: must not put a connect-timeout on every request's path.
 DEFAULT_DOWN_COOLDOWN_S = 1.0
 
 
@@ -479,17 +479,13 @@ class ServeRouter(WireEndpoint):
             for name, bhost, bport in self.backends
         }
         self._ops["stats"] = self._answer_stats
-        # Job ops are not sharded by key: they live on the first
-        # backend, the cluster's designated job home.
-        self._ops.update(dict.fromkeys(JOB_OPS, self._forward_job))
         self._draining = False
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        self.forwarded = 0       #: queries and job ops forwarded to a shard
+        self.forwarded = 0       #: queries forwarded to a shard
         self.unavailable = 0     #: forwards that died on a link failure
         self.rejected_draining = 0
-        self.job_home_down = 0   #: job ops refused: job home unreachable
 
     # -- lifecycle ---------------------------------------------------------
     async def _drain(self) -> None:
@@ -582,32 +578,6 @@ class ServeRouter(WireEndpoint):
         link.send(req, answer, self.forward_timeout_s)
         return link.wait_writable()
 
-    async def _forward_job(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
-        """Job ops live on the boot-order-first backend (the cluster's
-        job home).  When that backend is down, answer with a structured
-        ``job_home_down`` — naming the home and a retry hint — instead
-        of the generic ``unavailable``: there is no failover to
-        attempt, and the caller deserves to know the jobs themselves
-        are intact, just briefly unreachable."""
-        home = self.backends[0][0]
-        self._track(+1)
-        try:
-            doc = await self._links[home].request(
-                req, timeout_s=self.forward_timeout_s
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            self.unavailable += 1
-            self.job_home_down += 1
-            return {"id": rid, "ok": False, "error": "job_home_down",
-                    "job_home": home,
-                    "retry_after_s": DEFAULT_DOWN_COOLDOWN_S,
-                    "detail": f"{type(exc).__name__}: {exc}"}
-        finally:
-            self._track(-1)
-        self.forwarded += 1
-        doc["id"] = rid  # a fresh decoded doc, as in _forward_inline
-        return doc
-
     async def _answer_stats(
         self, rid: Any, req: dict[str, Any]
     ) -> dict[str, Any]:
@@ -648,7 +618,6 @@ class ServeRouter(WireEndpoint):
                 "unavailable": self.unavailable,
                 "rejected_draining": self.rejected_draining,
                 "located": self.located,
-                "job_home_down": self.job_home_down,
                 "draining": self._draining,
             },
             "stats": agg,

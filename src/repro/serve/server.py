@@ -17,7 +17,8 @@ Protocol (one JSON object per line, both directions)::
     <- {"id": 4, "ok": true}          # then: graceful drain, server exit
 
 Job-tier ops (when the server is wired to a
-:class:`~repro.serve.jobs.JobManager`; see :mod:`repro.serve.jobs`)::
+:class:`~repro.serve.jobs.JobManager`, see :mod:`repro.serve.jobs`;
+without one each is a ``bad_request``, "job tier disabled")::
 
     -> {"op": "submit", "id": 5, "tenant": "alice",
         "units": [{"kind": "sweep_point", "params": {...}}, ...]}
@@ -112,7 +113,8 @@ class ServeServer(WireEndpoint):
         self.advertise_host = advertise_host
         self.recovered: dict[str, int] | None = None
         self._ops["stats"] = self._answer_stats
-        self._ops.update(dict.fromkeys(JOB_OPS, self._answer_job))
+        if jobs_manager is not None:
+            self._ops.update(dict.fromkeys(JOB_OPS, self._answer_job))
 
     async def start(self) -> None:
         self.advertise_host = advertised_host(self.host, self.advertise_host)
@@ -178,9 +180,6 @@ class ServeServer(WireEndpoint):
         so answering them inline keeps them responsive even while a
         unit is executing.
         """
-        if self.jobs is None:
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": "job tier disabled (serve --no-jobs)"}
         op = req["op"]
         try:
             if op == "submit":

@@ -136,8 +136,9 @@ SERVED_CODES = {served: i for i, served in enumerate(SERVED_ORDER)}
 #: anything extra must travel as a DOC frame so no field is dropped.
 _QREQ_FIELDS = frozenset(("op", "id", "kind", "params", "via"))
 
-#: The job-tier ops (:mod:`repro.serve.jobs`); a router forwards them
-#: to its job home.
+#: The job-tier ops (:mod:`repro.serve.jobs`).  An endpoint with no
+#: handler for them (a ``--no-jobs`` server, the router) answers each
+#: with a ``bad_request``.
 JOB_OPS = ("submit", "status", "result", "cancel")
 
 _U64_MAX = (1 << 64) - 1
@@ -913,8 +914,9 @@ class WireEndpoint:
     socket, one :class:`ServedConnection` per connection.
 
     :meth:`_dispatch` owns what is the same on both: ``hello``,
-    ``ping``, ``shutdown`` and unknown ops, answered at once; every
-    other non-query op answered from a task while reading waits.  A
+    ``ping``, ``shutdown``, unknown ops and job ops without a handler,
+    answered at once; every other non-query op answered from a task
+    while reading waits.  A
     subclass supplies the rest:
 
     * :meth:`_query` — a ``query`` is the first test and, once its
@@ -1019,6 +1021,11 @@ class WireEndpoint:
         elif op == "shutdown":
             conn.write_response({"id": rid, "ok": True})
             self.request_shutdown()
+        elif op in JOB_OPS:
+            conn.write_response(
+                {"id": rid, "ok": False, "error": "bad_request",
+                 "detail": "job tier disabled (serve --no-jobs)"},
+            )
         else:
             # With binary_wire off, "hello" lands here too: that
             # bad_request IS the downgrade signal binary-preferring

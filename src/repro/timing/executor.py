@@ -424,14 +424,3 @@ class SimulatedExecutor:
             for key in keys:
                 del self._memo[key]
         return len(keys)
-
-    def time_suite(
-        self,
-        kernels: list[Kernel],
-        freq_ghz: float,
-        cores: int = 1,
-    ) -> dict[str, SimulatedRun]:
-        """Time the whole suite; returns tag -> run."""
-        return {
-            k.tag: self.time_kernel(k, freq_ghz, cores=cores) for k in kernels
-        }

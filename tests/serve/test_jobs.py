@@ -1,8 +1,8 @@
 """The durable job tier's manager: submission, fair multi-tenant
-dispatch, quotas, retry/quarantine, cancel, drain, and journal-backed
-recovery with resume-from-cache.  Every test injects a fake async
-executor — real unit execution rides the frontend/runner path covered
-elsewhere; the contract under test here is the queue."""
+dispatch, quotas, quarantine on a unit's one attempt, cancel, drain,
+and journal-backed recovery with resume-from-cache.  Most tests inject
+a fake async executor, as the contract under test here is the queue;
+the resubmit test runs units through the real front end."""
 
 import asyncio
 import contextlib
@@ -10,9 +10,11 @@ import contextlib
 import pytest
 
 from repro.obs import recorder
+from repro.parallel import units as units_mod
 from repro.parallel.cache import ResultCache, unit_key
 from repro.parallel.runner import UnitFailure
-from repro.serve.frontend import Overloaded
+from repro.serve import jobs as jobs_mod
+from repro.serve.frontend import CampaignFrontEnd, Overloaded, ServeConfig
 from repro.serve.jobs import (
     JobManager,
     JobNotReady,
@@ -48,13 +50,12 @@ def make_manager():
     often as the test needs; every journal opened is closed at
     teardown, whether or not the test closed its manager."""
 
-    def make(tmp_path, execute, cache=True, **cfg):
-        cfg.setdefault("retry_backoff_s", 0.001)
+    def make(tmp_path, execute, cache=None, **cfg):
         return JobManager(
             journals.enter_context(
                 JobJournal(tmp_path / "journal", fsync=False)
             ),
-            ResultCache(tmp_path / "cache") if cache else None,
+            ResultCache(tmp_path / "cache") if cache is None else cache,
             execute,
             JobsConfig(**cfg),
         )
@@ -257,33 +258,127 @@ class TestFairScheduling:
 
 
 class TestRetryAndQuarantine:
-    def test_transient_failure_retries_to_success(
+    """A unit is a pure function of ``(kind, params, seed)``, so its
+    one attempt is final for its job; the retry is a resubmit."""
+
+    def test_failing_unit_runs_once_and_is_quarantined(
         self, tmp_path, make_manager
     ):
-        attempts = {}
+        calls = []
 
-        async def flaky(units, seed):
-            out = []
-            for u in units:
-                n = attempts[u.label()] = attempts.get(u.label(), 0) + 1
-                if n < 2:
-                    out.append(UnitFailure("RuntimeError: transient"))
-                else:
-                    out.append({"ok": u.params["i"]})
-            return out
+        async def poison_one(units, seed):
+            calls.extend(u.params["i"] for u in units)
+            return [
+                UnitFailure("RuntimeError: poison")
+                if u.params["i"] == 1 else {"ok": u.params["i"]}
+                for u in units
+            ]
 
         async def scenario():
-            mgr = make_manager(tmp_path, flaky, max_attempts=3)
+            mgr = make_manager(tmp_path, poison_one, batch_units=1)
             await mgr.start()
             job = mgr.submit("t", specs(3))
             await wait_terminal(mgr, job)
-            assert job.state == "done"
-            assert mgr.totals["units_retried"] == 3
-            assert mgr.totals["units_quarantined"] == 0
+            # Nothing is left to dispatch: no retry is pending.
+            await asyncio.sleep(0.05)
+            assert job.state == "failed"
+            assert sorted(calls) == [0, 1, 2]
+            assert [u.state for u in job.units] == [
+                "done", "quarantined", "done",
+            ]
+            assert mgr.totals["units_quarantined"] == 1
             await mgr.drain()
             mgr.close()
 
         run_async(scenario())
+
+    def test_resubmit_computes_only_the_quarantined_unit(
+        self, tmp_path, make_manager, monkeypatch
+    ):
+        """Through the real front end: a resubmitted job finds its
+        completed units in the cache and computes only the one that
+        failed (here the failure was a one-off)."""
+        computed = []
+        failures = [RuntimeError("lost this once")]
+        real = units_mod.execute_unit
+
+        def count_and_fail_once(kind, params, seed):
+            computed.append(params["freq"])
+            if params["freq"] == 0.8 and failures:
+                raise failures.pop()
+            return real(kind, params, seed)
+
+        monkeypatch.setattr(units_mod, "execute_unit", count_and_fail_once)
+        unit_specs = [
+            {"kind": "sweep_point",
+             "params": {"mode": "single", "platform": "Tegra2", "freq": f}}
+            for f in (0.4, 0.8, 1.0)
+        ]
+
+        async def scenario():
+            frontend = CampaignFrontEnd(
+                ServeConfig(cache_dir=tmp_path / "cache")
+            )
+            mgr = make_manager(tmp_path, frontend.execute_units)
+            await mgr.start()
+            first = mgr.submit("t", unit_specs)
+            await wait_terminal(mgr, first)
+            assert first.state == "failed"
+            assert sorted(computed) == [0.4, 0.8, 1.0]
+            computed.clear()
+            again = mgr.submit("t", unit_specs)
+            await wait_terminal(mgr, again)
+            assert again.state == "done"
+            assert computed == [0.8]
+            result = mgr.result(again.job_id)
+            assert [u["state"] for u in result["units"]] == ["done"] * 3
+            await mgr.drain()
+            mgr.close()
+            await frontend.drain()
+
+        run_async(scenario())
+
+    def test_failed_checkpoint_write_quarantines_and_dispatch_survives(
+        self, tmp_path, make_manager
+    ):
+        """A cache write that fails (a full disk) quarantines its unit
+        with the error; the dispatch loop lives on, so a later job
+        still completes once the disk has room."""
+
+        class FullDisk(ResultCache):
+            full = True
+
+            def put(self, key, value, kind=None):
+                if self.full:
+                    raise OSError(28, "No space left on device")
+                return super().put(key, value, kind=kind)
+
+        async def scenario():
+            cache = FullDisk(tmp_path / "cache")
+            mgr = make_manager(
+                tmp_path, echo_executor(), cache=cache, batch_units=1
+            )
+            await mgr.start()
+            job = mgr.submit("t", specs(3))
+            await wait_terminal(mgr, job)
+            assert job.state == "failed"
+            assert job.counts["quarantined"] == 3
+            assert "No space left on device" in job.units[0].error
+            cache.full = False
+            later = mgr.submit("t", specs(2, tag="later"))
+            await wait_terminal(mgr, later)
+            assert later.state == "done"
+            await mgr.drain()
+            mgr.close()
+
+        run_async(scenario())
+        with JobJournal(tmp_path / "journal", fsync=False) as journal:
+            quarantined = [
+                d for d in journal.replay()
+                if d["t"] == "unit" and d["state"] == "quarantined"
+            ]
+        assert len(quarantined) == 3
+        assert "No space left on device" in quarantined[0]["error"]
 
     def test_poison_unit_quarantined_job_fails_with_partial_results(
         self, tmp_path, make_manager
@@ -297,9 +392,7 @@ class TestRetryAndQuarantine:
 
         async def scenario():
             with recorder.recording() as rec:
-                mgr = make_manager(
-                    tmp_path, poison_one, max_attempts=2, batch_units=8
-                )
+                mgr = make_manager(tmp_path, poison_one, batch_units=8)
                 await mgr.start()
                 job = mgr.submit("t", specs(3))
                 await wait_terminal(mgr, job)
@@ -322,16 +415,21 @@ class TestRetryAndQuarantine:
     def test_whole_batch_executor_crash_is_contained(
         self, tmp_path, make_manager
     ):
+        calls = []
+
         async def explode(units, seed):
+            calls.append(len(units))
             raise RuntimeError("executor died")
 
         async def scenario():
-            mgr = make_manager(tmp_path, explode, max_attempts=2)
+            mgr = make_manager(tmp_path, explode)
             await mgr.start()
             job = mgr.submit("t", specs(2))
             await wait_terminal(mgr, job)
             assert job.state == "failed"
             assert job.counts["quarantined"] == 2
+            assert calls == [2]
+            assert "executor died" in job.units[1].error
             await mgr.drain()
             mgr.close()
 
@@ -524,17 +622,18 @@ class TestRecovery:
         mgr2.close()
 
     def test_rotation_compacts_and_preserves_state(
-        self, tmp_path, make_manager
+        self, tmp_path, make_manager, monkeypatch
     ):
+        monkeypatch.setattr(jobs_mod, "ROTATE_BYTES", 1)
+        monkeypatch.setattr(jobs_mod, "KEEP_TERMINAL", 2)
+
         async def scenario():
-            mgr = make_manager(
-                tmp_path, echo_executor(), rotate_bytes=1, keep_terminal=2
-            )
+            mgr = make_manager(tmp_path, echo_executor())
             await mgr.start()
             jobs = [
                 mgr.submit("t", specs(2, tag=f"j{i}")) for i in range(5)
             ]
-            # keep_terminal=2 prunes old terminal jobs at rotation, so a
+            # KEEP_TERMINAL=2 prunes old terminal jobs at rotation, so a
             # job may vanish from the manager once finished — absence
             # counts as terminal here.
             async def all_settled():
@@ -551,7 +650,7 @@ class TestRecovery:
 
             mgr2 = make_manager(tmp_path, echo_executor())
             info = mgr2.recover()
-            # keep_terminal=2 pruned the oldest terminal jobs at rotate.
+            # KEEP_TERMINAL=2 pruned the oldest terminal jobs at rotate.
             assert info["jobs"] <= 3
             assert all(
                 j.state == "done" for j in mgr2.jobs.values()
@@ -632,7 +731,7 @@ class TestCacheIsTheUnitCheckpoint:
             ]
 
         async def scenario():
-            mgr = make_manager(tmp_path, poison_one, max_attempts=1)
+            mgr = make_manager(tmp_path, poison_one)
             await mgr.start()
             ok = mgr.submit("t", specs(3, tag="ok"))
             bad = mgr.submit("t", specs(3, tag="bad"))

@@ -25,7 +25,7 @@ async def start_server(tmp_path, runner=label_runner, jobs_cfg=None,
         JobJournal(tmp_path / "journal", fsync=False),
         ResultCache(config.cache_dir),
         frontend.execute_units,
-        jobs_cfg or JobsConfig(retry_backoff_s=0.001),
+        jobs_cfg or JobsConfig(),
     )
     server = ServeServer(frontend, jobs_manager=manager)
     await server.start()
@@ -124,9 +124,10 @@ class TestJobOps:
         assert sub["ok"] and sub["n_units"] == 1000
         assert ping == {"id": 2, "ok": True}
 
-    def test_runner_crash_retries_each_job_unit(self, tmp_path):
-        """A runner that raises fails the whole job batch, and the job
-        tier retries every unit of it (here to success)."""
+    def test_runner_crash_quarantines_each_job_unit(self, tmp_path):
+        """A runner that raises fails the whole job batch: each of its
+        units is quarantined on that one attempt, and a resubmit is the
+        retry (here to success)."""
         calls = []
 
         def flaky_runner(units):
@@ -147,16 +148,25 @@ class TestJobOps:
             job = await wait_job_state(
                 reader, writer, sub["job_id"], ("done", "failed")
             )
-            stats = await request(reader, writer, {"op": "stats", "id": 2})
-            await request(reader, writer, {"op": "shutdown", "id": 3})
+            again = await request(
+                reader, writer,
+                {"op": "submit", "id": 2, "tenant": "alice", "units": UNITS},
+            )
+            rerun = await wait_job_state(
+                reader, writer, again["job_id"], ("done", "failed")
+            )
+            stats = await request(reader, writer, {"op": "stats", "id": 3})
+            await request(reader, writer, {"op": "shutdown", "id": 4})
             await run_task
             writer.close()
-            return job, stats["jobs"]
+            return job, rerun, stats["jobs"]
 
-        job, totals = asyncio.run(scenario())
-        assert job["state"] == "done" and job["done"] == 3
-        assert calls[0] == 3 and sum(calls[1:]) == 3
-        assert totals["units_retried"] == 3
+        job, rerun, totals = asyncio.run(scenario())
+        assert job["state"] == "failed" and job["quarantined"] == 3
+        assert "worker lost" in job["quarantined_units"][0]["error"]
+        assert rerun["state"] == "done" and rerun["done"] == 3
+        assert calls == [3, 3]
+        assert totals["units_quarantined"] == 3
 
     def test_status_without_id_lists_all_jobs(self, tmp_path):
         async def scenario():
@@ -238,8 +248,7 @@ class TestJobOps:
         async def scenario():
             server, run_task = await start_server(
                 tmp_path, gated_runner,
-                jobs_cfg=JobsConfig(tenant_quota_units=2,
-                                    retry_backoff_s=0.001),
+                jobs_cfg=JobsConfig(tenant_quota_units=2),
             )
             reader, writer = await connect(server)
             first = await request(

@@ -630,22 +630,16 @@ class TestDirectPathByteIdentity:
         assert counted == len(IDENTITY_CASES)
 
 
-class TestJobHomeDown:
-    """Job ops live on the boot-order-first backend; when it is down
-    the router must answer a structured ``job_home_down`` (naming the
-    home, with a retry hint) instead of the generic ``unavailable``."""
+class TestRouterAnswersJobOps:
+    """The router has no job tier behind it (its backends run
+    ``--no-jobs``), so it answers every job op itself, exactly as a
+    ``--no-jobs`` server does, and forwards none."""
 
-    def test_job_ops_to_down_home_are_structured(self, tmp_path):
+    def test_job_ops_answered_with_every_backend_down(self, tmp_path):
         async def scenario():
-            live = ServeServer(CampaignFrontEnd(
-                ServeConfig(cache_dir=tmp_path / "b1"),
-                label_runner,
-            ))
-            await live.start()
-            live_task = asyncio.ensure_future(live.serve_until_shutdown())
             router = ServeRouter([
-                ("b0", "127.0.0.1", 1),  # the job home: nobody there
-                ("b1", "127.0.0.1", live.port),
+                ("b0", "127.0.0.1", 1),  # nobody listens on either
+                ("b1", "127.0.0.1", 1),
             ])
             await router.start()
             router_task = asyncio.ensure_future(
@@ -662,33 +656,20 @@ class TestJobHomeDown:
             for req in reqs:
                 send(writer, req)
             await writer.drain()
-            docs = {}
-            for _ in reqs:
-                doc = await recv(reader)
-                docs[doc["id"]] = doc
-            # Queries are unaffected: they shard by key, and this key's
-            # home may be either backend — served or unavailable, but
-            # never job_home_down.
-            send(writer, {"op": "query", "id": 9, "kind": "sweep_base",
-                          "params": {}})
-            await writer.drain()
-            query_doc = await recv(reader)
+            docs = [await recv(reader) for _ in reqs]
             send(writer, {"op": "shutdown", "id": 99})
             await writer.drain()
-            await asyncio.gather(router_task, live_task)
+            await router_task
             writer.close()
-            return docs, query_doc, router.job_home_down
+            return docs, router.forwarded, router.unavailable
 
-        docs, query_doc, counter = asyncio.run(scenario())
-        for rid in range(4):
-            doc = docs[rid]
-            assert doc["ok"] is False, doc
-            assert doc["error"] == "job_home_down"
-            assert doc["job_home"] == "b0"
-            assert isinstance(doc["retry_after_s"], float)
-            assert doc["retry_after_s"] > 0
-        assert counter == 4
-        assert query_doc.get("error") != "job_home_down"
+        docs, forwarded, unavailable = asyncio.run(scenario())
+        assert docs == [
+            {"id": rid, "ok": False, "error": "bad_request",
+             "detail": "job tier disabled (serve --no-jobs)"}
+            for rid in range(4)
+        ]
+        assert (forwarded, unavailable) == (0, 0)
 
 
 async def wire_connect(port, negotiate=True):

@@ -61,6 +61,24 @@ class TestServeArgs:
             serve_main([flag, value])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--unit-attempts", "3"), ("--retry-backoff", "0.1")]
+    )
+    def test_unit_retry_options_are_gone(
+        self, flag, value, capsys, monkeypatch
+    ):
+        """A job unit gets one attempt: there is no retry to tune."""
+        import asyncio
+
+        from repro.serve.cli import serve_main
+
+        # Were the option accepted, no server may start.
+        monkeypatch.setattr(asyncio, "run", lambda coro: coro.close())
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main([flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_serve_sets_the_switch_interval_before_the_loop(
         self, monkeypatch, tmp_path
     ):

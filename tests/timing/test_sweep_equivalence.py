@@ -94,21 +94,6 @@ class TestExecutorBatch:
         assert time_s[0] == scalar_run.time_s
         assert mem_s[0] == scalar_run.memory_time_s
 
-    def test_batch_seeds_the_scalar_memo(self, t2, kernels):
-        """``time_suite`` times through the memo, unlike the pass."""
-        ex = SimulatedExecutor(t2)
-        runs = ex.time_suite(kernels, 1.0, cores=1)
-        # A later scalar call must return the very same frozen object.
-        for k in kernels:
-            assert ex.time_kernel(k, 1.0, cores=1) is runs[k.tag]
-
-    def test_batch_serves_existing_memo_entries(self, t2, kernels):
-        ex = SimulatedExecutor(t2)
-        k = kernels[0]
-        scalar_run = ex.time_kernel(k, 1.0, cores=2)
-        runs = ex.time_suite(kernels, 1.0, cores=2)
-        assert runs[k.tag] is scalar_run
-
     def test_batch_validates_like_scalar(self, t2, kernels):
         ex = SimulatedExecutor(t2)
         for bad in (-0.5, 0.0, float("nan")):
